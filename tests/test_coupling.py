@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from cqedkit import (
     LabelingError,
     coupled_spectrum_oracle,
     coupling_strength,
+    derive,
     dispersive_shift,
     exact_transmon_spectrum,
     external_quality_factor,
@@ -180,6 +183,65 @@ def test_oracle_reference(reference_spectrum):
     e = coupled.dressed_energies_hz
     chi = ((e[(1, 1)] - e[(1, 0)]) - (e[(0, 1)] - e[(0, 0)])) / 2.0
     assert chi == coupled.chi_exact_hz
+
+
+SECTOR_LABELS = {(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)}
+
+
+def dense_dressed_energies(transmon, f_r_hz, g_01_hz, n_qubit=4, n_resonator=6):
+    """Dressed energies of the full truncated Hamiltonian, by dominant bare state.
+
+    The reference for the excitation-block oracle: the whole
+    n_qubit * n_resonator matrix, built element by element and solved densely.
+    """
+    dim = n_qubit * n_resonator
+
+    def index(j, m):
+        return j * n_resonator + m
+
+    hamiltonian = np.zeros((dim, dim))
+    for j in range(n_qubit):
+        for m in range(n_resonator):
+            hamiltonian[index(j, m), index(j, m)] = transmon.levels_hz[j] + m * f_r_hz
+    for j in range(n_qubit - 1):
+        for m in range(n_resonator - 1):
+            element = math.sqrt(j + 1.0) * g_01_hz * math.sqrt(m + 1.0)
+            hamiltonian[index(j, m + 1), index(j + 1, m)] = element
+            hamiltonian[index(j + 1, m), index(j, m + 1)] = element
+    values, vectors = np.linalg.eigh(hamiltonian)
+    dressed = {}
+    for k in range(dim):
+        bare = int(np.argmax(np.abs(vectors[:, k])))
+        if vectors[bare, k] ** 2 > 0.5:
+            dressed[divmod(bare, n_resonator)] = float(values[k])
+    return dressed
+
+
+def test_oracle_matches_dense_truncated_hamiltonian(reference_inputs):
+    rng = np.random.default_rng(11)
+    fields = ("c_s_farad", "c_g_farad", "c_k_farad", "l_j_henry", "f_r_target_hertz")
+    designs = [reference_inputs] + [
+        replace(
+            reference_inputs,
+            **{f: getattr(reference_inputs, f) * rng.uniform(0.9, 1.1) for f in fields},
+        )
+        for _ in range(5)
+    ]
+    for inputs in designs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DispersiveValidityWarning)
+            derived = derive(inputs)
+        f_r = inputs.f_r_target_hertz
+        g_01 = derived.coupling.g_01_hz
+        coupled = coupled_spectrum_oracle(derived.transmon_exact, f_r, g_01)
+        dense = dense_dressed_energies(derived.transmon_exact, f_r, g_01)
+        assert set(coupled.dressed_energies_hz) == SECTOR_LABELS
+        for label in SECTOR_LABELS:
+            # every energy but E(0, 0) = 0 is above f_r / 2
+            gap = abs(coupled.dressed_energies_hz[label] - dense[label])
+            assert gap <= 1e-10 * max(abs(dense[label]), f_r), label
+        chi_dense = ((dense[(1, 1)] - dense[(1, 0)]) - (dense[(0, 1)] - dense[(0, 0)])) / 2.0
+        assert coupled.chi_exact_hz == pytest.approx(chi_dense, rel=1e-10)
 
 
 def test_oracle_truncation_stable(reference_spectrum):

@@ -148,6 +148,10 @@ def test_r_load_defaults_to_line_impedance():
         ("l_j_henry", -11e-9),
         ("f_r_target_hertz", 0.0),
         ("z_0_ohm", -50.0),
+        ("c_s_farad", True),
+        ("c_g_farad", False),
+        ("geometry", "abc"),
+        ("geometry", [1]),
     ],
 )
 def test_invalid_inputs_name_the_field(field, value):

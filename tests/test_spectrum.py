@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.special import mathieu_a, mathieu_b
 
 from cqedkit import (
     ContractError,
@@ -184,6 +186,60 @@ def test_charge_dispersion_negligible_in_transmon_regime():
     ]
     spread = (max(f_01) - min(f_01)) / min(f_01)
     assert spread < 1e-4
+
+
+def test_automatic_cutoff_reference():
+    spectrum = exact_transmon_spectrum(E_J_REF, E_C_REF)
+    assert spectrum.charge_cutoff == 14
+    wide = exact_transmon_spectrum(E_J_REF, E_C_REF, charge_cutoff=25)
+    assert spectrum.levels_hz == pytest.approx(wide.levels_hz, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_levels", [8, 16])
+def test_automatic_cutoff_is_converged(n_levels):
+    # the oracle for the cutoff rule: enlarging the charge window by 5
+    # moves no level by more than 1e-9 of max(|level|, E_c); the E_c floor
+    # keeps near-degenerate levels at n_g = 0.5 from failing falsely
+    e_c = 0.2e9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        for ratio in np.logspace(0.0, 4.0, 41):
+            for n_g in (0.0, 0.25, 0.5):
+                auto = exact_transmon_spectrum(ratio * e_c, e_c, n_g, n_levels=n_levels)
+                wider = exact_transmon_spectrum(
+                    ratio * e_c, e_c, n_g, auto.charge_cutoff + 5, n_levels
+                )
+                scale = np.maximum(np.abs(wider.levels_hz), e_c)
+                drift = np.abs(np.subtract(auto.levels_hz, wider.levels_hz))
+                assert np.all(drift <= 1e-9 * scale), (ratio, n_g, auto.charge_cutoff)
+
+
+def test_exact_spectrum_matches_mathieu_characteristic_values():
+    # Koch et al., PRA 76, 042319 (2007), eq. 2.3: at n_g = 0 the three
+    # lowest levels are E_c times a_0(q), b_2(q), a_2(q), q = E_j / (2 E_c).
+    # scipy returns a wrong a_2 at a few q above ~3000 (a_0's value for
+    # q = 3155); Mathieu theory orders a_0 < b_2 < a_2, so a point that
+    # breaks the order has no reference value
+    e_c = 0.2e9
+    compared = 0
+    for ratio in np.logspace(0.0, 4.0, 41):
+        q = ratio / 2.0
+        a_0, b_2, a_2 = mathieu_a(0, q), mathieu_b(2, q), mathieu_a(2, q)
+        if not a_0 < b_2 < a_2:
+            continue
+        spectrum = exact_transmon_spectrum(ratio * e_c, e_c)
+        assert spectrum.levels_hz[1] == pytest.approx(e_c * (b_2 - a_0), rel=1e-9)
+        assert spectrum.levels_hz[2] == pytest.approx(e_c * (a_2 - a_0), rel=1e-9)
+        compared += 1
+    assert compared >= 40
+
+
+def test_automatic_cutoff_is_capped():
+    # the rule asks for more than the 401-state limit: solve at the limit
+    # and say the result is not converged
+    with pytest.warns(ConvergenceWarning):
+        spectrum = exact_transmon_spectrum(1e12 * 0.2e9, 0.2e9, n_levels=3)
+    assert spectrum.charge_cutoff == 200
 
 
 def test_truncation_warning_when_cutoff_too_small():
