@@ -2,7 +2,7 @@
 
 Subcommands: derive, s21, sweep, tune, compare. Exit codes: 0 success,
 1 domain/validation error, 2 numerical failure (convergence, bracketing,
-unresolved curves).
+unresolved curves, float overflow or division by zero).
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--to", required=True, type=float, dest="to_value")
     p_sweep.add_argument("--steps", required=True, type=int)
     p_sweep.add_argument("--emit", required=True, help="comma-separated quantity names")
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--out", required=True, help="CSV path")
 
     p_tune = sub.add_parser("tune", help="tune one parameter to a target quantity")
@@ -128,7 +127,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         steps=args.steps,
         outputs=outputs,
     )
-    result = sweep(load_design(args.config), spec, workers=args.workers)
+    result = sweep(load_design(args.config), spec)
     Path(args.out).write_text("\n".join(sweep_csv_lines(result)) + "\n", encoding="utf-8")
     failed = sum(1 for row in result.rows if row.status != "ok")
     sys.stdout.write(f"{len(result.rows)} rows ({failed} failed): {args.out}\n")
@@ -204,6 +203,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DOMAIN
     except (ConvergenceError, BracketingError, LabelingError, ExtractionError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
+        return EXIT_NUMERICAL
+    except ArithmeticError as exc:
+        sys.stderr.write(f"numerical failure: {type(exc).__name__}: {exc}\n")
         return EXIT_NUMERICAL
 
 

@@ -34,7 +34,9 @@ from .errors import (
 from .spectrum import TransmonSpectrum, solve_tridiagonal_symmetric
 
 _MIN_DISPERSIVE_RATIO = 10.0  # |detuning| / g below which the warning fires
-_ORACLE_MIN_RATIO = 5.0
+# |detuning| / g at or below which dressed labels are unreliable: the oracle
+# warns there, and derive skips it on the closed-form detuning
+ORACLE_MIN_RATIO = 5.0
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,6 @@ class CoupledSpectrum:
     bare overlap are retained.
     """
 
-    qubit_levels_used: int
-    resonator_levels_used: int
     dressed_energies_hz: dict[tuple[int, int], float]
     chi_exact_hz: float
 
@@ -188,11 +188,7 @@ def purcell_t1(
 
 
 def coupled_spectrum_oracle(
-    transmon: TransmonSpectrum,
-    f_r_hz: float,
-    g_01_hz: float,
-    n_qubit_levels: int = 4,
-    n_resonator_levels: int = 6,
+    transmon: TransmonSpectrum, f_r_hz: float, g_01_hz: float
 ) -> CoupledSpectrum:
     """Diagonalize the multilevel qubit-resonator Hamiltonian.
 
@@ -202,29 +198,25 @@ def coupled_spectrum_oracle(
     with g_{j,j+1} = sqrt(j+1) g_01 and f_j the exact transmon levels.
     H conserves j + m (Blais et al., RMP 93, 025005 (2021)); only the
     blocks j + m = 0, 1, 2 are solved. They are the same for any truncation
-    of at least 3 x 3 levels, so the level counts are checked but unused.
+    of at least 3 x 3 levels, so none is chosen; the transmon must supply
+    levels 0-2.
     Dressed states are labeled by their dominant bare component; the
     exact dispersive shift is half the difference of the resonator
     pull between qubit states 1 and 0.
     """
-    if n_qubit_levels < 3:
-        raise DomainError(f"need at least 3 qubit levels, got {n_qubit_levels}")
-    if n_resonator_levels < 4:
-        raise DomainError(f"need at least 4 resonator levels, got {n_resonator_levels}")
     if not f_r_hz > 0.0:
         raise DomainError(f"resonator frequency must be positive, got {f_r_hz}")
     if g_01_hz < 0.0:
         raise DomainError(f"coupling strength must be non-negative, got {g_01_hz}")
-    if len(transmon.levels_hz) < n_qubit_levels:
+    if len(transmon.levels_hz) < 3:
         raise DomainError(
-            f"transmon spectrum holds {len(transmon.levels_hz)} levels, "
-            f"need {n_qubit_levels}"
+            f"transmon spectrum holds {len(transmon.levels_hz)} levels, need 3"
         )
 
     detuning = transmon.f_01_exact_hz - f_r_hz
-    if g_01_hz > 0.0 and abs(detuning) <= _ORACLE_MIN_RATIO * g_01_hz:
+    if g_01_hz > 0.0 and abs(detuning) <= ORACLE_MIN_RATIO * g_01_hz:
         warnings.warn(
-            f"|detuning| = {abs(detuning):.3e} Hz is within {_ORACLE_MIN_RATIO:.0f} g_01; "
+            f"|detuning| = {abs(detuning):.3e} Hz is within {ORACLE_MIN_RATIO:.0f} g_01; "
             "dressed-state labels may be ambiguous",
             DispersiveValidityWarning,
             stacklevel=2,
@@ -259,9 +251,4 @@ def coupled_spectrum_oracle(
     chi_exact = (
         (dressed[(1, 1)] - dressed[(1, 0)]) - (dressed[(0, 1)] - dressed[(0, 0)])
     ) / 2.0
-    return CoupledSpectrum(
-        qubit_levels_used=n_qubit_levels,
-        resonator_levels_used=n_resonator_levels,
-        dressed_energies_hz=dressed,
-        chi_exact_hz=chi_exact,
-    )
+    return CoupledSpectrum(dressed_energies_hz=dressed, chi_exact_hz=chi_exact)

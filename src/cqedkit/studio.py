@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -20,6 +19,7 @@ from typing import Any, Callable, Mapping
 from . import __version__
 from .constants import junction_inductance_to_critical_current
 from .coupling import (
+    ORACLE_MIN_RATIO,
     CouplingParameters,
     coupled_spectrum_oracle,
     coupling_strength,
@@ -44,7 +44,6 @@ from .spectrum import (
 )
 
 TOOL_NAME = "cqedkit"
-_ORACLE_SKIP_RATIO = 5.0  # |detuning| / g below which the dressed oracle is skipped
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +59,6 @@ class DerivedParameters:
     transmon_exact: TransmonSpectrum
     coupling: CouplingParameters
     chi_exact_hz: float | None
-    oracle_qubit_levels: int
-    oracle_resonator_levels: int
     provenance: Mapping[str, str]
 
 
@@ -316,31 +313,21 @@ def input_digest(inputs: DesignInputs) -> str:
 # derivation pipeline
 
 
-def derive(
-    inputs: DesignInputs,
-    charge_cutoff: int | None = None,
-    oracle_qubit_levels: int = 4,
-    oracle_resonator_levels: int = 6,
-) -> DerivedParameters:
+def derive(inputs: DesignInputs) -> DerivedParameters:
     """Run the full derivation chain for one design.
 
     Stages: lumped extraction -> transmon levels (closed form and exact
     diagonalization) -> coupling/readout figures -> dressed-state oracle.
-    The oracle is skipped (chi_exact_hz = None) when the design is too
-    close to qubit-resonator degeneracy for dressed states to be labeled.
+    The oracle is skipped (chi_exact_hz = None) when the closed-form
+    detuning is within 5 g_01 of the resonator, too close to degeneracy for
+    dressed states to be labeled.
     """
     lumped = _stage("lumped extraction", build_lumped_circuit, inputs)
     pert = _stage(
         "perturbative levels", perturbative_levels, lumped.e_j_hz, lumped.e_c_hz
     )
     exact = _stage(
-        "exact diagonalization",
-        exact_transmon_spectrum,
-        lumped.e_j_hz,
-        lumped.e_c_hz,
-        0.0,
-        charge_cutoff,
-        max(8, oracle_qubit_levels + 1),
+        "exact diagonalization", exact_transmon_spectrum, lumped.e_j_hz, lumped.e_c_hz
     )
     f_r = inputs.f_r_target_hertz
     v_rms = _stage("zero-point voltage", zero_point_voltage, f_r, lumped.c_r_farad)
@@ -384,16 +371,8 @@ def derive(
         chi_kappa_ratio=2.0 * abs(chi_total) / kappa,
     )
 
-    if g_01 == 0.0 or abs(detuning) > _ORACLE_SKIP_RATIO * g_01:
-        oracle = _stage(
-            "dressed-state oracle",
-            coupled_spectrum_oracle,
-            exact,
-            f_r,
-            g_01,
-            oracle_qubit_levels,
-            oracle_resonator_levels,
-        )
+    if g_01 == 0.0 or abs(detuning) > ORACLE_MIN_RATIO * g_01:
+        oracle = _stage("dressed-state oracle", coupled_spectrum_oracle, exact, f_r, g_01)
         chi_exact: float | None = oracle.chi_exact_hz
     else:
         chi_exact = None
@@ -409,8 +388,6 @@ def derive(
         transmon_exact=exact,
         coupling=coupling,
         chi_exact_hz=chi_exact,
-        oracle_qubit_levels=oracle_qubit_levels,
-        oracle_resonator_levels=oracle_resonator_levels,
         provenance=provenance,
     )
 
@@ -418,7 +395,7 @@ def derive(
 def _stage(name: str, fn: Callable[..., Any], *args: Any) -> Any:
     try:
         return fn(*args)
-    except (DomainError, ContractError, ConvergenceError, LabelingError) as exc:
+    except (DomainError, ContractError, ConvergenceError, LabelingError, ArithmeticError) as exc:
         raise type(exc)(f"{name}: {exc}") from exc
 
 
@@ -475,11 +452,11 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
 
 
 def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Evaluate the derivation chain on a parameter grid.
+    """Evaluate the derivation chain on a parameter grid, in grid order.
 
-    Grid points are independent; with ``workers > 1`` they are evaluated
-    by a thread pool and re-assembled in grid order, so the result is
-    identical to a sequential run.
+    A row whose derivation fails is marked ``error`` and the sweep goes on.
+    ``workers`` is checked (>= 1) and otherwise ignored; it stays only for
+    callers that pass ``workers=1``, such as the benchmark workloads.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
@@ -490,7 +467,7 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
             derived = derive(_with_parameter(inputs, spec.parameter, value))
             outputs = {name: QUANTITIES[name](derived) for name in spec.outputs}
             return SweepRow(parameter_value=value, outputs=outputs, status="ok")
-        except (ValueError, RuntimeError) as exc:
+        except (ValueError, RuntimeError, ArithmeticError) as exc:
             return SweepRow(
                 parameter_value=value,
                 outputs={},
@@ -498,12 +475,7 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
                 error=f"{type(exc).__name__}: {exc}",
             )
 
-    if workers == 1:
-        rows = [evaluate(v) for v in values]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(evaluate, values))
-    return SweepResult(spec=spec, rows=tuple(rows))
+    return SweepResult(spec=spec, rows=tuple(evaluate(v) for v in values))
 
 
 def tune(inputs: DesignInputs, spec: TuneSpec, max_iterations: int = 200) -> TuneResult:
@@ -679,8 +651,6 @@ def report_dict(derived: DerivedParameters) -> dict[str, Any]:
         },
         "oracle": {
             "chi_exact_hz": derived.chi_exact_hz,
-            "qubit_levels": derived.oracle_qubit_levels,
-            "resonator_levels": derived.oracle_resonator_levels,
             "valid": derived.chi_exact_hz is not None,
         },
         "summary": summary_checks(derived),

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqedkit.cli import main
 from cqedkit.studio import EXPECTED_EPR_GAPS_PERCENT
@@ -44,20 +48,97 @@ def test_derive_rejects_mistyped_design_field(tmp_path, capsys, field, value):
 
 def test_import_loads_no_scipy():
     # scipy is a test-only dependency; importing it would cost every CLI
-    # start-up a few hundred milliseconds
+    # start-up a few hundred milliseconds. Sweeps run sequentially, so
+    # concurrent.futures (about 10 ms) has no business loading either.
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys, cqedkit; "
         "print(cqedkit.__file__); "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+        "print(sorted(m for m in sys.modules if m.startswith('concurrent.futures')))"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    module_file, scipy_modules = result.stdout.splitlines()
+    module_file, scipy_modules, futures_modules = result.stdout.splitlines()
     assert Path(module_file).is_relative_to(src)
     assert scipy_modules == "[]"
+    assert futures_modules == "[]"
+
+
+def _write_design(path, **overrides):
+    design = json.loads(Path(CONFIG).read_text())
+    design.update(overrides)
+    path.write_text(json.dumps(design))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "field,value,stage",
+    [
+        ("c_k_farad", 1e200, "quality factor"),
+        ("l_j_henry", 1e-300, "lumped extraction"),
+        ("f_r_target_hertz", 1e300, "lumped extraction"),
+    ],
+)
+def test_derive_float_overflow_is_numerical_failure(tmp_path, capsys, field, value, stage):
+    config = _write_design(tmp_path / "design.json", **{field: value})
+    code = main(["derive", "--config", config, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert f": {stage}: " in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
+_NUMERIC_FIELDS = (
+    "c_s_farad",
+    "c_g_farad",
+    "c_k_farad",
+    "l_j_henry",
+    "f_r_target_hertz",
+    "z_0_ohm",
+    "r_load_ohm",
+)
+_LOG_UNIFORM = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
+_NOT_A_NUMBER = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    numbers=st.dictionaries(
+        st.sampled_from(_NUMERIC_FIELDS), _LOG_UNIFORM, min_size=1, max_size=3
+    ),
+    junk=st.one_of(
+        st.none(), st.tuples(st.sampled_from(_NUMERIC_FIELDS + ("geometry",)), _NOT_A_NUMBER)
+    ),
+)
+def test_derive_any_design_file_exits_cleanly(fuzz_dir, numbers, junk):
+    # every design file ends in exit 0, 1 or 2, never a traceback
+    overrides = dict(numbers)
+    if junk is not None:
+        overrides[junk[0]] = junk[1]
+    config = _write_design(fuzz_dir / "design.json", **overrides)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["derive", "--config", config, "--out", str(fuzz_dir / "r.json")])
+    assert code in (0, 1, 2)
+    if code != 0:
+        last = err.getvalue().splitlines()[-1]
+        assert last.startswith(("error: ", "numerical failure: ")), last
 
 
 def test_usage_error_maps_to_validation_exit(capsys):
@@ -100,6 +181,32 @@ def test_sweep_csv(tmp_path):
     assert lines[0] == "c_g_farad,g_01_hz,chi_total_hz,status,error"
     assert len(lines) == 5
     assert all(line.split(",")[3] == "ok" for line in lines[1:])
+
+
+def test_sweep_marks_overflowing_rows_and_continues(tmp_path):
+    # the coupler's Norton equivalent overflows above c_k ~ 1e142 F
+    out = tmp_path / "sweep.csv"
+    code = main([
+        "sweep", "--config", CONFIG, "--param", "c_k_farad",
+        "--from", "1e-15", "--to", "1e200", "--steps", "3",
+        "--emit", "q_ext", "--out", str(out),
+    ])
+    assert code == 0
+    rows = [line.split(",", 3) for line in out.read_text().splitlines()[1:]]
+    assert [row[2] for row in rows] == ["ok", "error", "error"]
+    assert all("OverflowError: quality factor: " in row[3] for row in rows[1:])
+
+
+def test_sweep_has_no_workers_option(tmp_path, capsys):
+    code = main([
+        "sweep", "--config", CONFIG, "--param", "c_g_farad",
+        "--from", "2e-15", "--to", "8e-15", "--steps", "4",
+        "--emit", "g_01_hz", "--workers", "2", "--out", str(tmp_path / "s.csv"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unrecognized arguments: --workers 2")
+    assert err.count("\n") == 1
 
 
 def test_sweep_rejects_unknown_quantity(tmp_path):

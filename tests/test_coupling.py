@@ -174,7 +174,7 @@ def reference_spectrum():
 
 
 def test_oracle_reference(reference_spectrum):
-    coupled = coupled_spectrum_oracle(reference_spectrum, F_R_REF, G_01_REF, 4, 6)
+    coupled = coupled_spectrum_oracle(reference_spectrum, F_R_REF, G_01_REF)
     assert coupled.chi_exact_hz == pytest.approx(CHI_EXACT_REF, rel=1e-9)
     # agrees with the second-order formula at the 10% level, same sign
     assert coupled.chi_exact_hz < 0.0
@@ -245,14 +245,18 @@ def test_oracle_matches_dense_truncated_hamiltonian(reference_inputs):
 
 
 def test_oracle_truncation_stable(reference_spectrum):
-    small = coupled_spectrum_oracle(reference_spectrum, F_R_REF, G_01_REF, 4, 6)
-    large = coupled_spectrum_oracle(reference_spectrum, F_R_REF, G_01_REF, 5, 8)
-    change = abs(large.chi_exact_hz - small.chi_exact_hz) / abs(large.chi_exact_hz)
-    assert change < 0.01
+    # H conserves j + m, so the blocks j + m <= 2 are exact for any
+    # truncation of at least 3 x 3 levels; a larger dense build agrees
+    coupled = coupled_spectrum_oracle(reference_spectrum, F_R_REF, G_01_REF)
+    dense = dense_dressed_energies(reference_spectrum, F_R_REF, G_01_REF, 5, 8)
+    assert set(coupled.dressed_energies_hz) == SECTOR_LABELS
+    for label in SECTOR_LABELS:
+        gap = abs(coupled.dressed_energies_hz[label] - dense[label])
+        assert gap <= 1e-10 * max(abs(dense[label]), F_R_REF), label
 
 
 def test_oracle_zero_coupling(reference_spectrum):
-    coupled = coupled_spectrum_oracle(reference_spectrum, F_R_REF, 0.0, 4, 6)
+    coupled = coupled_spectrum_oracle(reference_spectrum, F_R_REF, 0.0)
     # zero to float roundoff on the 1e10 Hz energy scale
     assert coupled.chi_exact_hz == pytest.approx(0.0, abs=1e-3)
     for (j, m), energy in coupled.dressed_energies_hz.items():
@@ -265,18 +269,18 @@ def test_oracle_rejects_degenerate_labeling(reference_spectrum):
     # delocalize the one-excitation pair: labels cannot be assigned
     with pytest.warns(DispersiveValidityWarning):
         with pytest.raises(LabelingError):
-            coupled_spectrum_oracle(
-                reference_spectrum, reference_spectrum.f_01_exact_hz, 2e9, 4, 6
-            )
+            coupled_spectrum_oracle(reference_spectrum, reference_spectrum.f_01_exact_hz, 2e9)
 
 
 def test_oracle_preconditions(reference_spectrum):
     with pytest.raises(DomainError):
-        coupled_spectrum_oracle(reference_spectrum, F_R_REF, G_01_REF, 2, 6)
+        coupled_spectrum_oracle(reference_spectrum, 0.0, G_01_REF)
     with pytest.raises(DomainError):
-        coupled_spectrum_oracle(reference_spectrum, F_R_REF, G_01_REF, 4, 3)
+        coupled_spectrum_oracle(reference_spectrum, F_R_REF, -1.0)
+    # the blocks j + m <= 2 read transmon levels 0-2
+    two_levels = replace(reference_spectrum, levels_hz=reference_spectrum.levels_hz[:2])
     with pytest.raises(DomainError):
-        coupled_spectrum_oracle(reference_spectrum, F_R_REF, G_01_REF, 10, 6)
+        coupled_spectrum_oracle(two_levels, F_R_REF, G_01_REF)
 
 
 def test_second_order_formula_converges_to_oracle():
@@ -295,7 +299,7 @@ def test_second_order_formula_converges_to_oracle():
         f_12_exact = spectrum.levels_hz[2] - spectrum.levels_hz[1]
         for ratio in detuning_over_g:
             f_r = pert.f_01_hz + ratio * g
-            oracle = coupled_spectrum_oracle(spectrum, f_r, g, 4, 6)
+            oracle = coupled_spectrum_oracle(spectrum, f_r, g)
             _, _, chi_same = dispersive_shift(g, spectrum.f_01_exact_hz, f_12_exact, f_r)
             _, _, chi_pert = dispersive_shift(g, pert.f_01_hz, pert.f_12_hz, f_r)
             gap_same = abs(oracle.chi_exact_hz - chi_same) / abs(oracle.chi_exact_hz)

@@ -172,6 +172,12 @@ def test_sweep_parallel_equals_sequential(reference_inputs):
     assert sequential == parallel
 
 
+def test_sweep_rejects_nonpositive_workers(reference_inputs):
+    spec = SweepSpec("c_g_farad", 1e-15, 9e-15, 3, ("g_01_hz",))
+    with pytest.raises(DomainError):
+        sweep(reference_inputs, spec, workers=0)
+
+
 def test_sweep_flags_failing_rows_and_continues(reference_inputs):
     # negative coupling capacitance is rejected by input validation
     spec = SweepSpec("c_g_farad", -2e-15, 4e-15, 3, ("g_01_hz",))
@@ -286,6 +292,9 @@ def test_report_is_deterministic_and_rounded(reference_inputs):
     assert set(summary) == {name for name, _, _ in REFERENCE_TARGETS} | {"ej_ec_ratio"}
     assert report["coupling"]["abs_chi_exceeds_kappa"] is True
     assert report["coupling"]["two_chi_exceeds_kappa"] is True
+    # the oracle solves fixed excitation blocks, so no truncation is reported
+    assert set(report["oracle"]) == {"chi_exact_hz", "valid"}
+    assert report["oracle"]["valid"] is True
 
 
 def test_report_handles_unbounded_t1(reference_inputs):
