@@ -8,7 +8,6 @@ unresolved curves, float overflow or division by zero).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -29,11 +28,10 @@ from .studio import (
     compare_to_epr,
     derive,
     load_design,
-    render_report,
+    render_tune_report,
     sweep,
     sweep_csv_lines,
     tune,
-    tune_report_dict,
     write_report,
 )
 
@@ -157,9 +155,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         rel_tol=args.tol,
     )
     result = tune(load_design(args.config), spec)
-    Path(args.out).write_text(
-        json.dumps(tune_report_dict(result), indent=2) + "\n", encoding="utf-8"
-    )
+    Path(args.out).write_text(render_tune_report(result), encoding="utf-8")
     sys.stdout.write(
         f"{result.parameter} = {result.parameter_value:.9g} gives "
         f"{result.target_quantity} = {result.achieved_value:.9g}: {args.out}\n"

@@ -20,6 +20,7 @@ from .errors import ContractError, DomainError, ExtractionError, NarrowSpanWarni
 
 QUBIT_STATES = ("ground", "excited")
 CSV_HEADER = "frequency_hz,re_s21,im_s21,abs_s21"
+_CSV_ROW = "%.6f,%.9f,%.9f,%.9f\n"
 _FLAT_CURVE_DEPTH = 1e-9
 
 
@@ -90,8 +91,8 @@ def s21_curve(
     """
     if qubit_state not in QUBIT_STATES:
         raise DomainError(f"qubit_state must be one of {QUBIT_STATES}, got {qubit_state!r}")
-    if not span_hz > 0.0:
-        raise DomainError(f"span must be positive, got {span_hz}")
+    if not 0.0 < span_hz < math.inf:
+        raise DomainError(f"span must be positive and finite, got {span_hz}")
     if n_points < 3:
         raise DomainError(f"need at least 3 points, got {n_points}")
     if not q_internal > 0.0:
@@ -113,6 +114,9 @@ def s21_curve(
     frequency = np.linspace(center - span_hz / 2.0, center + span_hz / 2.0, n_points)
     s21 = 1.0 - (q_total / q_ext) / (1.0 + 2.0j * q_total * (frequency - f_state) / f_state)
     magnitude = np.abs(s21)
+    if not np.isfinite(magnitude).all():
+        # a span near the float limit overflows 2 Q (f - f_0)/f_0
+        raise FloatingPointError(f"S21 is not finite on a {span_hz:g} Hz span")
     return TransmissionCurve(
         qubit_state=qubit_state,
         frequency_hz=frequency,
@@ -139,7 +143,13 @@ def notch_separation(ground: TransmissionCurve, excited: TransmissionCurve) -> f
 
 def write_curve_csv(curve: TransmissionCurve, path: str | Path) -> None:
     """Write a curve as CSV (plain decimal notation, ascending frequency)."""
-    lines = [CSV_HEADER]
-    for f, value in zip(curve.frequency_hz, curve.s21):
-        lines.append(f"{f:.6f},{value.real:.9f},{value.imag:.9f},{abs(value):.9f}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    s21 = curve.s21.tolist()
+    cells: list[float] = [0.0] * (4 * len(s21))
+    cells[0::4] = curve.frequency_hz.tolist()
+    cells[1::4] = curve.s21.real.tolist()
+    cells[2::4] = curve.s21.imag.tolist()
+    # complex abs per element, as the NumPy scalar gives it; np.abs on the
+    # array differs from it in the last bit on about half the elements
+    cells[3::4] = [abs(value) for value in s21]
+    text = _CSV_ROW * len(s21) % tuple(cells)
+    Path(path).write_text(f"{CSV_HEADER}\n{text}", encoding="ascii")

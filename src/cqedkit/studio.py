@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -164,11 +165,16 @@ class TuneSpec:
     def __post_init__(self) -> None:
         _check_parameter(self.vary)
         _check_quantity(self.target_quantity)
+        # an infinite target makes every tolerance test pass
+        if not math.isfinite(self.target_value):
+            raise DomainError(f"target value must be finite, got {self.target_value}")
         lo, hi = self.bracket
         if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
             raise DomainError(f"bracket must satisfy lo < hi, got [{lo}, {hi}]")
-        if not self.rel_tol > 0.0:
-            raise DomainError(f"relative tolerance must be positive, got {self.rel_tol}")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise DomainError(
+                f"relative tolerance must be positive and finite, got {self.rel_tol}"
+            )
 
 
 @dataclass(frozen=True)
@@ -323,6 +329,7 @@ def derive(inputs: DesignInputs) -> DerivedParameters:
     dressed states to be labeled.
     """
     lumped = _stage("lumped extraction", build_lumped_circuit, inputs)
+    _stage("lumped extraction", _require_finite, "E_j/E_c", lumped.ej_ec_ratio)
     pert = _stage(
         "perturbative levels", perturbative_levels, lumped.e_j_hz, lumped.e_c_hz
     )
@@ -341,6 +348,7 @@ def derive(inputs: DesignInputs) -> DerivedParameters:
             lumped.e_j_hz,
             lumped.e_c_hz,
         )
+        _stage("coupling strength", _require_finite, "g_01", g_01)
     else:
         g_01 = 0.0
     detuning = pert.f_01_hz - f_r
@@ -390,6 +398,12 @@ def derive(inputs: DesignInputs) -> DerivedParameters:
         chi_exact_hz=chi_exact,
         provenance=provenance,
     )
+
+
+def _require_finite(name: str, value: float) -> None:
+    # an overflowed E_j/E_c or g would leave null fields in a report
+    if not math.isfinite(value):
+        raise FloatingPointError(f"{name} is {value}")
 
 
 def _stage(name: str, fn: Callable[..., Any], *args: Any) -> Any:
@@ -555,23 +569,6 @@ REFERENCE_TARGETS: tuple[tuple[str, float, float], ...] = (
 REFERENCE_RATIO_BOUNDS = ("ej_ec_ratio", 78.0, 80.0)
 
 
-def _nine_sig(value: Any) -> Any:
-    """Round floats to 9 significant digits for stable report output."""
-    if isinstance(value, bool) or not isinstance(value, float):
-        return value
-    if math.isnan(value) or math.isinf(value):
-        return None
-    return float(f"{value:.9g}")
-
-
-def _rounded(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        return {k: _rounded(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_rounded(v) for v in obj]
-    return _nine_sig(obj)
-
-
 def summary_checks(derived: DerivedParameters) -> list[dict[str, Any]]:
     """Side-by-side comparison of derived quantities with the reference targets."""
     rows: list[dict[str, Any]] = []
@@ -603,11 +600,11 @@ def summary_checks(derived: DerivedParameters) -> list[dict[str, Any]]:
     return rows
 
 
-def report_dict(derived: DerivedParameters) -> dict[str, Any]:
-    """Serializable report mirroring DerivedParameters plus the summary block."""
+def _report_tree(derived: DerivedParameters) -> dict[str, Any]:
+    """The report before output formatting: full-precision floats, inf and NaN."""
     coupling = derived.coupling
     t1 = coupling.t1_purcell_seconds
-    report = {
+    return {
         "provenance": dict(derived.provenance),
         "inputs": design_to_dict(derived.lumped.inputs),
         "lumped": {
@@ -655,36 +652,96 @@ def report_dict(derived: DerivedParameters) -> dict[str, Any]:
         },
         "summary": summary_checks(derived),
     }
-    return _rounded(report)
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_key(key: Any) -> str:
+    """A dict key as ``json.dumps`` coerces it."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        if math.isfinite(key):
+            return float.__repr__(key)
+        return "NaN" if math.isnan(key) else ("Infinity" if key > 0 else "-Infinity")
+    if key is None or key is True or key is False:
+        return _JSON_CONSTANTS[key]
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json(obj: Any, pad: str) -> str:
+    """``json.dumps(obj, indent=2)`` at indent ``pad``, with every float
+    written at 9 significant digits and a non-finite float as null.
+
+    One pass with the C string encoder: ``json.dumps`` with ``indent``
+    runs CPython's pure-Python encoder instead.
+    """
+    kind = type(obj)
+    if kind is float:
+        return repr(float(f"{obj:.9g}")) if math.isfinite(obj) else "null"
+    if kind is str:
+        return _quote(obj)
+    if obj is None or obj is True or obj is False:
+        return _JSON_CONSTANTS[obj]
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = ",\n".join([
+            f"{inner}{_quote(_json_key(key))}: {_json(value, inner)}"
+            for key, value in obj.items()
+        ])
+        return f"{{\n{items}\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        items = ",\n".join([f"{inner}{_json(value, inner)}" for value in obj])
+        return f"[\n{items}\n{pad}]"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _json(float(obj), pad)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def report_dict(derived: DerivedParameters) -> dict[str, Any]:
+    """The report as its JSON file reads back: floats at 9 significant
+    digits, null for a non-finite float, the summary block included."""
+    return json.loads(render_report(derived))
 
 
 def render_report(derived: DerivedParameters) -> str:
-    return json.dumps(report_dict(derived), indent=2) + "\n"
+    return _json(_report_tree(derived), "") + "\n"
 
 
 def write_report(derived: DerivedParameters, path: str | Path) -> None:
     Path(path).write_text(render_report(derived), encoding="utf-8")
 
 
-def tune_report_dict(result: TuneResult) -> dict[str, Any]:
+def render_tune_report(result: TuneResult) -> str:
+    """The tune report: a ``tuned`` block, then the tuned design's report."""
     achieved_err = abs(result.achieved_value - result.target_value) / max(
         abs(result.target_value), 1e-300
     )
-    body = report_dict(result.derived)
-    return {
-        "tuned": _rounded(
-            {
-                "parameter": result.parameter,
-                "parameter_value": result.parameter_value,
-                "target_quantity": result.target_quantity,
-                "target_value": result.target_value,
-                "achieved_value": result.achieved_value,
-                "relative_error": achieved_err,
-                "iterations": result.iterations,
-            }
-        ),
-        **body,
+    tree = {
+        "tuned": {
+            "parameter": result.parameter,
+            "parameter_value": result.parameter_value,
+            "target_quantity": result.target_quantity,
+            "target_value": result.target_value,
+            "achieved_value": result.achieved_value,
+            "relative_error": achieved_err,
+            "iterations": result.iterations,
+        },
+        **_report_tree(result.derived),
     }
+    return _json(tree, "") + "\n"
 
 
 def sweep_csv_lines(result: SweepResult) -> list[str]:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -266,3 +267,159 @@ def test_compare_reports_gap_table(capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[-1] for line in lines[1:]] == ["yes", "yes", "yes", "NO"]
     assert code == 1
+
+
+def test_tune_non_finite_target_is_validation_error(tmp_path, capsys):
+    for raw in ("inf", "-inf", "nan", "1e999"):
+        out = tmp_path / "t.json"
+        code = main([
+            "tune", "--config", CONFIG, "--vary", "l_j_henry",
+            "--target", f"f_01_hz={raw}", "--bracket", "8e-9,14e-9", "--out", str(out),
+        ])
+        assert code == 1, raw
+        err = capsys.readouterr().err
+        assert err.startswith("error: target value must be finite"), err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+def test_s21_infinite_span_is_validation_error(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    code = main([
+        "s21", "--config", CONFIG, "--state", "ground",
+        "--span-hz", "inf", "--points", "5", "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: span must be positive and finite")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_derive_non_finite_ej_ec_ratio_is_numerical_failure(tmp_path, capsys):
+    config = _write_design(tmp_path / "design.json", c_s_farad=3.0e267, l_j_henry=5.1e-246)
+    code = main(["derive", "--config", config, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "numerical failure: FloatingPointError: lumped extraction: E_j/E_c is inf\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+# --- argv fuzzing: every command line ends in exit 0, 1 or 2 -----------------
+
+_SPECIAL_TEXT = st.sampled_from(
+    ["inf", "-inf", "nan", "1e999", "-1e999", "0", "-1", "1e-320", "abc", ""]
+)
+_NUMBER_TEXT = st.one_of(_SPECIAL_TEXT, st.floats(allow_nan=False, allow_infinity=False).map(repr))
+
+
+def _number_near(lo, hi, junk=_NUMBER_TEXT):
+    # two draws in three inside the physical range, the rest junk
+    inside = st.floats(min_value=lo, max_value=hi).map(repr)
+    return st.one_of(inside, inside, junk)
+
+
+def _range_near(lo, hi, junk=_NUMBER_TEXT):
+    inside = st.lists(
+        st.floats(min_value=lo, max_value=hi), min_size=2, max_size=2, unique=True
+    ).map(lambda pair: [repr(v) for v in sorted(pair)])
+    return st.one_of(
+        st.just([repr(lo), repr(hi)]),
+        inside,
+        st.lists(_number_near(lo, hi, junk), min_size=2, max_size=2),
+    )
+
+
+def _run_cli(argv):
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(
+        io.StringIO()
+    ):
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code != 0:
+        message = err.getvalue()
+        assert message.count("\n") == 1, message
+        assert message.startswith(("error: ", "numerical failure: ")), message
+    return code
+
+
+_TUNE_CASES = st.sampled_from([
+    ("l_j_henry", "f_01_hz", 3e9, 6e9, 5e-9, 20e-9),
+    ("c_k_farad", "kappa_hz", 0.3e6, 3e6, 4e-15, 16e-15),
+    ("c_g_farad", "chi_total_hz", -3e6, -0.5e6, 1e-15, 9e-15),
+])
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(case=_TUNE_CASES, data=st.data(), tol=st.one_of(st.none(), _number_near(1e-9, 1e-3)))
+def test_tune_argv_exits_cleanly(fuzz_dir, case, data, tol):
+    vary, quantity, q_lo, q_hi, p_lo, p_hi = case
+    raw_target = data.draw(_number_near(q_lo, q_hi))
+    raw_bracket = data.draw(st.one_of(_range_near(p_lo, p_hi).map(",".join), st.text(max_size=8)))
+    out = fuzz_dir / "tuned.json"
+    out.unlink(missing_ok=True)
+    argv = [
+        "tune", "--config", CONFIG, "--vary", vary, "--target", f"{quantity}={raw_target}",
+        "--bracket", raw_bracket, "--out", str(out),
+    ]
+    if tol is not None:
+        argv += ["--tol", tol]
+    if _run_cli(argv) == 0:
+        tuned = json.loads(out.read_text())["tuned"]
+        target_value, achieved = tuned["target_value"], tuned["achieved_value"]
+        assert target_value is not None and achieved is not None, tuned
+        rel_tol = 1e-6 if tol is None else float(tol)
+        # both values are written at 9 significant digits
+        scale = max(abs(target_value), 1e-300)
+        assert abs(achieved - target_value) <= (rel_tol + 1e-8) * scale, tuned
+
+
+_SWEEP_RANGES = {
+    "c_g_farad": (1e-16, 1e-13),
+    "l_j_henry": (1e-9, 1e-7),
+    "c_k_farad": (1e-16, 1e-13),
+    "c_s_farad": (1e-14, 1e-12),
+}
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    param=st.sampled_from(sorted(_SWEEP_RANGES)),
+    data=st.data(),
+    steps=st.one_of(st.integers(min_value=2, max_value=64), st.integers(-2, 64)).map(str),
+    emit=st.sampled_from(["g_01_hz,chi_total_hz", "chi_exact_hz", "t1_seconds,q_ext", "bogus", ""]),
+)
+def test_sweep_argv_exits_cleanly(fuzz_dir, param, data, steps, emit):
+    # no arbitrary floats: a capacitance of 1e16 F has every derive solve the
+    # capped 401-state charge basis, and the design-file fuzz covers such values
+    lo, hi = data.draw(_range_near(*_SWEEP_RANGES[param], junk=_SPECIAL_TEXT))
+    _run_cli([
+        "sweep", "--config", CONFIG, "--param", param, "--from", lo, "--to", hi,
+        "--steps", steps, "--emit", emit, "--out", str(fuzz_dir / "sweep.csv"),
+    ])
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(
+    state=st.sampled_from(["ground", "excited", "both"]),
+    span=st.one_of(st.sampled_from(["1.7e308", "1e300"]), _number_near(1e5, 1e9)),
+    points=st.one_of(st.integers(min_value=3, max_value=4096), st.integers(-2, 4096)).map(str),
+    q_internal=st.one_of(st.none(), _number_near(1e2, 1e7)),
+)
+def test_s21_argv_exits_cleanly(fuzz_dir, state, span, points, q_internal):
+    out = fuzz_dir / "curve.csv"
+    written = [out, out.with_name("curve.ground.csv"), out.with_name("curve.excited.csv")]
+    for path in written:
+        path.unlink(missing_ok=True)
+    argv = [
+        "s21", "--config", CONFIG, "--state", state, "--span-hz", span,
+        "--points", points, "--out", str(out),
+    ]
+    if q_internal is not None:
+        argv += ["--q-internal", q_internal]
+    if _run_cli(argv) == 0:
+        for path in written:
+            if path.exists():
+                assert "nan" not in path.read_text(), argv

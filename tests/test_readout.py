@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -161,6 +162,9 @@ def test_bad_arguments_rejected():
         s21_curve(coupling, "superposition", 20e6, 101)
     with pytest.raises(DomainError):
         s21_curve(coupling, "ground", -1.0, 101)
+    for span in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="span must be positive and finite"):
+            s21_curve(coupling, "ground", span, 101)
     with pytest.raises(DomainError):
         s21_curve(coupling, "ground", 20e6, 2)
     with pytest.raises(DomainError):
@@ -193,3 +197,37 @@ def test_csv_export(tmp_path, curves):
     assert float(cells[3]) == pytest.approx(
         math.hypot(float(cells[1]), float(cells[2])), abs=2e-9
     )
+
+
+def test_span_near_float_limit_is_a_numerical_failure():
+    # the grid is finite but 2 Q (f - f_0)/f_0 overflows, which made NaN samples
+    with pytest.raises(FloatingPointError, match="S21 is not finite"):
+        s21_curve(_coupling(), "ground", 1.7e308, 5)
+
+
+def _reference_csv(curve):
+    lines = [CSV_HEADER]
+    for f, value in zip(curve.frequency_hz, curve.s21):
+        lines.append(f"{f:.6f},{value.real:.9f},{value.imag:.9f},{abs(value):.9f}")
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_bytes_match_per_row_formatting(tmp_path):
+    rng = random.Random(7)
+    path = tmp_path / "curve.csv"
+    lossy = 0
+    for i in range(200):
+        coupling = _coupling(
+            chi_total=rng.choice((-1.0, 1.0)) * rng.uniform(0.2e6, 3e6),
+            q_ext=rng.uniform(1e3, 1e5),
+            f_loaded=rng.uniform(4e9, 8e9),
+        )
+        q_internal = rng.uniform(1e3, 1e6) if i % 3 == 0 else math.inf
+        lossy += math.isfinite(q_internal)
+        curve = s21_curve(
+            coupling, ("ground", "excited")[i % 2], rng.uniform(10e6, 40e6),
+            rng.randint(1001, 3001), q_internal,
+        )
+        write_curve_csv(curve, path)
+        assert path.read_bytes() == _reference_csv(curve).encode("ascii"), i
+    assert lossy >= 60

@@ -1,9 +1,14 @@
 import json
 import math
+import random
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqedkit import (
     BracketingError,
@@ -21,15 +26,22 @@ from cqedkit import (
     load_design,
     load_reference_design,
     render_report,
+    report_dict,
     sweep,
     tune,
 )
+from cqedkit.cli import main
 from cqedkit.studio import (
     EXPECTED_EPR_GAPS_PERCENT,
     QUANTITIES,
     REFERENCE_TARGETS,
+    _json,
+    _report_tree,
+    render_tune_report,
     sweep_csv_lines,
 )
+
+REFERENCE_DESIGN = Path(__file__).resolve().parent.parent / "designs" / "qubit_v1.json"
 
 # frozen pipeline outputs for the reference design (qubit_v1)
 GOLDEN = {
@@ -240,6 +252,12 @@ def test_tune_spec_validation():
         TuneSpec("l_j_henry", "f_01_hz", 4.5e9, (14e-9, 8e-9))
     with pytest.raises(DomainError):
         TuneSpec("l_j_henry", "f_01_hz", 4.5e9, (8e-9, 14e-9), rel_tol=0.0)
+    # an infinite target or tolerance would pass every convergence test
+    for target in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="target value must be finite"):
+            TuneSpec("l_j_henry", "f_01_hz", target, (8e-9, 14e-9))
+    with pytest.raises(DomainError):
+        TuneSpec("l_j_henry", "f_01_hz", 4.5e9, (8e-9, 14e-9), rel_tol=math.inf)
     with pytest.raises(DomainError):
         TuneSpec("l_j_henry", "bogus", 4.5e9, (8e-9, 14e-9))
 
@@ -301,3 +319,177 @@ def test_report_handles_unbounded_t1(reference_inputs):
     report = json.loads(render_report(_quiet_derive(replace(reference_inputs, c_g_farad=0.0))))
     assert report["coupling"]["t1_purcell_seconds"] is None
     assert report["coupling"]["t1_unbounded"] is True
+
+
+def test_derive_rejects_non_finite_ej_ec_ratio(reference_inputs):
+    # E_c underflows towards 0 Hz, so E_j/E_c overflows to inf
+    with pytest.raises(FloatingPointError, match="lumped extraction: E_j/E_c is inf"):
+        _quiet_derive(replace(reference_inputs, c_s_farad=1e300))
+
+
+def test_derive_rejects_non_finite_coupling(reference_inputs, monkeypatch):
+    monkeypatch.setattr("cqedkit.studio.coupling_strength", lambda *args: math.inf)
+    with pytest.raises(FloatingPointError, match="coupling strength: g_01 is inf"):
+        _quiet_derive(reference_inputs)
+
+
+def test_sweep_marks_non_finite_ej_ec_ratio_row(reference_inputs):
+    spec = SweepSpec("c_s_farad", 1e-13, 1e300, 2, ("g_01_hz",))
+    rows = sweep(reference_inputs, spec).rows
+    assert [row.status for row in rows] == ["ok", "error"]
+    assert rows[1].error == "FloatingPointError: lumped extraction: E_j/E_c is inf"
+
+
+# --- report bytes against the rounding pass and json.dumps they replaced -----
+
+
+def _nine_sig_reference(value):
+    if isinstance(value, bool) or not isinstance(value, float):
+        return value
+    if math.isnan(value) or math.isinf(value):
+        return None
+    return float(f"{value:.9g}")
+
+
+def _rounded_reference(obj):
+    if isinstance(obj, dict):
+        return {k: _rounded_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded_reference(v) for v in obj]
+    return _nine_sig_reference(obj)
+
+
+def _reference_bytes(tree):
+    return json.dumps(_rounded_reference(tree), indent=2) + "\n"
+
+
+_GEOMETRIES = (
+    {},
+    {"nested": [[], {}, [1, [2.5, {"deep": []}]], {"empty": {}}], "tuple": (1.25, "t")},
+    {"name \u00e9\u00df\u2603": 'Nb "200 nm" \\ on Si\n\ttab', "\"quoted\"": "\u00fc\x00\x7f"},
+    {
+        "flags": [True, False, None],
+        "big": 2**80,
+        "negative": -(10**30),
+        "nan": math.nan,
+        "inf": math.inf,
+        "-inf": -math.inf,
+        "zero": -0.0,
+        "subnormal": 5e-324,
+        "numpy": np.float64(1.2345678912345),
+    },
+    # json.dumps turns these keys into strings; each dict holds one key type
+    # so that the digest's sort_keys can order it
+    {
+        "int_keys": {1: "a", -2: "b", 2**70: "c"},
+        "float_keys": {0.1: 1, 1e300: 2, math.inf: 3, -math.inf: 4, math.nan: 5},
+        "bool_keys": {True: 1, False: 0},
+        "none_key": {None: "x"},
+    },
+)
+
+
+def _report_designs(reference_inputs, count):
+    rng = random.Random(20241018)
+    fields = ("c_s_farad", "c_g_farad", "c_k_farad", "l_j_henry", "f_r_target_hertz")
+    e_c = 188812060.87005678
+    near_degenerate = ej_to_junction_inductance(
+        (reference_inputs.f_r_target_hertz + 1.5e8 + e_c) ** 2 / (8.0 * e_c)
+    )
+    yield replace(reference_inputs, c_g_farad=0.0)
+    yield replace(reference_inputs, l_j_henry=near_degenerate)
+    drawn = 0
+    while drawn < count:
+        values = {
+            name: getattr(reference_inputs, name) * rng.uniform(0.8, 1.2) for name in fields
+        }
+        yield replace(reference_inputs, **values, geometry=_GEOMETRIES[drawn % len(_GEOMETRIES)])
+        drawn += 1
+
+
+def test_report_bytes_match_rounded_json_dumps(reference_inputs):
+    rendered = 0
+    kinds = {"t1_unbounded": 0, "oracle_skipped": 0}
+    for inputs in _report_designs(reference_inputs, 320):
+        try:
+            derived = _quiet_derive(inputs)
+        except (ValueError, RuntimeError, ArithmeticError):
+            continue
+        tree = _report_tree(derived)
+        text = render_report(derived)
+        assert text == _reference_bytes(tree), design_to_dict(inputs)
+        kinds["t1_unbounded"] += tree["coupling"]["t1_unbounded"]
+        kinds["oracle_skipped"] += not tree["oracle"]["valid"]
+        rendered += 1
+    assert rendered >= 300
+    assert kinds["t1_unbounded"] >= 1 and kinds["oracle_skipped"] >= 1
+
+
+def test_report_dict_is_the_parsed_report(reference_inputs):
+    for geometry in _GEOMETRIES[:4]:
+        derived = _quiet_derive(replace(reference_inputs, geometry=geometry))
+        assert report_dict(derived) == _rounded_reference(_report_tree(derived))
+    derived = _quiet_derive(replace(reference_inputs, geometry=_GEOMETRIES[4]))
+    assert report_dict(derived) == json.loads(_reference_bytes(_report_tree(derived)))
+
+
+@pytest.mark.parametrize("geometry", [{"set": {1, 2}}, {"key": {(1, 2): "tuple key"}}])
+def test_report_rejects_values_json_cannot_encode(reference_derived, geometry):
+    inputs = replace(reference_derived.lumped.inputs, geometry=geometry)
+    derived = replace(reference_derived, lumped=replace(reference_derived.lumped, inputs=inputs))
+    with pytest.raises(TypeError):
+        _reference_bytes(_report_tree(derived))
+    with pytest.raises(TypeError):
+        render_report(derived)
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**100), max_value=2**100),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.text(max_size=6),
+)
+_JSON_KEYS = st.one_of(st.text(max_size=4), st.integers(), st.floats(), st.booleans(), st.none())
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.recursive(
+        _JSON_LEAVES,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=3).map(tuple),
+            st.dictionaries(_JSON_KEYS, children, max_size=4),
+        ),
+        max_leaves=12,
+    )
+)
+def test_emitter_matches_rounded_json_dumps(tree):
+    assert _json(tree, "") + "\n" == _reference_bytes(tree)
+
+
+def test_readme_tune_report_bytes(reference_inputs, tmp_path, capsys):
+    out = tmp_path / "tuned.json"
+    code = main([
+        "tune", "--config", str(REFERENCE_DESIGN), "--vary", "l_j_henry",
+        "--target", "f_01_hz=4.55e9", "--bracket", "8e-9,14e-9", "--out", str(out),
+    ])
+    assert code == 0
+    result = tune(reference_inputs, TuneSpec("l_j_henry", "f_01_hz", 4.55e9, (8e-9, 14e-9)))
+    tuned = {
+        "parameter": result.parameter,
+        "parameter_value": result.parameter_value,
+        "target_quantity": result.target_quantity,
+        "target_value": result.target_value,
+        "achieved_value": result.achieved_value,
+        "relative_error": abs(result.achieved_value - result.target_value) / 4.55e9,
+        "iterations": result.iterations,
+    }
+    expected = json.dumps(
+        {"tuned": _rounded_reference(tuned), **_rounded_reference(_report_tree(result.derived))},
+        indent=2,
+    ) + "\n"
+    assert out.read_text(encoding="utf-8") == expected
+    assert render_tune_report(result) == expected
