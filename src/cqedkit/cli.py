@@ -40,16 +40,12 @@ EXIT_DOMAIN = 1
 EXIT_NUMERICAL = 2
 
 
-class _CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of calling sys.exit, so usage errors
     map onto the validation exit code."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _CliError(message)
+        raise DomainError(message)
 
 
 def _build_parser() -> _Parser:
@@ -60,6 +56,7 @@ def _build_parser() -> _Parser:
     p_derive = sub.add_parser("derive", help="run the full derivation chain")
     p_derive.add_argument("--config", required=True, help="design file (JSON)")
     p_derive.add_argument("--out", required=True, help="report path (JSON)")
+    p_derive.set_defaults(run=_cmd_derive)
 
     p_s21 = sub.add_parser("s21", help="emit feedline transmission curve(s)")
     p_s21.add_argument("--config", required=True)
@@ -68,6 +65,7 @@ def _build_parser() -> _Parser:
     p_s21.add_argument("--points", required=True, type=int)
     p_s21.add_argument("--q-internal", type=float, default=math.inf, dest="q_internal")
     p_s21.add_argument("--out", required=True, help="CSV path")
+    p_s21.set_defaults(run=_cmd_s21)
 
     p_sweep = sub.add_parser("sweep", help="sweep one design parameter")
     p_sweep.add_argument("--config", required=True)
@@ -77,6 +75,7 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--steps", required=True, type=int)
     p_sweep.add_argument("--emit", required=True, help="comma-separated quantity names")
     p_sweep.add_argument("--out", required=True, help="CSV path")
+    p_sweep.set_defaults(run=_cmd_sweep)
 
     p_tune = sub.add_parser("tune", help="tune one parameter to a target quantity")
     p_tune.add_argument("--config", required=True)
@@ -85,11 +84,13 @@ def _build_parser() -> _Parser:
     p_tune.add_argument("--bracket", required=True, help="<lo>,<hi>")
     p_tune.add_argument("--tol", type=float, default=1e-6)
     p_tune.add_argument("--out", required=True, help="report path (JSON)")
+    p_tune.set_defaults(run=_cmd_tune)
 
     p_compare = sub.add_parser(
         "compare", help="compare the derived chain with the shipped EPR reference"
     )
     p_compare.add_argument("--config", required=True)
+    p_compare.set_defaults(run=_cmd_compare)
 
     return parser
 
@@ -180,20 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "derive":
-            return _cmd_derive(args)
-        if args.command == "s21":
-            return _cmd_s21(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "tune":
-            return _cmd_tune(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        raise _CliError(f"unknown command {args.command!r}")
-    except _CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DOMAIN
+        return args.run(args)
     except (DomainError, ContractError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN

@@ -110,15 +110,9 @@ def charging_energy(c_s_farad: float, c_g_farad: float = 0.0) -> float:
 
 def build_lumped_circuit(inputs: DesignInputs) -> LumpedCircuit:
     """Assemble the full lumped circuit for one design."""
-    try:
-        c_r, l_r = quarter_wave_equivalents(inputs.f_r_target_hertz, inputs.z_0_ohm)
-    except DomainError as exc:
-        raise DomainError(f"resonator equivalents: {exc}") from exc
-    try:
-        e_c = charging_energy(inputs.c_s_farad, inputs.c_g_farad)
-        e_j = junction_inductance_to_ej(inputs.l_j_henry)
-    except DomainError as exc:
-        raise DomainError(f"transmon energies: {exc}") from exc
+    c_r, l_r = quarter_wave_equivalents(inputs.f_r_target_hertz, inputs.z_0_ohm)
+    e_c = charging_energy(inputs.c_s_farad, inputs.c_g_farad)
+    e_j = junction_inductance_to_ej(inputs.l_j_henry)
     beta = inputs.c_g_farad / (inputs.c_g_farad + inputs.c_s_farad)
     return LumpedCircuit(
         c_r_farad=c_r,

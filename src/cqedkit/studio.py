@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -191,6 +191,8 @@ class TuneResult:
 # ---------------------------------------------------------------------------
 # quantity and parameter registries
 
+# the five lumped inputs: the keys every design file must hold, and the
+# parameters a sweep or a tune may vary
 SWEEPABLE_PARAMETERS = (
     "c_s_farad",
     "c_g_farad",
@@ -250,31 +252,18 @@ def _check_quantity(name: str) -> None:
 # ---------------------------------------------------------------------------
 # design file I/O
 
-_REQUIRED_KEYS = (
-    "c_s_farad",
-    "c_g_farad",
-    "c_k_farad",
-    "l_j_henry",
-    "f_r_target_hertz",
-)
-_OPTIONAL_KEYS = ("z_0_ohm", "r_load_ohm", "geometry")
+_DESIGN_KEYS = frozenset(f.name for f in fields(DesignInputs))
 
 
 def design_from_dict(data: Mapping[str, Any]) -> DesignInputs:
     """Build DesignInputs from a parsed design file."""
-    unknown = sorted(set(data) - set(_REQUIRED_KEYS) - set(_OPTIONAL_KEYS))
+    unknown = sorted(set(data) - _DESIGN_KEYS)
     if unknown:
         raise DomainError(f"unknown design file key(s): {', '.join(unknown)}")
-    missing = sorted(set(_REQUIRED_KEYS) - set(data))
+    missing = sorted(set(SWEEPABLE_PARAMETERS) - set(data))
     if missing:
         raise DomainError(f"design file missing key(s): {', '.join(missing)}")
-    kwargs: dict[str, Any] = {key: data[key] for key in _REQUIRED_KEYS}
-    if "z_0_ohm" in data:
-        kwargs["z_0_ohm"] = data["z_0_ohm"]
-    if "r_load_ohm" in data and data["r_load_ohm"] is not None:
-        kwargs["r_load_ohm"] = data["r_load_ohm"]
-    kwargs["geometry"] = data.get("geometry", {})
-    return DesignInputs(**kwargs)
+    return DesignInputs(**data)
 
 
 def design_to_dict(inputs: DesignInputs) -> dict[str, Any]:
@@ -328,42 +317,38 @@ def derive(inputs: DesignInputs) -> DerivedParameters:
     detuning is within 5 g_01 of the resonator, too close to degeneracy for
     dressed states to be labeled.
     """
-    lumped = _stage("lumped extraction", build_lumped_circuit, inputs)
-    _stage("lumped extraction", _require_finite, "E_j/E_c", lumped.ej_ec_ratio)
-    pert = _stage(
-        "perturbative levels", perturbative_levels, lumped.e_j_hz, lumped.e_c_hz
-    )
-    exact = _stage(
-        "exact diagonalization", exact_transmon_spectrum, lumped.e_j_hz, lumped.e_c_hz
-    )
     f_r = inputs.f_r_target_hertz
-    v_rms = _stage("zero-point voltage", zero_point_voltage, f_r, lumped.c_r_farad)
-    if lumped.beta > 0.0:
-        g_01 = _stage(
-            "coupling strength",
-            coupling_strength,
-            0,
-            lumped.beta,
-            v_rms,
-            lumped.e_j_hz,
-            lumped.e_c_hz,
+    try:
+        stage = "lumped extraction"
+        lumped = build_lumped_circuit(inputs)
+        _require_finite("E_j/E_c", lumped.ej_ec_ratio)
+        stage = "perturbative levels"
+        pert = perturbative_levels(lumped.e_j_hz, lumped.e_c_hz)
+        stage = "exact diagonalization"
+        exact = exact_transmon_spectrum(lumped.e_j_hz, lumped.e_c_hz)
+        stage = "zero-point voltage"
+        v_rms = zero_point_voltage(f_r, lumped.c_r_farad)
+        stage = "coupling strength"
+        if lumped.beta > 0.0:
+            g_01 = coupling_strength(0, lumped.beta, v_rms, lumped.e_j_hz, lumped.e_c_hz)
+            _require_finite("g_01", g_01)
+        else:
+            g_01 = 0.0
+        detuning = pert.f_01_hz - f_r
+        stage = "dispersive shift"
+        chi_01, chi_12, chi_total = dispersive_shift(g_01, pert.f_01_hz, pert.f_12_hz, f_r)
+        stage = "quality factor"
+        q_ext, kappa, f_loaded = external_quality_factor(
+            lumped.c_r_farad, lumped.l_r_henry, inputs.c_k_farad, inputs.r_load_ohm
         )
-        _stage("coupling strength", _require_finite, "g_01", g_01)
-    else:
-        g_01 = 0.0
-    detuning = pert.f_01_hz - f_r
-    chi_01, chi_12, chi_total = _stage(
-        "dispersive shift", dispersive_shift, g_01, pert.f_01_hz, pert.f_12_hz, f_r
-    )
-    q_ext, kappa, f_loaded = _stage(
-        "quality factor",
-        external_quality_factor,
-        lumped.c_r_farad,
-        lumped.l_r_henry,
-        inputs.c_k_farad,
-        inputs.r_load_ohm,
-    )
-    t1 = _stage("relaxation estimate", purcell_t1, detuning, g_01, q_ext, f_r)
+        stage = "relaxation estimate"
+        t1 = purcell_t1(detuning, g_01, q_ext, f_r)
+        stage = "dressed-state oracle"
+        chi_exact: float | None = None
+        if g_01 == 0.0 or abs(detuning) > ORACLE_MIN_RATIO * g_01:
+            chi_exact = coupled_spectrum_oracle(exact, f_r, g_01).chi_exact_hz
+    except (DomainError, ContractError, ConvergenceError, LabelingError, ArithmeticError) as exc:
+        raise type(exc)(f"{stage}: {exc}") from exc
     coupling = CouplingParameters(
         v_rms_volt=v_rms,
         g_01_hz=g_01,
@@ -378,13 +363,6 @@ def derive(inputs: DesignInputs) -> DerivedParameters:
         readable=2.0 * abs(chi_total) > kappa,
         chi_kappa_ratio=2.0 * abs(chi_total) / kappa,
     )
-
-    if g_01 == 0.0 or abs(detuning) > ORACLE_MIN_RATIO * g_01:
-        oracle = _stage("dressed-state oracle", coupled_spectrum_oracle, exact, f_r, g_01)
-        chi_exact: float | None = oracle.chi_exact_hz
-    else:
-        chi_exact = None
-
     provenance = {
         "tool": TOOL_NAME,
         "version": __version__,
@@ -404,13 +382,6 @@ def _require_finite(name: str, value: float) -> None:
     # an overflowed E_j/E_c or g would leave null fields in a report
     if not math.isfinite(value):
         raise FloatingPointError(f"{name} is {value}")
-
-
-def _stage(name: str, fn: Callable[..., Any], *args: Any) -> Any:
-    try:
-        return fn(*args)
-    except (DomainError, ContractError, ConvergenceError, LabelingError, ArithmeticError) as exc:
-        raise type(exc)(f"{name}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +426,6 @@ def compare_to_epr(
 # sweeps and tuning
 
 
-def _with_parameter(inputs: DesignInputs, parameter: str, value: float) -> DesignInputs:
-    return replace(inputs, **{parameter: value})
-
-
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
     if steps == 1:
         return [lo]
@@ -478,7 +445,7 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
 
     def evaluate(value: float) -> SweepRow:
         try:
-            derived = derive(_with_parameter(inputs, spec.parameter, value))
+            derived = derive(replace(inputs, **{spec.parameter: value}))
             outputs = {name: QUANTITIES[name](derived) for name in spec.outputs}
             return SweepRow(parameter_value=value, outputs=outputs, status="ok")
         except (ValueError, RuntimeError, ArithmeticError) as exc:
@@ -492,7 +459,10 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
     return SweepResult(spec=spec, rows=tuple(evaluate(v) for v in values))
 
 
-def tune(inputs: DesignInputs, spec: TuneSpec, max_iterations: int = 200) -> TuneResult:
+TUNE_MAX_ITERATIONS = 200  # bisection steps before tune gives up
+
+
+def tune(inputs: DesignInputs, spec: TuneSpec) -> TuneResult:
     """Bisect one design parameter until a derived quantity hits a target.
 
     The bracket endpoints must straddle the target. Convergence is
@@ -501,49 +471,36 @@ def tune(inputs: DesignInputs, spec: TuneSpec, max_iterations: int = 200) -> Tun
     at the tuned parameter value.
     """
     quantity = QUANTITIES[spec.target_quantity]
-    scale = max(abs(spec.target_value), 1e-300)
-
-    def evaluate(value: float) -> tuple[float, DerivedParameters]:
-        derived = derive(_with_parameter(inputs, spec.vary, value))
-        return quantity(derived), derived
-
+    target = spec.target_value
+    tolerance = spec.rel_tol * max(abs(target), 1e-300)
     lo, hi = spec.bracket
-    q_lo, d_lo = evaluate(lo)
-    if abs(q_lo - spec.target_value) <= spec.rel_tol * scale:
-        return TuneResult(spec.vary, lo, spec.target_quantity, spec.target_value, q_lo, 0, d_lo)
-    q_hi, d_hi = evaluate(hi)
-    if abs(q_hi - spec.target_value) <= spec.rel_tol * scale:
-        return TuneResult(spec.vary, hi, spec.target_quantity, spec.target_value, q_hi, 0, d_hi)
-
-    f_lo = q_lo - spec.target_value
-    f_hi = q_hi - spec.target_value
-    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
-        raise BracketingError(
-            f"{spec.target_quantity} does not change sign across the bracket: "
-            f"{spec.target_quantity}({lo:g}) = {q_lo:.9g}, "
-            f"{spec.target_quantity}({hi:g}) = {q_hi:.9g}, target {spec.target_value:.9g}"
-        )
-
-    for iteration in range(1, max_iterations + 1):
-        mid = 0.5 * (lo + hi)
-        q_mid, d_mid = evaluate(mid)
-        if abs(q_mid - spec.target_value) <= spec.rel_tol * scale:
+    # step 0 tries lo, step 1 hi, and step k > 1 is bisection iteration k - 1
+    for step in range(TUNE_MAX_ITERATIONS + 2):
+        value = spec.bracket[step] if step < 2 else 0.5 * (lo + hi)
+        derived = derive(replace(inputs, **{spec.vary: value}))
+        achieved = quantity(derived)
+        if abs(achieved - target) <= tolerance:
+            iteration = max(step - 1, 0)
             return TuneResult(
-                spec.vary,
-                mid,
-                spec.target_quantity,
-                spec.target_value,
-                q_mid,
-                iteration,
-                d_mid,
+                spec.vary, value, spec.target_quantity, target, achieved, iteration, derived
             )
-        if math.copysign(1.0, q_mid - spec.target_value) == math.copysign(1.0, f_lo):
-            lo, f_lo = mid, q_mid - spec.target_value
+        side = math.copysign(1.0, achieved - target)
+        if step == 0:
+            q_lo, lo_side = achieved, side
+        elif step == 1:
+            if side == lo_side:
+                raise BracketingError(
+                    f"{spec.target_quantity} does not change sign across the bracket: "
+                    f"{spec.target_quantity}({lo:g}) = {q_lo:.9g}, "
+                    f"{spec.target_quantity}({hi:g}) = {achieved:.9g}, target {target:.9g}"
+                )
+        elif side == lo_side:
+            lo = value
         else:
-            hi, f_hi = mid, q_mid - spec.target_value
+            hi = value
     raise ConvergenceError(
-        f"bisection did not reach {spec.target_quantity} = {spec.target_value:.9g} "
-        f"within {max_iterations} iterations"
+        f"bisection did not reach {spec.target_quantity} = {target:.9g} "
+        f"within {TUNE_MAX_ITERATIONS} iterations"
     )
 
 

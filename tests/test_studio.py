@@ -1,8 +1,9 @@
 import json
+import linecache
 import math
 import random
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from cqedkit import (
     BracketingError,
+    DesignInputs,
     DispersiveValidityWarning,
     DomainError,
     EprReference,
@@ -35,6 +37,7 @@ from cqedkit.studio import (
     EXPECTED_EPR_GAPS_PERCENT,
     QUANTITIES,
     REFERENCE_TARGETS,
+    SWEEPABLE_PARAMETERS,
     _json,
     _report_tree,
     render_tune_report,
@@ -284,6 +287,24 @@ def test_design_file_rejects_missing_keys():
         )
 
 
+def test_design_fields_are_listed_once(tmp_path):
+    with pytest.raises(DomainError, match="design file missing key") as caught:
+        design_from_dict({})
+    required = str(caught.value).split(": ", 1)[1].split(", ")
+    assert sorted(SWEEPABLE_PARAMETERS) == required
+    assert SWEEPABLE_PARAMETERS == tuple(f.name for f in fields(DesignInputs))[:5]
+
+    geometry = {"claw": {"length_um": 130, "legs": [1, 2.5]}, "substrate": "Si"}
+    data = {**design_to_dict(load_reference_design()), "z_0_ohm": 75, "r_load_ohm": None}
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps({**data, "geometry": geometry}))
+    inputs = load_design(path)
+    assert inputs.r_load_ohm == 75
+    assert inputs.geometry == geometry
+    path.write_text(json.dumps(design_to_dict(inputs)))
+    assert load_design(path) == inputs
+
+
 def test_design_file_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -338,6 +359,45 @@ def test_sweep_marks_non_finite_ej_ec_ratio_row(reference_inputs):
     rows = sweep(reference_inputs, spec).rows
     assert [row.status for row in rows] == ["ok", "error"]
     assert rows[1].error == "FloatingPointError: lumped extraction: E_j/E_c is inf"
+
+
+# the stage functions derive looks up in cqedkit.studio, and the label its
+# errors carry
+STAGES = [
+    ("build_lumped_circuit", "lumped extraction"),
+    ("perturbative_levels", "perturbative levels"),
+    ("exact_transmon_spectrum", "exact diagonalization"),
+    ("zero_point_voltage", "zero-point voltage"),
+    ("coupling_strength", "coupling strength"),
+    ("dispersive_shift", "dispersive shift"),
+    ("external_quality_factor", "quality factor"),
+    ("purcell_t1", "relaxation estimate"),
+    ("coupled_spectrum_oracle", "dressed-state oracle"),
+]
+
+
+@pytest.mark.parametrize(
+    ("function", "stage", "error"),
+    [(function, stage, DomainError) for function, stage in STAGES]
+    + [("external_quality_factor", "quality factor", OverflowError)],
+)
+def test_derive_labels_each_stage(reference_inputs, monkeypatch, function, stage, error):
+    def fail(*args):
+        raise error("boom")
+
+    monkeypatch.setattr(f"cqedkit.studio.{function}", fail)
+    with pytest.raises(error) as caught:
+        _quiet_derive(reference_inputs)
+    assert type(caught.value) is error
+    assert str(caught.value) == f"{stage}: boom"
+
+
+def test_stage_warnings_point_at_the_calling_line(reference_inputs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        derive(reference_inputs)
+    [warning] = [w for w in caught if issubclass(w.category, DispersiveValidityWarning)]
+    assert "dispersive_shift(" in linecache.getline(warning.filename, warning.lineno)
 
 
 # --- report bytes against the rounding pass and json.dumps they replaced -----
