@@ -31,7 +31,7 @@ from .errors import (
     DomainError,
     LabelingError,
 )
-from .spectrum import TransmonSpectrum, solve_tridiagonal_symmetric
+from .spectrum import TransmonSpectrum, _tridiagonal_matrix
 
 _MIN_DISPERSIVE_RATIO = 10.0  # |detuning| / g below which the warning fires
 # |detuning| / g at or below which dressed labels are unreliable: the oracle
@@ -225,11 +225,10 @@ def coupled_spectrum_oracle(
     # ordered by j + m, then j: H couples |j, m> only to the next state,
     # |j + 1, m - 1>, by sqrt((j + 1) m) g_01, which is 0 between blocks
     states = [(j, k - j) for k in range(3) for j in range(k + 1)]
-    result = solve_tridiagonal_symmetric(
-        [transmon.levels_hz[j] + m * f_r_hz for j, m in states],
-        [math.sqrt((j + 1.0) * m) * g_01_hz for j, m in states[:-1]],
-    )
-    weights = result.eigenvectors**2
+    diag = [transmon.levels_hz[j] + m * f_r_hz for j, m in states]
+    off = [math.sqrt((j + 1.0) * m) * g_01_hz for j, m in states[:-1]]
+    energies, vectors = np.linalg.eigh(_tridiagonal_matrix(np.array(diag), np.array(off)))
+    weights = vectors**2
     dressed: dict[tuple[int, int], float] = {}
     for k, bare in enumerate(np.argmax(weights, axis=0).tolist()):
         if weights[bare, k] <= 0.5:
@@ -239,7 +238,7 @@ def coupled_spectrum_oracle(
             raise LabelingError(
                 f"two dressed states map to bare state {label}; spectrum too mixed to label"
             )
-        dressed[label] = float(result.eigenvalues[k])
+        dressed[label] = float(energies[k])
 
     required = [(0, 0), (0, 1), (1, 0), (1, 1)]
     missing = [label for label in required if label not in dressed]

@@ -10,7 +10,7 @@ class DomainError(ValueError):
 
 
 class ContractError(ValueError):
-    """Structural contract violation (shape mismatch, asymmetric matrix, ...)."""
+    """Structural contract violation, such as curves on different frequency grids."""
 
 
 class ConvergenceError(RuntimeError):

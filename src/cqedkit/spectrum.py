@@ -7,8 +7,7 @@ diagonalizes the Cooper-pair-box Hamiltonian in the charge basis,
     H = 4 E_c (n - n_g)^2 - (E_j / 2) (|n><n+1| + h.c.),   n in [-N, N],
 
 and is the independent oracle that the closed-form chain is checked
-against. The symmetric eigensolvers used by this module and by the
-coupled-system oracle live here too.
+against.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ConvergenceWarning, DomainError
+from .errors import ConvergenceWarning, DomainError
 
 _MIN_CHARGE_CUTOFF = 10
 _MAX_CHARGE_CUTOFF = 200  # 401 states; bounds the size of an automatic solve
@@ -34,18 +33,6 @@ class PerturbativeTransmon:
     anharmonicity_hz: float
     e_j_hz: float
     e_c_hz: float
-
-
-@dataclass(frozen=True)
-class SymmetricEigenResult:
-    """Full eigendecomposition of a real symmetric matrix.
-
-    ``eigenvalues`` are ascending; ``eigenvectors`` holds the matching
-    orthonormal eigenvectors as columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -75,43 +62,12 @@ def perturbative_levels(e_j_hz: float, e_c_hz: float) -> PerturbativeTransmon:
     )
 
 
-def solve_tridiagonal_symmetric(
-    diagonal: np.ndarray, offdiagonal: np.ndarray
-) -> SymmetricEigenResult:
-    """Eigendecomposition of a symmetric tridiagonal matrix."""
-    diagonal = np.asarray(diagonal, dtype=float)
-    offdiagonal = np.asarray(offdiagonal, dtype=float)
-    if diagonal.ndim != 1 or offdiagonal.ndim != 1:
-        raise ContractError("diagonal and offdiagonal must be one-dimensional")
-    if offdiagonal.shape[0] != diagonal.shape[0] - 1:
-        raise ContractError(
-            f"offdiagonal length must be diagonal length - 1, got "
-            f"{offdiagonal.shape[0]} for diagonal of length {diagonal.shape[0]}"
-        )
-    eigenvalues, eigenvectors = np.linalg.eigh(_tridiagonal_matrix(diagonal, offdiagonal))
-    return SymmetricEigenResult(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-
-
 def _tridiagonal_matrix(diagonal: np.ndarray, offdiagonal: np.ndarray) -> np.ndarray:
+    """The dense symmetric matrix with this diagonal and first off-diagonals."""
     size = diagonal.shape[0]
     matrix = np.diag(diagonal)
     matrix.flat[1 :: size + 1] = matrix.flat[size :: size + 1] = offdiagonal
     return matrix
-
-
-def solve_dense_symmetric(matrix: np.ndarray) -> SymmetricEigenResult:
-    """Eigendecomposition of a dense real symmetric matrix."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ContractError(f"matrix must be square, got shape {matrix.shape}")
-    norm = np.linalg.norm(matrix)
-    asymmetry = np.linalg.norm(matrix - matrix.T)
-    if asymmetry > 1e-12 * norm:
-        raise ContractError(
-            f"matrix is not symmetric: |A - A^T| = {asymmetry:.3e} vs 1e-12 |A| = {1e-12 * norm:.3e}"
-        )
-    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-    return SymmetricEigenResult(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def exact_transmon_spectrum(

@@ -31,7 +31,6 @@ from .coupling import (
 )
 from .errors import (
     BracketingError,
-    ContractError,
     ConvergenceError,
     DomainError,
     LabelingError,
@@ -341,13 +340,16 @@ def derive(inputs: DesignInputs) -> DerivedParameters:
         q_ext, kappa, f_loaded = external_quality_factor(
             lumped.c_r_farad, lumped.l_r_henry, inputs.c_k_farad, inputs.r_load_ohm
         )
+        _require_finite("Q_ext", q_ext)
+        if kappa == 0.0:
+            raise FloatingPointError(f"kappa underflows to 0 at f_loaded = {f_loaded:.3g} Hz")
         stage = "relaxation estimate"
         t1 = purcell_t1(detuning, g_01, q_ext, f_r)
         stage = "dressed-state oracle"
         chi_exact: float | None = None
         if g_01 == 0.0 or abs(detuning) > ORACLE_MIN_RATIO * g_01:
             chi_exact = coupled_spectrum_oracle(exact, f_r, g_01).chi_exact_hz
-    except (DomainError, ContractError, ConvergenceError, LabelingError, ArithmeticError) as exc:
+    except (DomainError, ConvergenceError, LabelingError, ArithmeticError) as exc:
         raise type(exc)(f"{stage}: {exc}") from exc
     coupling = CouplingParameters(
         v_rms_volt=v_rms,
@@ -379,7 +381,8 @@ def derive(inputs: DesignInputs) -> DerivedParameters:
 
 
 def _require_finite(name: str, value: float) -> None:
-    # an overflowed E_j/E_c or g would leave null fields in a report
+    # an overflowed E_j/E_c or g would leave null fields in a report, and
+    # an overflowed Q_ext a kappa of 0, which 2|chi|/kappa divides by
     if not math.isfinite(value):
         raise FloatingPointError(f"{name} is {value}")
 
@@ -477,6 +480,12 @@ def tune(inputs: DesignInputs, spec: TuneSpec) -> TuneResult:
     # step 0 tries lo, step 1 hi, and step k > 1 is bisection iteration k - 1
     for step in range(TUNE_MAX_ITERATIONS + 2):
         value = spec.bracket[step] if step < 2 else 0.5 * (lo + hi)
+        if step > 1 and (value == lo or value == hi):
+            raise ConvergenceError(
+                f"{spec.target_quantity} changes sign between adjacent {spec.vary} values "
+                f"{lo!r} and {hi!r} without reaching {target:.9g}: a jump, such as "
+                "the chi pole at f_12 = f_r, not a root"
+            )
         derived = derive(replace(inputs, **{spec.vary: value}))
         achieved = quantity(derived)
         if abs(achieved - target) <= tolerance:
@@ -599,7 +608,6 @@ def _report_tree(derived: DerivedParameters) -> dict[str, Any]:
             "t1_purcell_seconds": t1,
             "t1_unbounded": math.isinf(t1),
             "abs_chi_exceeds_kappa": abs(coupling.chi_total_hz) > coupling.kappa_hz,
-            "two_chi_exceeds_kappa": 2.0 * abs(coupling.chi_total_hz) > coupling.kappa_hz,
             "readable": coupling.readable,
             "chi_kappa_ratio": coupling.chi_kappa_ratio,
         },

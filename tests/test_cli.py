@@ -305,6 +305,28 @@ def test_derive_non_finite_ej_ec_ratio_is_numerical_failure(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        # a vanishing load overflows Q_ext, and kappa = f_loaded / Q_ext is 0
+        ({"r_load_ohm": 1e-300}, "Q_ext is inf"),
+        # a finite Q_ext over a vanishing f_r underflows kappa to 0
+        (
+            {"f_r_target_hertz": 2.4748020728251984e-135, "z_0_ohm": 7.222450225131353e49},
+            "kappa underflows to 0 at f_loaded = 2.47e-135 Hz",
+        ),
+    ],
+)
+def test_derive_zero_kappa_names_the_quality_factor_stage(tmp_path, capsys, overrides, message):
+    # 2|chi|/kappa would otherwise divide by zero outside every stage
+    config = _write_design(tmp_path / "design.json", **overrides)
+    code = main(["derive", "--config", config, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"numerical failure: FloatingPointError: quality factor: {message}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 # --- argv fuzzing: every command line ends in exit 0, 1 or 2 -----------------
 
 _SPECIAL_TEXT = st.sampled_from(

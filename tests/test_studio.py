@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from cqedkit import (
     BracketingError,
+    ConvergenceError,
     DesignInputs,
     DispersiveValidityWarning,
     DomainError,
@@ -32,6 +33,7 @@ from cqedkit import (
     sweep,
     tune,
 )
+from cqedkit import studio
 from cqedkit.cli import main
 from cqedkit.studio import (
     EXPECTED_EPR_GAPS_PERCENT,
@@ -250,6 +252,30 @@ def test_tune_rejects_non_straddling_bracket(reference_inputs):
         tune(reference_inputs, spec)
 
 
+def test_tune_stops_when_the_bracket_cannot_shrink(reference_inputs, monkeypatch):
+    # chi_total jumps across its pole at f_12 = f_r inside this bracket; no
+    # bisection step lands on the pole, so the bracket closes on two adjacent
+    # floats where chi_total changes sign without reaching the target
+    inputs = replace(reference_inputs, f_r_target_hertz=4.911757023241299e9)
+    spec = TuneSpec(
+        "l_j_henry",
+        "chi_total_hz",
+        22532054.654109553,
+        (7.768745354660712e-9, 9.4711129791358e-9),
+    )
+    calls = []
+
+    def counting_derive(design):
+        calls.append(design.l_j_henry)
+        return _quiet_derive(design)
+
+    monkeypatch.setattr(studio, "derive", counting_derive)
+    with pytest.raises(ConvergenceError, match="between adjacent l_j_henry values"):
+        tune(inputs, spec)
+    assert len(calls) < 60
+    assert len(set(calls)) == len(calls)
+
+
 def test_tune_spec_validation():
     with pytest.raises(DomainError):
         TuneSpec("l_j_henry", "f_01_hz", 4.5e9, (14e-9, 8e-9))
@@ -330,7 +356,9 @@ def test_report_is_deterministic_and_rounded(reference_inputs):
     assert all(summary.values())
     assert set(summary) == {name for name, _, _ in REFERENCE_TARGETS} | {"ej_ec_ratio"}
     assert report["coupling"]["abs_chi_exceeds_kappa"] is True
-    assert report["coupling"]["two_chi_exceeds_kappa"] is True
+    # 2|chi| > kappa is reported once, as the readability flag
+    assert report["coupling"]["readable"] is True
+    assert "two_chi_exceeds_kappa" not in report["coupling"]
     # the oracle solves fixed excitation blocks, so no truncation is reported
     assert set(report["oracle"]) == {"chi_exact_hz", "valid"}
     assert report["oracle"]["valid"] is True
