@@ -10,14 +10,10 @@ exact-diagonalization oracles, and automates sweeps and target tuning.
 __version__ = "0.1.0"
 
 from .constants import (
-    CONSTANTS,
-    PhysicalConstants,
     critical_current_to_junction_inductance,
     ej_to_junction_inductance,
     junction_inductance_to_critical_current,
     junction_inductance_to_ej,
-    to_angular,
-    to_linear,
 )
 from .coupling import (
     CoupledSpectrum,
@@ -77,7 +73,6 @@ from .studio import (
     load_design,
     load_reference_design,
     render_report,
-    report_dict,
     sweep,
     tune,
     write_report,
@@ -85,10 +80,6 @@ from .studio import (
 
 __all__ = [
     "__version__",
-    "CONSTANTS",
-    "PhysicalConstants",
-    "to_angular",
-    "to_linear",
     "junction_inductance_to_critical_current",
     "critical_current_to_junction_inductance",
     "junction_inductance_to_ej",
@@ -131,7 +122,6 @@ __all__ = [
     "load_design",
     "load_reference_design",
     "render_report",
-    "report_dict",
     "sweep",
     "tune",
     "write_report",

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
+from typing import Any
 
 from . import __version__
 from .errors import (
@@ -43,6 +45,12 @@ EXIT_NUMERICAL = 2
 class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of calling sys.exit, so usage errors
     map onto the validation exit code."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern reads -1e-15 and -inf as option flags; no
+        # cqedkit option starts with a digit, a point or "inf"
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf)", re.IGNORECASE)
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise DomainError(message)

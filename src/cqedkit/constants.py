@@ -8,73 +8,43 @@ Energies are quoted as frequency equivalents (E/h, in Hz).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
 
 # exact SI defining values (2019 redefinition)
-_E_CHARGE = 1.602176634e-19  # C
-_PLANCK = 6.62607015e-34  # J s
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants; defaults are the exact SI values."""
-
-    elementary_charge: float = _E_CHARGE
-    planck: float = _PLANCK
-    reduced_planck: float = _PLANCK / TWO_PI
-    flux_quantum: float = _PLANCK / (2.0 * _E_CHARGE)
-
-    def __post_init__(self) -> None:
-        if not math.isclose(self.reduced_planck, self.planck / TWO_PI, rel_tol=1e-15):
-            raise DomainError("reduced_planck must equal planck / 2pi")
-        if not math.isclose(
-            self.flux_quantum, self.planck / (2.0 * self.elementary_charge), rel_tol=1e-15
-        ):
-            raise DomainError("flux_quantum must equal planck / (2 elementary_charge)")
-
-
-CONSTANTS = PhysicalConstants()
-
-
-def to_angular(frequency_hz: float) -> float:
-    """Hz -> rad/s"""
-    return TWO_PI * frequency_hz
-
-
-def to_linear(angular_rad_per_s: float) -> float:
-    """rad/s -> Hz"""
-    return angular_rad_per_s / TWO_PI
+ELEMENTARY_CHARGE = 1.602176634e-19  # C
+PLANCK = 6.62607015e-34  # J s
+REDUCED_PLANCK = PLANCK / TWO_PI
+FLUX_QUANTUM = PLANCK / (2.0 * ELEMENTARY_CHARGE)  # Wb
 
 
 def junction_inductance_to_critical_current(l_j_henry: float) -> float:
     """L_j (H) -> critical current (A), I_c = Phi_0 / (2 pi L_j)."""
     if not l_j_henry > 0.0:
         raise DomainError(f"junction inductance must be positive, got {l_j_henry}")
-    return CONSTANTS.flux_quantum / (TWO_PI * l_j_henry)
+    return FLUX_QUANTUM / (TWO_PI * l_j_henry)
 
 
 def critical_current_to_junction_inductance(i_c_ampere: float) -> float:
     """Critical current (A) -> L_j (H); inverse of the relation above."""
     if not i_c_ampere > 0.0:
         raise DomainError(f"critical current must be positive, got {i_c_ampere}")
-    return CONSTANTS.flux_quantum / (TWO_PI * i_c_ampere)
+    return FLUX_QUANTUM / (TWO_PI * i_c_ampere)
 
 
 def junction_inductance_to_ej(l_j_henry: float) -> float:
     """L_j (H) -> Josephson energy as a frequency (Hz), (Phi_0/2pi)^2 / (L_j h)."""
     if not l_j_henry > 0.0:
         raise DomainError(f"junction inductance must be positive, got {l_j_henry}")
-    phi0_over_2pi = CONSTANTS.flux_quantum / TWO_PI
-    return phi0_over_2pi**2 / (l_j_henry * CONSTANTS.planck)
+    phi0_over_2pi = FLUX_QUANTUM / TWO_PI
+    return phi0_over_2pi**2 / (l_j_henry * PLANCK)
 
 
 def ej_to_junction_inductance(e_j_hz: float) -> float:
     """Josephson energy (Hz) -> L_j (H)."""
     if not e_j_hz > 0.0:
         raise DomainError(f"Josephson energy must be positive, got {e_j_hz}")
-    phi0_over_2pi = CONSTANTS.flux_quantum / TWO_PI
-    return phi0_over_2pi**2 / (e_j_hz * CONSTANTS.planck)
+    phi0_over_2pi = FLUX_QUANTUM / TWO_PI
+    return phi0_over_2pi**2 / (e_j_hz * PLANCK)

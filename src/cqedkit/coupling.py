@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONSTANTS, TWO_PI
+from .constants import ELEMENTARY_CHARGE, REDUCED_PLANCK, TWO_PI
 from .errors import (
     ConvergenceError,
     DispersiveValidityWarning,
@@ -53,8 +53,16 @@ class CouplingParameters:
     kappa_hz: float
     f_r_loaded_hz: float
     t1_purcell_seconds: float
-    readable: bool
-    chi_kappa_ratio: float
+
+    @property
+    def chi_kappa_ratio(self) -> float:
+        """2|chi| / kappa: the distance between the two states' notches in linewidths."""
+        return 2.0 * abs(self.chi_total_hz) / self.kappa_hz
+
+    @property
+    def readable(self) -> bool:
+        """2|chi| > kappa: the two states' notches are more than a linewidth apart."""
+        return 2.0 * abs(self.chi_total_hz) > self.kappa_hz
 
 
 @dataclass(frozen=True)
@@ -76,7 +84,7 @@ def zero_point_voltage(f_r_hz: float, c_r_farad: float) -> float:
         raise DomainError(f"resonator frequency must be positive, got {f_r_hz}")
     if not c_r_farad > 0.0:
         raise DomainError(f"resonator capacitance must be positive, got {c_r_farad}")
-    return math.sqrt(CONSTANTS.reduced_planck * TWO_PI * f_r_hz / (2.0 * c_r_farad))
+    return math.sqrt(REDUCED_PLANCK * TWO_PI * f_r_hz / (2.0 * c_r_farad))
 
 
 def coupling_strength(
@@ -93,7 +101,7 @@ def coupling_strength(
         raise DomainError(f"energies must be positive, got E_j={e_j_hz}, E_c={e_c_hz}")
     angular = (
         math.sqrt(n + 1.0)
-        * (2.0 * beta * CONSTANTS.elementary_charge * v_rms_volt / CONSTANTS.reduced_planck)
+        * (2.0 * beta * ELEMENTARY_CHARGE * v_rms_volt / REDUCED_PLANCK)
         * (e_j_hz / (32.0 * e_c_hz)) ** 0.25
     )
     return angular / TWO_PI

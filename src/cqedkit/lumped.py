@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .constants import CONSTANTS, TWO_PI, junction_inductance_to_ej
+from .constants import ELEMENTARY_CHARGE, PLANCK, TWO_PI, junction_inductance_to_ej
 from .errors import DomainError
 
 TRANSMON_REGIME_MIN_RATIO = 50.0
@@ -105,7 +105,7 @@ def charging_energy(c_s_farad: float, c_g_farad: float = 0.0) -> float:
     if c_g_farad < 0.0:
         raise DomainError(f"coupling capacitance must be non-negative, got {c_g_farad}")
     c_sigma = c_s_farad + c_g_farad
-    return CONSTANTS.elementary_charge**2 / (2.0 * c_sigma * CONSTANTS.planck)
+    return ELEMENTARY_CHARGE**2 / (2.0 * c_sigma * PLANCK)
 
 
 def build_lumped_circuit(inputs: DesignInputs) -> LumpedCircuit:

@@ -93,6 +93,11 @@ def s21_curve(
         raise DomainError(f"qubit_state must be one of {QUBIT_STATES}, got {qubit_state!r}")
     if not 0.0 < span_hz < math.inf:
         raise DomainError(f"span must be positive and finite, got {span_hz}")
+    if span_hz >= 2.0 * coupling.f_r_loaded_hz:
+        raise DomainError(
+            f"span {span_hz:g} Hz reaches 0 Hz; it must be below twice the loaded "
+            f"resonance, {2.0 * coupling.f_r_loaded_hz:g} Hz"
+        )
     if n_points < 3:
         raise DomainError(f"need at least 3 points, got {n_points}")
     if not q_internal > 0.0:
@@ -115,7 +120,7 @@ def s21_curve(
     s21 = 1.0 - (q_total / q_ext) / (1.0 + 2.0j * q_total * (frequency - f_state) / f_state)
     magnitude = np.abs(s21)
     if not np.isfinite(magnitude).all():
-        # a span near the float limit overflows 2 Q (f - f_0)/f_0
+        # an extreme Q_ext overflows 2 Q (f - f_0)/f_0
         raise FloatingPointError(f"S21 is not finite on a {span_hz:g} Hz span")
     return TransmissionCurve(
         qubit_state=qubit_state,

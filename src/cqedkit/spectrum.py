@@ -31,8 +31,6 @@ class PerturbativeTransmon:
     f_01_hz: float
     f_12_hz: float
     anharmonicity_hz: float
-    e_j_hz: float
-    e_c_hz: float
 
 
 @dataclass(frozen=True)
@@ -57,8 +55,6 @@ def perturbative_levels(e_j_hz: float, e_c_hz: float) -> PerturbativeTransmon:
         f_01_hz=f_01,
         f_12_hz=f_01 - e_c_hz,
         anharmonicity_hz=-e_c_hz,
-        e_j_hz=e_j_hz,
-        e_c_hz=e_c_hz,
     )
 
 

@@ -59,7 +59,6 @@ class DerivedParameters:
     transmon_exact: TransmonSpectrum
     coupling: CouplingParameters
     chi_exact_hz: float | None
-    provenance: Mapping[str, str]
 
 
 @dataclass(frozen=True)
@@ -266,16 +265,7 @@ def design_from_dict(data: Mapping[str, Any]) -> DesignInputs:
 
 
 def design_to_dict(inputs: DesignInputs) -> dict[str, Any]:
-    return {
-        "c_s_farad": inputs.c_s_farad,
-        "c_g_farad": inputs.c_g_farad,
-        "c_k_farad": inputs.c_k_farad,
-        "l_j_henry": inputs.l_j_henry,
-        "f_r_target_hertz": inputs.f_r_target_hertz,
-        "z_0_ohm": inputs.z_0_ohm,
-        "r_load_ohm": inputs.r_load_ohm,
-        "geometry": dict(inputs.geometry),
-    }
+    return {**vars(inputs), "geometry": dict(inputs.geometry)}
 
 
 def load_design(path: str | Path) -> DesignInputs:
@@ -362,21 +352,13 @@ def derive(inputs: DesignInputs) -> DerivedParameters:
         kappa_hz=kappa,
         f_r_loaded_hz=f_loaded,
         t1_purcell_seconds=t1,
-        readable=2.0 * abs(chi_total) > kappa,
-        chi_kappa_ratio=2.0 * abs(chi_total) / kappa,
     )
-    provenance = {
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "input_sha256": input_digest(inputs),
-    }
     return DerivedParameters(
         lumped=lumped,
         transmon_perturbative=pert,
         transmon_exact=exact,
         coupling=coupling,
         chi_exact_hz=chi_exact,
-        provenance=provenance,
     )
 
 
@@ -395,7 +377,8 @@ def compare_to_epr(
     derived: DerivedParameters, reference: EprReference = EPR_REFERENCE
 ) -> EprComparison:
     """Percent gaps |analytic - reference| / analytic for the four quantities
-    covered by the shipped field-simulation reference."""
+    covered by the shipped field-simulation reference; the gap to an
+    analytic value of 0 is inf."""
     analytic = {
         "f_01": derived.transmon_perturbative.f_01_hz,
         "f_r": derived.lumped.inputs.f_r_target_hertz,
@@ -410,7 +393,8 @@ def compare_to_epr(
     }
     entries = []
     for name in ("f_01", "f_r", "alpha", "chi"):
-        gap = abs(analytic[name] - ref[name]) / abs(analytic[name]) * 100.0
+        value = analytic[name]
+        gap = abs(value - ref[name]) / abs(value) * 100.0 if value else math.inf
         expected = EXPECTED_EPR_GAPS_PERCENT[name]
         entries.append(
             EprGapEntry(
@@ -567,46 +551,31 @@ def summary_checks(derived: DerivedParameters) -> list[dict[str, Any]]:
 
 
 def _report_tree(derived: DerivedParameters) -> dict[str, Any]:
-    """The report before output formatting: full-precision floats, inf and NaN."""
+    """The report before output formatting: full-precision floats, inf and NaN.
+
+    Each record's block lists its fields in declaration order, then the
+    values derived from them.
+    """
+    lumped = {
+        **vars(derived.lumped),
+        "ej_ec_ratio": derived.lumped.ej_ec_ratio,
+        "in_transmon_regime": derived.lumped.in_transmon_regime,
+    }
+    inputs = lumped.pop("inputs")
     coupling = derived.coupling
-    t1 = coupling.t1_purcell_seconds
     return {
-        "provenance": dict(derived.provenance),
-        "inputs": design_to_dict(derived.lumped.inputs),
-        "lumped": {
-            "c_r_farad": derived.lumped.c_r_farad,
-            "l_r_henry": derived.lumped.l_r_henry,
-            "c_sigma_farad": derived.lumped.c_sigma_farad,
-            "e_c_hz": derived.lumped.e_c_hz,
-            "e_j_hz": derived.lumped.e_j_hz,
-            "beta": derived.lumped.beta,
-            "ej_ec_ratio": derived.lumped.ej_ec_ratio,
-            "in_transmon_regime": derived.lumped.in_transmon_regime,
+        "provenance": {
+            "tool": TOOL_NAME,
+            "version": __version__,
+            "input_sha256": input_digest(inputs),
         },
-        "transmon_perturbative": {
-            "f_01_hz": derived.transmon_perturbative.f_01_hz,
-            "f_12_hz": derived.transmon_perturbative.f_12_hz,
-            "anharmonicity_hz": derived.transmon_perturbative.anharmonicity_hz,
-        },
-        "transmon_exact": {
-            "levels_hz": list(derived.transmon_exact.levels_hz),
-            "n_g": derived.transmon_exact.n_g,
-            "charge_cutoff": derived.transmon_exact.charge_cutoff,
-            "f_01_exact_hz": derived.transmon_exact.f_01_exact_hz,
-            "anharmonicity_exact_hz": derived.transmon_exact.anharmonicity_exact_hz,
-        },
+        "inputs": design_to_dict(inputs),
+        "lumped": lumped,
+        "transmon_perturbative": {**vars(derived.transmon_perturbative)},
+        "transmon_exact": {**vars(derived.transmon_exact)},
         "coupling": {
-            "v_rms_volt": coupling.v_rms_volt,
-            "g_01_hz": coupling.g_01_hz,
-            "detuning_0_hz": coupling.detuning_0_hz,
-            "chi_01_hz": coupling.chi_01_hz,
-            "chi_12_hz": coupling.chi_12_hz,
-            "chi_total_hz": coupling.chi_total_hz,
-            "q_ext": coupling.q_ext,
-            "kappa_hz": coupling.kappa_hz,
-            "f_r_loaded_hz": coupling.f_r_loaded_hz,
-            "t1_purcell_seconds": t1,
-            "t1_unbounded": math.isinf(t1),
+            **vars(coupling),
+            "t1_unbounded": math.isinf(coupling.t1_purcell_seconds),
             "abs_chi_exceeds_kappa": abs(coupling.chi_total_hz) > coupling.kappa_hz,
             "readable": coupling.readable,
             "chi_kappa_ratio": coupling.chi_kappa_ratio,
@@ -673,12 +642,6 @@ def _json(obj: Any, pad: str) -> str:
     if isinstance(obj, float):
         return _json(float(obj), pad)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-
-def report_dict(derived: DerivedParameters) -> dict[str, Any]:
-    """The report as its JSON file reads back: floats at 9 significant
-    digits, null for a non-finite float, the summary block included."""
-    return json.loads(render_report(derived))
 
 
 def render_report(derived: DerivedParameters) -> str:

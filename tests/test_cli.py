@@ -15,6 +15,7 @@ from cqedkit.cli import main
 from cqedkit.studio import EXPECTED_EPR_GAPS_PERCENT
 
 CONFIG = str(Path(__file__).resolve().parent.parent / "designs" / "qubit_v1.json")
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_derive_writes_report(tmp_path, capsys):
@@ -23,6 +24,23 @@ def test_derive_writes_report(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["provenance"]["tool"] == "cqedkit"
     assert capsys.readouterr().out == f"report: {out}\n"
+
+
+@pytest.mark.parametrize(
+    "overrides,expected",
+    [
+        ({}, "qubit_v1.report.json"),
+        # g_01 = 0: zero shifts, a null T1 and t1_unbounded
+        ({"c_g_farad": 0}, "qubit_v1_c_g_0.report.json"),
+    ],
+    ids=["qubit_v1", "c_g_0"],
+)
+def test_derive_report_bytes_are_pinned(tmp_path, overrides, expected):
+    # the report's key names, key order and number formatting, byte for byte
+    config = _write_design(tmp_path / "design.json", **overrides)
+    out = tmp_path / "report.json"
+    assert main(["derive", "--config", config, "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / expected).read_bytes()
 
 
 def test_derive_missing_config_is_validation_error(tmp_path, capsys):
@@ -133,13 +151,20 @@ def test_derive_any_design_file_exits_cleanly(fuzz_dir, numbers, junk):
     if junk is not None:
         overrides[junk[0]] = junk[1]
     config = _write_design(fuzz_dir / "design.json", **overrides)
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(["derive", "--config", config, "--out", str(fuzz_dir / "r.json")])
-    assert code in (0, 1, 2)
-    if code != 0:
-        last = err.getvalue().splitlines()[-1]
-        assert last.startswith(("error: ", "numerical failure: ")), last
+    codes = []
+    for argv in (["derive", "--out", str(fuzz_dir / "r.json")], ["compare"]):
+        err, out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            code = main([*argv, "--config", config])
+        assert code in (0, 1, 2)
+        # a compare that misses a gap prints its table and exits 1
+        if code != 0 and not out.getvalue():
+            last = err.getvalue().splitlines()[-1]
+            assert last.startswith(("error: ", "numerical failure: ")), last
+        codes.append(code)
+    # compare adds only arithmetic on four finite numbers to a derive
+    if codes[0] == 0:
+        assert codes[1] != 2, err.getvalue()
 
 
 def test_usage_error_maps_to_validation_exit(capsys):
@@ -267,6 +292,54 @@ def test_compare_reports_gap_table(capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[-1] for line in lines[1:]] == ["yes", "yes", "yes", "NO"]
     assert code == 1
+
+
+def test_compare_zero_analytic_value_is_a_missed_gap(tmp_path, capsys):
+    # g_01 underflows, so chi_total is 0 and its gap is inf, not a division error
+    config = _write_design(tmp_path / "design.json", c_s_farad=5.1313314446611226e138)
+    code = main(["compare", "--config", config])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "failure" not in captured.err and "error" not in captured.err
+    lines = captured.out.splitlines()
+    assert len(lines) == 5
+    chi = lines[4].split()
+    assert chi[0] == "chi" and float(chi[1]) == 0.0
+    assert chi[3] == "inf" and chi[-1] == "NO"
+
+
+@pytest.mark.parametrize(
+    "argv,first_line",
+    [
+        (
+            ["tune", "--vary", "l_j_henry", "--target", "f_01_hz=4.55e9",
+             "--bracket", "8e-9,14e-9", "--tol", "-1e-6"],
+            "error: relative tolerance must be positive and finite, got -1e-06",
+        ),
+        (
+            ["tune", "--vary", "l_j_henry", "--target", "f_01_hz=4.55e9",
+             "--bracket", "-1e-9,1e-8"],
+            "error: l_j_henry must be a positive finite number, got -1e-09",
+        ),
+        (
+            ["sweep", "--param", "c_g_farad", "--from", "-1e-15", "--to", "2e-15",
+             "--steps", "4", "--emit", "g_01_hz"],
+            None,
+        ),
+    ],
+    ids=["tol", "bracket", "sweep-from"],
+)
+def test_negative_numbers_in_exponent_form_are_values(tmp_path, capsys, argv, first_line):
+    # argparse's own pattern took -1e-15 for an option flag
+    out = tmp_path / "out"
+    code = main([*argv, "--config", CONFIG, "--out", str(out)])
+    captured = capsys.readouterr()
+    if first_line is None:
+        assert code == 0 and captured.out == f"4 rows (1 failed): {out}\n"
+        assert out.read_text().splitlines()[1].startswith("-1e-15,,error,")
+    else:
+        assert code == 1
+        assert captured.err.startswith(first_line) and captured.err.count("\n") == 1
 
 
 def test_tune_non_finite_target_is_validation_error(tmp_path, capsys):

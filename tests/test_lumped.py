@@ -6,13 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cqedkit import (
-    CONSTANTS,
     DesignInputs,
     DomainError,
     build_lumped_circuit,
     charging_energy,
     quarter_wave_equivalents,
 )
+from cqedkit.constants import ELEMENTARY_CHARGE, PLANCK
 
 # frozen from direct constant evaluation (scipy.constants)
 E_C_REFERENCE = 188812060.87005678
@@ -57,7 +57,7 @@ def test_charging_energy_reference():
 
 def test_charging_energy_unit_cancellation():
     # C chosen so that e^2 / (2 C h) is exactly 1 GHz
-    c_s = CONSTANTS.elementary_charge**2 / (2.0 * CONSTANTS.planck * 1e9)
+    c_s = ELEMENTARY_CHARGE**2 / (2.0 * PLANCK * 1e9)
     assert charging_energy(c_s, 0.0) == pytest.approx(1e9, rel=1e-12)
 
 

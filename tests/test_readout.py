@@ -31,8 +31,6 @@ def _coupling(chi_total=-1414076.6030755676, q_ext=4378.586696298506,
         kappa_hz=kappa,
         f_r_loaded_hz=f_loaded,
         t1_purcell_seconds=13.2e-6,
-        readable=True,
-        chi_kappa_ratio=2.0 * abs(chi_total) / kappa,
     )
 
 
@@ -165,6 +163,10 @@ def test_bad_arguments_rejected():
     for span in (math.inf, math.nan):
         with pytest.raises(DomainError, match="span must be positive and finite"):
             s21_curve(coupling, "ground", span, 101)
+    # f_loaded - span/2 would be at or below 0 Hz
+    for span in (2.0 * coupling.f_r_loaded_hz, 1.2e10, 1.7e308):
+        with pytest.raises(DomainError, match="reaches 0 Hz"):
+            s21_curve(coupling, "ground", span, 101)
     with pytest.raises(DomainError):
         s21_curve(coupling, "ground", 20e6, 2)
     with pytest.raises(DomainError):
@@ -200,9 +202,10 @@ def test_csv_export(tmp_path, curves):
 
 
 def test_span_near_float_limit_is_a_numerical_failure():
-    # the grid is finite but 2 Q (f - f_0)/f_0 overflows, which made NaN samples
+    # the grid is finite but 2 Q (f - f_0)/f_0 overflows at an extreme Q_ext,
+    # which made NaN samples
     with pytest.raises(FloatingPointError, match="S21 is not finite"):
-        s21_curve(_coupling(), "ground", 1.7e308, 5)
+        s21_curve(_coupling(q_ext=1e300), "ground", 1e9, 5)
 
 
 def _reference_csv(curve):
