@@ -28,7 +28,6 @@ from .coupling import (
 )
 from .errors import (
     BracketingError,
-    ContractError,
     ConvergenceError,
     ConvergenceWarning,
     DispersiveValidityWarning,
@@ -126,7 +125,6 @@ __all__ = [
     "tune",
     "write_report",
     "DomainError",
-    "ContractError",
     "ConvergenceError",
     "BracketingError",
     "LabelingError",

@@ -2,7 +2,7 @@
 
 Subcommands: derive, s21, sweep, tune, compare. Exit codes: 0 success,
 1 domain/validation error, 2 numerical failure (convergence, bracketing,
-unresolved curves, float overflow or division by zero).
+dressed-state labeling, float overflow or division by zero).
 """
 
 from __future__ import annotations
@@ -15,14 +15,7 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__
-from .errors import (
-    BracketingError,
-    ContractError,
-    ConvergenceError,
-    DomainError,
-    ExtractionError,
-    LabelingError,
-)
+from .errors import BracketingError, ConvergenceError, DomainError, LabelingError
 from .readout import s21_curve, write_curve_csv
 from .studio import (
     SweepSpec,
@@ -190,10 +183,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.run(args)
-    except (DomainError, ContractError) as exc:
+    except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN
-    except (ConvergenceError, BracketingError, LabelingError, ExtractionError) as exc:
+    except (ConvergenceError, BracketingError, LabelingError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
     except ArithmeticError as exc:

@@ -3,7 +3,7 @@ generalized Jaynes-Cummings oracle.
 
 The closed-form chain computes the charge coupling strength
 
-    g_{n,n+1} = sqrt(n+1) (2 beta e V_rms / hbar) (E_j / 32 E_c)^(1/4),
+    g_01 = (2 beta e V_rms / hbar) (E_j / 32 E_c)^(1/4),
 
 the second-order dispersive shifts chi_ij = g_ij^2 / (f_ij - f_r) with
 chi = chi_01 - chi_12 / 2, the feedline-loaded quality factor via the
@@ -88,11 +88,9 @@ def zero_point_voltage(f_r_hz: float, c_r_farad: float) -> float:
 
 
 def coupling_strength(
-    n: int, beta: float, v_rms_volt: float, e_j_hz: float, e_c_hz: float
+    beta: float, v_rms_volt: float, e_j_hz: float, e_c_hz: float
 ) -> float:
-    """Charge coupling g_{n,n+1} as a linear frequency (Hz)."""
-    if n < 0:
-        raise DomainError(f"level index must be non-negative, got {n}")
+    """Charge coupling g_01 as a linear frequency (Hz)."""
     if not 0.0 <= beta < 1.0:
         raise DomainError(f"capacitance divider beta must be in [0, 1), got {beta}")
     if not v_rms_volt >= 0.0:
@@ -100,8 +98,7 @@ def coupling_strength(
     if not e_j_hz > 0.0 or not e_c_hz > 0.0:
         raise DomainError(f"energies must be positive, got E_j={e_j_hz}, E_c={e_c_hz}")
     angular = (
-        math.sqrt(n + 1.0)
-        * (2.0 * beta * ELEMENTARY_CHARGE * v_rms_volt / REDUCED_PLANCK)
+        (2.0 * beta * ELEMENTARY_CHARGE * v_rms_volt / REDUCED_PLANCK)
         * (e_j_hz / (32.0 * e_c_hz)) ** 0.25
     )
     return angular / TWO_PI
@@ -239,14 +236,9 @@ def coupled_spectrum_oracle(
     weights = vectors**2
     dressed: dict[tuple[int, int], float] = {}
     for k, bare in enumerate(np.argmax(weights, axis=0).tolist()):
-        if weights[bare, k] <= 0.5:
-            continue
-        label = states[bare]
-        if label in dressed:
-            raise LabelingError(
-                f"two dressed states map to bare state {label}; spectrum too mixed to label"
-            )
-        dressed[label] = float(energies[k])
+        # the eigenvectors are orthonormal, so no two states pass 0.5 on one label
+        if weights[bare, k] > 0.5:
+            dressed[states[bare]] = float(energies[k])
 
     required = [(0, 0), (0, 1), (1, 0), (1, 1)]
     missing = [label for label in required if label not in dressed]

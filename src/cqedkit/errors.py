@@ -1,16 +1,12 @@
 """Exception and warning types shared across the toolkit.
 
-Domain/contract violations map to CLI exit code 1, numerical failures
-(non-convergence, bad brackets, unresolvable curves) to exit code 2.
+Domain violations map to CLI exit code 1, numerical failures
+(non-convergence, bad brackets, unlabelable dressed states) to exit code 2.
 """
 
 
 class DomainError(ValueError):
     """An input is outside the physical domain of an operation."""
-
-
-class ContractError(ValueError):
-    """Structural contract violation, such as curves on different frequency grids."""
 
 
 class ConvergenceError(RuntimeError):

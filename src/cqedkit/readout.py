@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .coupling import CouplingParameters
-from .errors import ContractError, DomainError, ExtractionError, NarrowSpanWarning
+from .errors import DomainError, ExtractionError, NarrowSpanWarning
 
 QUBIT_STATES = ("ground", "excited")
 CSV_HEADER = "frequency_hz,re_s21,im_s21,abs_s21"
@@ -117,10 +117,11 @@ def s21_curve(
 
     center = coupling.f_r_loaded_hz
     frequency = np.linspace(center - span_hz / 2.0, center + span_hz / 2.0, n_points)
-    s21 = 1.0 - (q_total / q_ext) / (1.0 + 2.0j * q_total * (frequency - f_state) / f_state)
-    magnitude = np.abs(s21)
+    # an extreme Q_ext overflows 2 Q (f - f_0)/f_0; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        s21 = 1.0 - (q_total / q_ext) / (1.0 + 2.0j * q_total * (frequency - f_state) / f_state)
+        magnitude = np.abs(s21)
     if not np.isfinite(magnitude).all():
-        # an extreme Q_ext overflows 2 Q (f - f_0)/f_0
         raise FloatingPointError(f"S21 is not finite on a {span_hz:g} Hz span")
     return TransmissionCurve(
         qubit_state=qubit_state,
@@ -136,7 +137,7 @@ def notch_separation(ground: TransmissionCurve, excited: TransmissionCurve) -> f
     if ground.frequency_hz.shape != excited.frequency_hz.shape or not np.array_equal(
         ground.frequency_hz, excited.frequency_hz
     ):
-        raise ContractError("curves must share the same frequency grid")
+        raise DomainError("curves must share the same frequency grid")
     for curve in (ground, excited):
         magnitude = np.abs(curve.s21)
         if float(magnitude.max() - magnitude.min()) < _FLAT_CURVE_DEPTH:

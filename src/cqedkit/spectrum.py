@@ -22,6 +22,7 @@ from .errors import ConvergenceWarning, DomainError
 
 _MIN_CHARGE_CUTOFF = 10
 _MAX_CHARGE_CUTOFF = 200  # 401 states; bounds the size of an automatic solve
+_N_LEVELS = 8  # ground-referenced levels kept, as the report lists them
 
 
 @dataclass(frozen=True)
@@ -71,9 +72,8 @@ def exact_transmon_spectrum(
     e_c_hz: float,
     n_g: float = 0.0,
     charge_cutoff: int | None = None,
-    n_levels: int = 8,
 ) -> TransmonSpectrum:
-    """Diagonalize the charge-basis transmon Hamiltonian.
+    """Diagonalize the charge-basis transmon Hamiltonian; keep the lowest 8 levels.
 
     Parameters
     ----------
@@ -84,13 +84,11 @@ def exact_transmon_spectrum(
     charge_cutoff:
         Charge states run over n in [-cutoff, cutoff]; at least 10.
         ``None`` (the default) takes the smallest cutoff the convergence
-        rule accepts: max(10, ceil(4 (E_j/E_c)^(1/4)) + 2), plus one per
-        level beyond 8, at most 200. The low levels spread over a charge
-        width that grows as (E_j/E_c)^(1/4) (Koch et al., PRA 76, 042319
-        (2007)); within the rule they agree with a solve at cutoff + 5 to
-        1e-9 of max(|level|, E_c) for E_j/E_c in [1, 1e4] at n_g = 0, 1/4, 1/2.
-    n_levels:
-        Number of ground-referenced levels to keep (>= 3).
+        rule accepts: max(10, ceil(4 (E_j/E_c)^(1/4)) + 2), at most 200.
+        The low levels spread over a charge width that grows as
+        (E_j/E_c)^(1/4) (Koch et al., PRA 76, 042319 (2007)); within the
+        rule they agree with a solve at cutoff + 5 to 1e-9 of
+        max(|level|, E_c) for E_j/E_c in [1, 1e4] at n_g = 0, 1/4, 1/2.
 
     A cutoff below the rule, chosen or capped, issues a ``ConvergenceWarning``.
     """
@@ -98,17 +96,15 @@ def exact_transmon_spectrum(
         raise DomainError(f"energies must be positive, got E_j={e_j_hz}, E_c={e_c_hz}")
     if charge_cutoff is not None and charge_cutoff < _MIN_CHARGE_CUTOFF:
         raise DomainError(f"charge_cutoff must be at least 10, got {charge_cutoff}")
-    if n_levels < 3:
-        raise DomainError(f"n_levels must be at least 3, got {n_levels}")
     ratio = e_j_hz / e_c_hz
     width = math.ceil(min(4.0 * ratio**0.25, _MAX_CHARGE_CUTOFF))
-    needed = max(_MIN_CHARGE_CUTOFF, width + 2 + max(0, n_levels - 8))
+    needed = max(_MIN_CHARGE_CUTOFF, width + 2)
     if charge_cutoff is None:
         charge_cutoff = min(needed, _MAX_CHARGE_CUTOFF)
     if charge_cutoff < needed:
         warnings.warn(
             f"charge basis cutoff {charge_cutoff} not converged: E_j/E_c = {ratio:.4g} "
-            f"needs a cutoff of at least {needed} for {n_levels} levels",
+            f"needs a cutoff of at least {needed} for {_N_LEVELS} levels",
             ConvergenceWarning,
             stacklevel=2,
         )
@@ -116,7 +112,7 @@ def exact_transmon_spectrum(
     hamiltonian = _tridiagonal_matrix(
         4.0 * e_c_hz * (charge - n_g) ** 2, np.full(2 * charge_cutoff, -e_j_hz / 2.0)
     )
-    levels = np.linalg.eigvalsh(hamiltonian)[:n_levels]
+    levels = np.linalg.eigvalsh(hamiltonian)[:_N_LEVELS]
     levels = levels - levels[0]
     return TransmonSpectrum(
         levels_hz=tuple(float(x) for x in levels),

@@ -319,7 +319,7 @@ def derive(inputs: DesignInputs) -> DerivedParameters:
         v_rms = zero_point_voltage(f_r, lumped.c_r_farad)
         stage = "coupling strength"
         if lumped.beta > 0.0:
-            g_01 = coupling_strength(0, lumped.beta, v_rms, lumped.e_j_hz, lumped.e_c_hz)
+            g_01 = coupling_strength(lumped.beta, v_rms, lumped.e_j_hz, lumped.e_c_hz)
             _require_finite("g_01", g_01)
         else:
             g_01 = 0.0
@@ -373,9 +373,7 @@ def _require_finite(name: str, value: float) -> None:
 # reference comparison
 
 
-def compare_to_epr(
-    derived: DerivedParameters, reference: EprReference = EPR_REFERENCE
-) -> EprComparison:
+def compare_to_epr(derived: DerivedParameters) -> EprComparison:
     """Percent gaps |analytic - reference| / analytic for the four quantities
     covered by the shipped field-simulation reference; the gap to an
     analytic value of 0 is inf."""
@@ -386,10 +384,10 @@ def compare_to_epr(
         "chi": derived.coupling.chi_total_hz,
     }
     ref = {
-        "f_01": reference.f_01_hz,
-        "f_r": reference.f_r_hz,
-        "alpha": reference.alpha_hz,
-        "chi": reference.chi_hz,
+        "f_01": EPR_REFERENCE.f_01_hz,
+        "f_r": EPR_REFERENCE.f_r_hz,
+        "alpha": EPR_REFERENCE.alpha_hz,
+        "chi": EPR_REFERENCE.chi_hz,
     }
     entries = []
     for name in ("f_01", "f_r", "alpha", "chi"):

@@ -194,7 +194,7 @@ def test_criterion_5_spectrum_symmetries(reference_derived):
 
     e_c_h = 0.2e9
     e_j_h = 1e4 * e_c_h
-    harmonic = exact_transmon_spectrum(e_j_h, e_c_h, 0.0, 60, n_levels=4)
+    harmonic = exact_transmon_spectrum(e_j_h, e_c_h, 0.0, 60)
     plasma = math.sqrt(8.0 * e_j_h * e_c_h)
     for m in (1, 2, 3):
         gap = abs(harmonic.levels_hz[m] - m * plasma) / (m * plasma)

@@ -59,31 +59,21 @@ def test_zero_point_voltage_rejects_nonpositive():
 
 def test_coupling_strength_reference():
     v_rms = zero_point_voltage(F_R_REF, C_R_REF)
-    g = coupling_strength(0, BETA_REF, v_rms, E_J_REF, E_C_REF)
+    g = coupling_strength(BETA_REF, v_rms, E_J_REF, E_C_REF)
     assert g == pytest.approx(47.38e6, rel=1e-2)
     assert g == pytest.approx(G_01_REF, rel=1e-12)
 
 
-def test_coupling_ladder():
-    v_rms = zero_point_voltage(F_R_REF, C_R_REF)
-    g_0 = coupling_strength(0, BETA_REF, v_rms, E_J_REF, E_C_REF)
-    for n in range(7):
-        g_n = coupling_strength(n, BETA_REF, v_rms, E_J_REF, E_C_REF)
-        assert g_n == pytest.approx(math.sqrt(n + 1.0) * g_0, rel=1e-12)
-
-
 def test_coupling_decoupled_limit():
     v_rms = zero_point_voltage(F_R_REF, C_R_REF)
-    assert coupling_strength(0, 0.0, v_rms, E_J_REF, E_C_REF) == 0.0
+    assert coupling_strength(0.0, v_rms, E_J_REF, E_C_REF) == 0.0
 
 
 def test_coupling_rejects_bad_beta():
     v_rms = zero_point_voltage(F_R_REF, C_R_REF)
     for beta in (-0.1, 1.0, 1.5):
         with pytest.raises(DomainError):
-            coupling_strength(0, beta, v_rms, E_J_REF, E_C_REF)
-    with pytest.raises(DomainError):
-        coupling_strength(-1, 0.04, v_rms, E_J_REF, E_C_REF)
+            coupling_strength(beta, v_rms, E_J_REF, E_C_REF)
 
 
 def test_dispersive_shift_reference():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cqedkit import (
-    ContractError,
     CouplingParameters,
     DomainError,
     ExtractionError,
@@ -144,7 +143,7 @@ def test_mismatched_grids_rejected():
     coupling = _coupling()
     a = s21_curve(coupling, "ground", 20e6, 101)
     b = s21_curve(coupling, "excited", 20e6, 102)
-    with pytest.raises(ContractError):
+    with pytest.raises(DomainError):
         notch_separation(a, b)
 
 

@@ -133,7 +133,7 @@ def test_exact_vs_perturbative_across_regime():
 def test_harmonic_limit():
     e_c = 0.2e9
     e_j = 1e4 * e_c
-    spectrum = exact_transmon_spectrum(e_j, e_c, charge_cutoff=60, n_levels=4)
+    spectrum = exact_transmon_spectrum(e_j, e_c, charge_cutoff=60)
     plasma = math.sqrt(8.0 * e_j * e_c)
     for m in (1, 2, 3):
         assert spectrum.levels_hz[m] == pytest.approx(m * plasma, rel=1e-2)
@@ -169,8 +169,7 @@ def test_automatic_cutoff_reference():
     assert spectrum.levels_hz == pytest.approx(wide.levels_hz, rel=1e-12)
 
 
-@pytest.mark.parametrize("n_levels", [8, 16])
-def test_automatic_cutoff_is_converged(n_levels):
+def test_automatic_cutoff_is_converged():
     # the oracle for the cutoff rule: enlarging the charge window by 5
     # moves no level by more than 1e-9 of max(|level|, E_c); the E_c floor
     # keeps near-degenerate levels at n_g = 0.5 from failing falsely
@@ -179,10 +178,8 @@ def test_automatic_cutoff_is_converged(n_levels):
         warnings.simplefilter("error", ConvergenceWarning)
         for ratio in np.logspace(0.0, 4.0, 41):
             for n_g in (0.0, 0.25, 0.5):
-                auto = exact_transmon_spectrum(ratio * e_c, e_c, n_g, n_levels=n_levels)
-                wider = exact_transmon_spectrum(
-                    ratio * e_c, e_c, n_g, auto.charge_cutoff + 5, n_levels
-                )
+                auto = exact_transmon_spectrum(ratio * e_c, e_c, n_g)
+                wider = exact_transmon_spectrum(ratio * e_c, e_c, n_g, auto.charge_cutoff + 5)
                 scale = np.maximum(np.abs(wider.levels_hz), e_c)
                 drift = np.abs(np.subtract(auto.levels_hz, wider.levels_hz))
                 assert np.all(drift <= 1e-9 * scale), (ratio, n_g, auto.charge_cutoff)
@@ -212,7 +209,7 @@ def test_automatic_cutoff_is_capped():
     # the rule asks for more than the 401-state limit: solve at the limit
     # and say the result is not converged
     with pytest.warns(ConvergenceWarning):
-        spectrum = exact_transmon_spectrum(1e12 * 0.2e9, 0.2e9, n_levels=3)
+        spectrum = exact_transmon_spectrum(1e12 * 0.2e9, 0.2e9)
     assert spectrum.charge_cutoff == 200
 
 
@@ -227,5 +224,3 @@ def test_exact_spectrum_preconditions():
         exact_transmon_spectrum(E_J_REF, E_C_REF, charge_cutoff=9)
     with pytest.raises(DomainError):
         exact_transmon_spectrum(-1e9, E_C_REF)
-    with pytest.raises(DomainError):
-        exact_transmon_spectrum(E_J_REF, E_C_REF, n_levels=2)

@@ -125,14 +125,15 @@ def test_compare_to_epr_reference_gaps(reference_derived, monkeypatch):
     assert not comparison.all_within
 
 
-def test_compare_to_matching_reference_gives_zero_gaps(reference_derived):
+def test_compare_to_matching_reference_gives_zero_gaps(reference_derived, monkeypatch):
     synthetic = EprReference(
         f_01_hz=reference_derived.transmon_perturbative.f_01_hz,
         f_r_hz=reference_derived.lumped.inputs.f_r_target_hertz,
         alpha_hz=reference_derived.transmon_perturbative.anharmonicity_hz,
         chi_hz=reference_derived.coupling.chi_total_hz,
     )
-    comparison = compare_to_epr(reference_derived, synthetic)
+    monkeypatch.setattr("cqedkit.studio.EPR_REFERENCE", synthetic)
+    comparison = compare_to_epr(reference_derived)
     assert all(entry.gap_percent == 0.0 for entry in comparison.entries)
 
 
