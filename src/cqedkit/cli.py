@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: derive, s21, sweep, tune, compare. Exit codes: 0 success,
-1 domain/validation error, 2 numerical failure (convergence, bracketing,
-dressed-state labeling, float overflow or division by zero).
+Subcommands: derive, s21, sweep, tune, compare. Exit codes: 0 success, 1 bad
+input (usage, values, design file, --out path), 2 numerical failure (convergence,
+bracketing, dressed-state labeling, float overflow or division by zero).
 """
 
 from __future__ import annotations
@@ -183,8 +183,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.run(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_DOMAIN
+    except RecursionError as exc:
+        sys.stderr.write(f"error: input nested too deeply: {exc}\n")
         return EXIT_DOMAIN
     except (ConvergenceError, BracketingError, LabelingError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")

@@ -52,29 +52,19 @@ def _refined_minimum(frequency: np.ndarray, magnitude: np.ndarray) -> float:
 def _fwhm_of_dip(frequency: np.ndarray, power: np.ndarray) -> float:
     """Full width of the |S21|^2 dip at half depth, by linear interpolation.
 
-    Returns NaN when either half-depth crossing lies outside the grid.
+    Each flank of the Lorentzian dip rises away from the minimum, so
+    ``np.interp`` can read the crossing off it. Returns 0.0 for a flat
+    curve and NaN when either half-depth crossing lies outside the grid.
     """
     i_min = int(np.argmin(power))
     half = 0.5 * (power[i_min] + 1.0)
-
-    def crossing(segment_f: np.ndarray, segment_p: np.ndarray) -> float:
-        above = np.nonzero(segment_p >= half)[0]
-        if above.shape[0] == 0:
-            return math.nan
-        k = above[0]
-        if k == 0:
-            return float(segment_f[0])
-        f0, f1 = segment_f[k - 1], segment_f[k]
-        p0, p1 = segment_p[k - 1], segment_p[k]
-        if p1 == p0:
-            return float(f1)
-        return float(f0 + (half - p0) * (f1 - f0) / (p1 - p0))
-
-    left = crossing(frequency[: i_min + 1][::-1], power[: i_min + 1][::-1])
-    right = crossing(frequency[i_min:], power[i_min:])
-    if math.isnan(left) or math.isnan(right):
+    if power[i_min] >= half:
+        return 0.0
+    if power[0] < half or power[-1] < half:
         return math.nan
-    return right - left
+    right = np.interp(half, power[i_min:], frequency[i_min:])
+    left = np.interp(half, power[i_min::-1], frequency[i_min::-1])
+    return float(right - left)
 
 
 def s21_curve(
@@ -134,9 +124,7 @@ def s21_curve(
 
 def notch_separation(ground: TransmissionCurve, excited: TransmissionCurve) -> float:
     """Distance between the ground- and excited-state notch frequencies."""
-    if ground.frequency_hz.shape != excited.frequency_hz.shape or not np.array_equal(
-        ground.frequency_hz, excited.frequency_hz
-    ):
+    if not np.array_equal(ground.frequency_hz, excited.frequency_hz):
         raise DomainError("curves must share the same frequency grid")
     for curve in (ground, excited):
         magnitude = np.abs(curve.s21)

@@ -115,7 +115,7 @@ def exact_transmon_spectrum(
     levels = np.linalg.eigvalsh(hamiltonian)[:_N_LEVELS]
     levels = levels - levels[0]
     return TransmonSpectrum(
-        levels_hz=tuple(float(x) for x in levels),
+        levels_hz=tuple(levels.tolist()),
         n_g=n_g,
         charge_cutoff=charge_cutoff,
         f_01_exact_hz=float(levels[1]),

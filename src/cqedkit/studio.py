@@ -274,7 +274,7 @@ def load_design(path: str | Path) -> DesignInputs:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DomainError(f"cannot read design file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for non-UTF-8 bytes
         raise DomainError(f"design file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError(f"design file {path} must hold a JSON object")
@@ -589,27 +589,14 @@ def _report_tree(derived: DerivedParameters) -> dict[str, Any]:
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-def _json_key(key: Any) -> str:
-    """A dict key as ``json.dumps`` coerces it."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        if math.isfinite(key):
-            return float.__repr__(key)
-        return "NaN" if math.isnan(key) else ("Infinity" if key > 0 else "-Infinity")
-    if key is None or key is True or key is False:
-        return _JSON_CONSTANTS[key]
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def _json(obj: Any, pad: str) -> str:
     """``json.dumps(obj, indent=2)`` at indent ``pad``, with every float
     written at 9 significant digits and a non-finite float as null.
 
     One pass with the C string encoder: ``json.dumps`` with ``indent``
-    runs CPython's pure-Python encoder instead.
+    runs CPython's pure-Python encoder instead. A non-string key, and a
+    leaf that is not a plain float, str, int, bool or None, is coerced by
+    ``json`` itself.
     """
     kind = type(obj)
     if kind is float:
@@ -618,12 +605,17 @@ def _json(obj: Any, pad: str) -> str:
         return _quote(obj)
     if obj is None or obj is True or obj is False:
         return _JSON_CONSTANTS[obj]
+    if kind is int:
+        return repr(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = pad + "  "
+        # json.dumps({key: None}) is "{", the key as json writes it, ": null}";
+        # one key at a time, so that two keys that coerce alike stay two lines
         items = ",\n".join([
-            f"{inner}{_quote(_json_key(key))}: {_json(value, inner)}"
+            f"{inner}{_quote(key) if type(key) is str else json.dumps({key: None})[1:-7]}: "
+            f"{_json(value, inner)}"
             for key, value in obj.items()
         ])
         return f"{{\n{items}\n{pad}}}"
@@ -633,13 +625,7 @@ def _json(obj: Any, pad: str) -> str:
         inner = pad + "  "
         items = ",\n".join([f"{inner}{_json(value, inner)}" for value in obj])
         return f"[\n{items}\n{pad}]"
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _json(float(obj), pad)
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return _json(json.loads(json.dumps(obj)), pad)
 
 
 def render_report(derived: DerivedParameters) -> str:

@@ -155,13 +155,16 @@ def fuzz_dir(tmp_path_factory):
     junk=st.one_of(
         st.none(), st.tuples(st.sampled_from(_NUMERIC_FIELDS + ("geometry",)), _NOT_A_NUMBER)
     ),
+    # UTF-16 and UTF-32 start with a byte order mark that is never UTF-8
+    encoding=st.sampled_from(["utf-8", "utf-8", "utf-8", "utf-16", "utf-32"]),
 )
-def test_derive_any_design_file_exits_cleanly(fuzz_dir, numbers, junk):
+def test_derive_any_design_file_exits_cleanly(fuzz_dir, numbers, junk, encoding):
     # every design file ends in exit 0, 1 or 2, never a traceback
     overrides = dict(numbers)
     if junk is not None:
         overrides[junk[0]] = junk[1]
     config = _write_design(fuzz_dir / "design.json", **overrides)
+    Path(config).write_bytes(Path(config).read_text().encode(encoding))
     codes = []
     for argv in (["derive", "--out", str(fuzz_dir / "r.json")], ["compare"]):
         err, out = io.StringIO(), io.StringIO()
@@ -413,6 +416,65 @@ def test_derive_zero_kappa_names_the_quality_factor_stage(tmp_path, capsys, over
     assert not (tmp_path / "r.json").exists()
 
 
+_WRITING_COMMANDS = {
+    "derive": ["derive"],
+    "s21": ["s21", "--state", "ground", "--span-hz", "2e7", "--points", "51"],
+    "sweep": [
+        "sweep", "--param", "c_g_farad", "--from", "2e-15", "--to", "8e-15",
+        "--steps", "2", "--emit", "g_01_hz",
+    ],
+    "tune": ["tune", "--vary", "l_j_henry", "--target", "f_01_hz=4.55e9", "--bracket", "8e-9,14e-9"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_WRITING_COMMANDS))
+def test_unwritable_out_is_validation_error(tmp_path, capsys, command):
+    for out in (tmp_path / "missing" / "out.txt", tmp_path):
+        argv = [*_WRITING_COMMANDS[command], "--config", CONFIG, "--out", str(out)]
+        assert _main_without_dispersive_warning(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(out) in err
+
+
+def test_derive_non_utf8_design_file_is_validation_error(tmp_path, capsys):
+    config = tmp_path / "design.json"
+    config.write_bytes(b"\xff\xfe{}")
+    code = main(["derive", "--config", str(config), "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: design file {config} is not valid JSON: 'utf-8' codec")
+    assert err.count("\n") == 1
+
+
+def _nested_geometry(depth):
+    geometry = {}
+    for _ in range(depth):
+        geometry = {"a": geometry}
+    return geometry
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # json.loads gives up on the nesting
+        "[" * 100000,
+        # json.loads parses it; rendering the report gives up
+        json.dumps({**json.loads(Path(CONFIG).read_text()), "geometry": _nested_geometry(600)}),
+    ],
+    ids=["parse", "render"],
+)
+def test_deeply_nested_design_file_is_validation_error(tmp_path, capsys, text):
+    config = tmp_path / "design.json"
+    config.write_text(text)
+    for command in ("derive", "tune"):
+        argv = [*_WRITING_COMMANDS[command], "--config", str(config), "--out", str(tmp_path / "r")]
+        assert _main_without_dispersive_warning(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: input nested too deeply: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "r").exists()
+
+
 # --- argv fuzzing: every command line ends in exit 0, 1 or 2 -----------------
 
 _SPECIAL_TEXT = st.sampled_from(
@@ -438,6 +500,23 @@ def _range_near(lo, hi, junk=_NUMBER_TEXT):
     )
 
 
+_OUT_KINDS = st.sampled_from(["file", "missing directory", "directory"])
+
+
+def _out_path(fuzz_dir, name, kind):
+    """A writable path, one in a missing directory, or an existing directory."""
+    if kind == "file":
+        return fuzz_dir / name
+    if kind == "missing directory":
+        return fuzz_dir / "missing" / name
+    taken = fuzz_dir / "taken"
+    stem, suffix = name.split(".")
+    # s21 --state both writes next to --out, under the state's name
+    for taken_name in (name, f"{stem}.ground.{suffix}", f"{stem}.excited.{suffix}"):
+        (taken / taken_name).mkdir(parents=True, exist_ok=True)
+    return taken / name
+
+
 def _run_cli(argv):
     err = io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(
@@ -461,13 +540,19 @@ _TUNE_CASES = st.sampled_from([
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
-@given(case=_TUNE_CASES, data=st.data(), tol=st.one_of(st.none(), _number_near(1e-9, 1e-3)))
-def test_tune_argv_exits_cleanly(fuzz_dir, case, data, tol):
+@given(
+    case=_TUNE_CASES,
+    data=st.data(),
+    tol=st.one_of(st.none(), _number_near(1e-9, 1e-3)),
+    out_kind=_OUT_KINDS,
+)
+def test_tune_argv_exits_cleanly(fuzz_dir, case, data, tol, out_kind):
     vary, quantity, q_lo, q_hi, p_lo, p_hi = case
     raw_target = data.draw(_number_near(q_lo, q_hi))
     raw_bracket = data.draw(st.one_of(_range_near(p_lo, p_hi).map(",".join), st.text(max_size=8)))
-    out = fuzz_dir / "tuned.json"
-    out.unlink(missing_ok=True)
+    out = _out_path(fuzz_dir, "tuned.json", out_kind)
+    if out_kind == "file":
+        out.unlink(missing_ok=True)
     argv = [
         "tune", "--config", CONFIG, "--vary", vary, "--target", f"{quantity}={raw_target}",
         "--bracket", raw_bracket, "--out", str(out),
@@ -475,6 +560,7 @@ def test_tune_argv_exits_cleanly(fuzz_dir, case, data, tol):
     if tol is not None:
         argv += ["--tol", tol]
     if _run_cli(argv) == 0:
+        assert out_kind == "file", argv
         tuned = json.loads(out.read_text())["tuned"]
         target_value, achieved = tuned["target_value"], tuned["achieved_value"]
         assert target_value is not None and achieved is not None, tuned
@@ -498,15 +584,18 @@ _SWEEP_RANGES = {
     data=st.data(),
     steps=st.one_of(st.integers(min_value=2, max_value=64), st.integers(-2, 64)).map(str),
     emit=st.sampled_from(["g_01_hz,chi_total_hz", "chi_exact_hz", "t1_seconds,q_ext", "bogus", ""]),
+    out_kind=_OUT_KINDS,
 )
-def test_sweep_argv_exits_cleanly(fuzz_dir, param, data, steps, emit):
+def test_sweep_argv_exits_cleanly(fuzz_dir, param, data, steps, emit, out_kind):
     # no arbitrary floats: a capacitance of 1e16 F has every derive solve the
     # capped 401-state charge basis, and the design-file fuzz covers such values
     lo, hi = data.draw(_range_near(*_SWEEP_RANGES[param], junk=_SPECIAL_TEXT))
-    _run_cli([
+    argv = [
         "sweep", "--config", CONFIG, "--param", param, "--from", lo, "--to", hi,
-        "--steps", steps, "--emit", emit, "--out", str(fuzz_dir / "sweep.csv"),
-    ])
+        "--steps", steps, "--emit", emit, "--out", str(_out_path(fuzz_dir, "sweep.csv", out_kind)),
+    ]
+    if _run_cli(argv) == 0:
+        assert out_kind == "file", argv
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
@@ -515,12 +604,14 @@ def test_sweep_argv_exits_cleanly(fuzz_dir, param, data, steps, emit):
     span=st.one_of(st.sampled_from(["1.7e308", "1e300"]), _number_near(1e5, 1e9)),
     points=st.one_of(st.integers(min_value=3, max_value=4096), st.integers(-2, 4096)).map(str),
     q_internal=st.one_of(st.none(), _number_near(1e2, 1e7)),
+    out_kind=_OUT_KINDS,
 )
-def test_s21_argv_exits_cleanly(fuzz_dir, state, span, points, q_internal):
-    out = fuzz_dir / "curve.csv"
+def test_s21_argv_exits_cleanly(fuzz_dir, state, span, points, q_internal, out_kind):
+    out = _out_path(fuzz_dir, "curve.csv", out_kind)
     written = [out, out.with_name("curve.ground.csv"), out.with_name("curve.excited.csv")]
-    for path in written:
-        path.unlink(missing_ok=True)
+    if out_kind == "file":
+        for path in written:
+            path.unlink(missing_ok=True)
     argv = [
         "s21", "--config", CONFIG, "--state", state, "--span-hz", span,
         "--points", points, "--out", str(out),
@@ -528,6 +619,7 @@ def test_s21_argv_exits_cleanly(fuzz_dir, state, span, points, q_internal):
     if q_internal is not None:
         argv += ["--q-internal", q_internal]
     if _run_cli(argv) == 0:
+        assert out_kind == "file", argv
         for path in written:
             if path.exists():
                 assert "nan" not in path.read_text(), argv

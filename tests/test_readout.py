@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from cqedkit import (
     s21_curve,
     write_curve_csv,
 )
-from cqedkit.readout import CSV_HEADER
+from cqedkit.readout import CSV_HEADER, _fwhm_of_dip
 
 
 def _coupling(chi_total=-1414076.6030755676, q_ext=4378.586696298506,
@@ -233,3 +234,72 @@ def test_csv_bytes_match_per_row_formatting(tmp_path):
         write_curve_csv(curve, path)
         assert path.read_bytes() == _reference_csv(curve).encode("ascii"), i
     assert lossy >= 60
+
+
+def _fwhm_reference(frequency, power):
+    # the first-crossing search that s21_curve's FWHM replaced, kept as the
+    # reference for it
+    i_min = int(np.argmin(power))
+    half = 0.5 * (power[i_min] + 1.0)
+
+    def crossing(segment_f, segment_p):
+        above = np.nonzero(segment_p >= half)[0]
+        if above.shape[0] == 0:
+            return math.nan
+        k = above[0]
+        if k == 0:
+            return float(segment_f[0])
+        f0, f1 = segment_f[k - 1], segment_f[k]
+        p0, p1 = segment_p[k - 1], segment_p[k]
+        if p1 == p0:
+            return float(f1)
+        return float(f0 + (half - p0) * (f1 - f0) / (p1 - p0))
+
+    left = crossing(frequency[: i_min + 1][::-1], power[: i_min + 1][::-1])
+    right = crossing(frequency[i_min:], power[i_min:])
+    if math.isnan(left) or math.isnan(right):
+        return math.nan
+    return right - left
+
+
+def test_fwhm_matches_first_crossing_reference():
+    rng = random.Random(12)
+    kinds = {"nan": 0, "flat": 0, "width": 0}
+    for i in range(400):
+        coupling = _coupling(
+            chi_total=rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(4.0, 7.0),
+            q_ext=10 ** rng.uniform(2.0, 6.0),
+            f_loaded=10 ** rng.uniform(9.3, 10.3),
+        )
+        # spans from a tenth of kappa (no crossing on the grid) to 300 kappa;
+        # q_internal = 1e-14 gives a curve that is exactly 1
+        span = min(coupling.kappa_hz * 10 ** rng.uniform(-1.0, 2.5), coupling.f_r_loaded_hz)
+        points = rng.randint(3, 12) if i % 2 else rng.randint(13, 3001)
+        q_internal = (math.inf, 1e-14, 10 ** rng.uniform(-16.0, 8.0))[i % 3]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NarrowSpanWarning)
+            curve = s21_curve(coupling, ("ground", "excited")[i % 2], span, points, q_internal)
+        expected = _fwhm_reference(curve.frequency_hz, np.abs(curve.s21) ** 2)
+        if math.isnan(expected):
+            kinds["nan"] += 1
+            assert math.isnan(curve.fwhm_hz), i
+        elif expected == 0.0:
+            kinds["flat"] += 1
+            assert curve.fwhm_hz == 0.0, i
+        else:
+            kinds["width"] += 1
+            # the two interpolations round in a different order; each edge is
+            # within a few ulps of the grid's top frequency
+            assert abs(curve.fwhm_hz - expected) <= 4 * np.spacing(curve.frequency_hz[-1]), i
+    assert min(kinds.values()) >= 60, kinds
+
+
+def test_fwhm_edge_cases():
+    frequency = np.arange(5.0)
+    # a crossing that lands on a sample
+    assert _fwhm_of_dip(frequency, np.array([1.0, 0.5, 0.0, 0.5, 1.0])) == 2.0
+    # no point below half depth: a flat curve has zero width
+    assert _fwhm_of_dip(frequency, np.ones(5)) == 0.0
+    # an edge sample below half depth: the crossing lies off the grid
+    assert math.isnan(_fwhm_of_dip(frequency, np.array([0.4, 0.3, 0.0, 0.5, 1.0])))
+    assert math.isnan(_fwhm_of_dip(frequency, np.array([1.0, 0.5, 0.0, 0.1, 0.4])))

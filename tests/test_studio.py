@@ -1,7 +1,9 @@
+import itertools
 import json
 import linecache
 import math
 import random
+import re
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -277,6 +279,21 @@ def test_tune_stops_when_the_bracket_cannot_shrink(reference_inputs, monkeypatch
     assert len(set(calls)) == len(calls)
 
 
+def test_tune_gives_up_after_the_iteration_cap(reference_inputs, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(studio, "TUNE_MAX_ITERATIONS", 3)
+    spec = TuneSpec("l_j_henry", "f_01_hz", 4.55e9, (8e-9, 14e-9))
+    with pytest.raises(ConvergenceError, match="within 3 iterations"):
+        tune(reference_inputs, spec)
+    code = main([
+        "tune", "--config", str(REFERENCE_DESIGN), "--vary", "l_j_henry",
+        "--target", "f_01_hz=4.55e9", "--bracket", "8e-9,14e-9", "--out", str(tmp_path / "t"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: bisection did not reach f_01_hz")
+    assert err.count("\n") == 1
+
+
 def test_tune_spec_validation():
     with pytest.raises(DomainError):
         TuneSpec("l_j_henry", "f_01_hz", 4.5e9, (14e-9, 8e-9))
@@ -334,9 +351,11 @@ def test_design_fields_are_listed_once(tmp_path):
 
 def test_design_file_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    with pytest.raises(DomainError):
-        load_design(path)
+    # a syntax error, and UTF-16 with its byte order mark
+    for content in (b"{not json", b"\xff\xfe{}"):
+        path.write_bytes(content)
+        with pytest.raises(DomainError, match="is not valid JSON"):
+            load_design(path)
 
 
 def test_input_digest_tracks_content(reference_inputs):
@@ -419,6 +438,21 @@ def test_derive_labels_each_stage(reference_inputs, monkeypatch, function, stage
         _quiet_derive(reference_inputs)
     assert type(caught.value) is error
     assert str(caught.value) == f"{stage}: boom"
+
+
+def test_derive_reports_a_loaded_resonance_that_does_not_converge(reference_inputs, monkeypatch):
+    # a Norton capacitance that flips between two values each call keeps the
+    # loaded resonance from settling
+    factors = itertools.cycle((1.0, 2.0))
+
+    def oscillating(c_k_farad, r_load_ohm, omega):
+        return 1.0, c_k_farad * next(factors)
+
+    monkeypatch.setattr("cqedkit.coupling.norton_equivalent", oscillating)
+    with pytest.raises(
+        ConvergenceError, match="^quality factor: loaded resonance iteration did not converge$"
+    ):
+        _quiet_derive(reference_inputs)
 
 
 def test_stage_warnings_point_at_the_calling_line(reference_inputs):
@@ -522,6 +556,12 @@ def test_report_rejects_values_json_cannot_encode(reference_derived, geometry):
         _reference_bytes(_report_tree(derived))
     with pytest.raises(TypeError):
         render_report(derived)
+    # the digest raises before the emitter sees the value; the emitter
+    # raises json's own error
+    with pytest.raises(TypeError) as expected:
+        json.dumps(geometry, indent=2)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(expected.value))}$"):
+        _json(geometry, "")
 
 
 _JSON_LEAVES = st.one_of(
