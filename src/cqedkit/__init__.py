@@ -58,7 +58,7 @@ from .spectrum import (
 from .studio import (
     EPR_REFERENCE,
     DerivedParameters,
-    EprComparison,
+    EprGapEntry,
     EprReference,
     SweepResult,
     SweepSpec,
@@ -74,7 +74,6 @@ from .studio import (
     render_report,
     sweep,
     tune,
-    write_report,
 )
 
 __all__ = [
@@ -106,7 +105,7 @@ __all__ = [
     "s21_curve",
     "write_curve_csv",
     "DerivedParameters",
-    "EprComparison",
+    "EprGapEntry",
     "EprReference",
     "EPR_REFERENCE",
     "SweepResult",
@@ -123,7 +122,6 @@ __all__ = [
     "render_report",
     "sweep",
     "tune",
-    "write_report",
     "DomainError",
     "ConvergenceError",
     "BracketingError",

@@ -8,7 +8,9 @@ bracketing, dressed-state labeling, float overflow or division by zero).
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -23,11 +25,11 @@ from .studio import (
     compare_to_epr,
     derive,
     load_design,
+    render_report,
     render_tune_report,
     sweep,
     sweep_csv_lines,
     tune,
-    write_report,
 )
 
 EXIT_OK = 0
@@ -98,7 +100,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_derive(args: argparse.Namespace) -> int:
     derived = derive(load_design(args.config))
-    write_report(derived, args.out)
+    Path(args.out).write_text(render_report(derived), encoding="utf-8")
     sys.stdout.write(f"report: {args.out}\n")
     return EXIT_OK
 
@@ -112,6 +114,8 @@ def _cmd_s21(args: argparse.Namespace) -> int:
         )
         out = Path(args.out)
         if args.state == "both":
+            if out.is_dir():  # refused as for one state, before any file is written
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
             out = out.with_name(f"{out.stem}.{state}{out.suffix}")
         write_curve_csv(curve, out)
         sys.stdout.write(f"{state}: {out}\n")
@@ -166,16 +170,16 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    comparison = compare_to_epr(derive(load_design(args.config)))
+    entries = compare_to_epr(derive(load_design(args.config)))
     header = f"{'quantity':<8} {'analytic':>16} {'reference':>16} {'gap_%':>8} {'expected_%':>11} ok"
     sys.stdout.write(header + "\n")
-    for entry in comparison.entries:
+    for entry in entries:
         sys.stdout.write(
             f"{entry.quantity:<8} {entry.analytic:>16.9g} {entry.reference:>16.9g} "
             f"{entry.gap_percent:>8.3f} {entry.expected_percent:>11.1f} "
             f"{'yes' if entry.within_expected else 'NO'}\n"
         )
-    return EXIT_OK if comparison.all_within else EXIT_DOMAIN
+    return EXIT_OK if all(entry.within_expected for entry in entries) else EXIT_DOMAIN
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -185,9 +189,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except (DomainError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DOMAIN
-    except RecursionError as exc:
-        sys.stderr.write(f"error: input nested too deeply: {exc}\n")
         return EXIT_DOMAIN
     except (ConvergenceError, BracketingError, LabelingError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")

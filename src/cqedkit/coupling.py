@@ -161,11 +161,9 @@ def external_quality_factor(
     omega = 1.0 / math.sqrt(l_r_henry * c_r_farad)
     for _ in range(100):
         _, c_star = norton_equivalent(c_k_farad, r_load_ohm, omega)
-        omega_next = 1.0 / math.sqrt(l_r_henry * (c_r_farad + c_star))
-        if abs(omega_next - omega) <= 1e-15 * omega:
-            omega = omega_next
+        omega_prev, omega = omega, 1.0 / math.sqrt(l_r_henry * (c_r_farad + c_star))
+        if abs(omega - omega_prev) <= 1e-15 * omega_prev:
             break
-        omega = omega_next
     else:
         raise ConvergenceError("loaded resonance iteration did not converge")
     r_star, c_star = norton_equivalent(c_k_farad, r_load_ohm, omega)

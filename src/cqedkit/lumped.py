@@ -24,7 +24,7 @@ class DesignInputs:
 
     Field names carry the SI unit and match the design-file keys.
     ``geometry`` is free-form provenance metadata, a mapping: it is copied,
-    carried through to reports unmodified and never used in any computation.
+    carried through to reports (floats rounded) and never used in any computation.
     """
 
     c_s_farad: float

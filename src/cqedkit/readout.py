@@ -41,9 +41,9 @@ def _refined_minimum(frequency: np.ndarray, magnitude: np.ndarray) -> float:
     if i == 0 or i == magnitude.shape[0] - 1:
         return float(frequency[i])
     y0, y1, y2 = magnitude[i - 1], magnitude[i], magnitude[i + 1]
+    # > 0: i is the first minimum, so y0 > y1 <= y2; below 2 y1, y0 - 2 y1
+    # is exact (Sterbenz), and above it both terms are >= 0 and one is > 0
     denominator = y0 - 2.0 * y1 + y2
-    if denominator <= 0.0:
-        return float(frequency[i])
     shift = 0.5 * (y0 - y2) / denominator
     step = frequency[i] - frequency[i - 1]
     return float(frequency[i] + shift * step)

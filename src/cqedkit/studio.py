@@ -106,15 +106,6 @@ class EprGapEntry:
 
 
 @dataclass(frozen=True)
-class EprComparison:
-    entries: tuple[EprGapEntry, ...]
-
-    @property
-    def all_within(self) -> bool:
-        return all(entry.within_expected for entry in self.entries)
-
-
-@dataclass(frozen=True)
 class SweepSpec:
     """One-parameter grid sweep: ``parameter`` over [lo, hi] in ``steps`` points."""
 
@@ -276,6 +267,8 @@ def load_design(path: str | Path) -> DesignInputs:
         raise DomainError(f"cannot read design file {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for non-UTF-8 bytes
         raise DomainError(f"design file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DomainError(f"input nested too deeply: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError(f"design file {path} must hold a JSON object")
     return design_from_dict(data)
@@ -373,38 +366,31 @@ def _require_finite(name: str, value: float) -> None:
 # reference comparison
 
 
-def compare_to_epr(derived: DerivedParameters) -> EprComparison:
+def compare_to_epr(derived: DerivedParameters) -> tuple[EprGapEntry, ...]:
     """Percent gaps |analytic - reference| / analytic for the four quantities
     covered by the shipped field-simulation reference; the gap to an
     analytic value of 0 is inf."""
-    analytic = {
-        "f_01": derived.transmon_perturbative.f_01_hz,
-        "f_r": derived.lumped.inputs.f_r_target_hertz,
-        "alpha": derived.transmon_perturbative.anharmonicity_hz,
-        "chi": derived.coupling.chi_total_hz,
-    }
-    ref = {
-        "f_01": EPR_REFERENCE.f_01_hz,
-        "f_r": EPR_REFERENCE.f_r_hz,
-        "alpha": EPR_REFERENCE.alpha_hz,
-        "chi": EPR_REFERENCE.chi_hz,
-    }
+    pairs = (
+        ("f_01", derived.transmon_perturbative.f_01_hz, EPR_REFERENCE.f_01_hz),
+        ("f_r", derived.lumped.inputs.f_r_target_hertz, EPR_REFERENCE.f_r_hz),
+        ("alpha", derived.transmon_perturbative.anharmonicity_hz, EPR_REFERENCE.alpha_hz),
+        ("chi", derived.coupling.chi_total_hz, EPR_REFERENCE.chi_hz),
+    )
     entries = []
-    for name in ("f_01", "f_r", "alpha", "chi"):
-        value = analytic[name]
-        gap = abs(value - ref[name]) / abs(value) * 100.0 if value else math.inf
+    for name, value, reference in pairs:
+        gap = abs(value - reference) / abs(value) * 100.0 if value else math.inf
         expected = EXPECTED_EPR_GAPS_PERCENT[name]
         entries.append(
             EprGapEntry(
                 quantity=name,
-                analytic=analytic[name],
-                reference=ref[name],
+                analytic=value,
+                reference=reference,
                 gap_percent=gap,
                 expected_percent=expected,
                 within_expected=abs(gap - expected) <= EPR_GAP_TOLERANCE_PP,
             )
         )
-    return EprComparison(entries=tuple(entries))
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -628,12 +614,16 @@ def _json(obj: Any, pad: str) -> str:
     return _json(json.loads(json.dumps(obj)), pad)
 
 
+def _render(derived: DerivedParameters, **head: Any) -> str:
+    """The blocks in ``head``, then the report of ``derived``, as JSON text."""
+    try:
+        return _json({**head, **_report_tree(derived)}, "") + "\n"
+    except RecursionError as exc:  # a geometry nested about 500 deep or more
+        raise DomainError(f"input nested too deeply: {exc}") from exc
+
+
 def render_report(derived: DerivedParameters) -> str:
-    return _json(_report_tree(derived), "") + "\n"
-
-
-def write_report(derived: DerivedParameters, path: str | Path) -> None:
-    Path(path).write_text(render_report(derived), encoding="utf-8")
+    return _render(derived)
 
 
 def render_tune_report(result: TuneResult) -> str:
@@ -641,19 +631,16 @@ def render_tune_report(result: TuneResult) -> str:
     achieved_err = abs(result.achieved_value - result.target_value) / max(
         abs(result.target_value), 1e-300
     )
-    tree = {
-        "tuned": {
-            "parameter": result.parameter,
-            "parameter_value": result.parameter_value,
-            "target_quantity": result.target_quantity,
-            "target_value": result.target_value,
-            "achieved_value": result.achieved_value,
-            "relative_error": achieved_err,
-            "iterations": result.iterations,
-        },
-        **_report_tree(result.derived),
+    tuned = {
+        "parameter": result.parameter,
+        "parameter_value": result.parameter_value,
+        "target_quantity": result.target_quantity,
+        "target_value": result.target_value,
+        "achieved_value": result.achieved_value,
+        "relative_error": achieved_err,
+        "iterations": result.iterations,
     }
-    return _json(tree, "") + "\n"
+    return _render(result.derived, tuned=tuned)
 
 
 def sweep_csv_lines(result: SweepResult) -> list[str]:

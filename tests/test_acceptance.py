@@ -71,7 +71,7 @@ def test_criterion_1_golden_numbers(reference_derived):
 def test_criterion_2_epr_gap_reproduction(reference_derived, capsys):
     failures: list = []
     comparison = compare_to_epr(reference_derived)
-    for entry in comparison.entries:
+    for entry in comparison:
         if abs(entry.gap_percent - entry.expected_percent) > 0.3:
             failures.append(
                 f"{entry.quantity} gap {entry.gap_percent:.2f}% vs expected "

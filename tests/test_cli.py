@@ -209,6 +209,20 @@ def test_s21_both_states(tmp_path):
     assert (tmp_path / "curve.excited.csv").exists()
 
 
+@pytest.mark.parametrize("state", ["ground", "excited", "both"])
+def test_s21_directory_out_is_validation_error(tmp_path, capsys, state):
+    # "both" writes <stem>.<state><suffix> beside --out, but a directory
+    # --out is refused as it is for one state, before anything is written
+    out = tmp_path / "d"
+    out.mkdir()
+    argv = [*_WRITING_COMMANDS["s21"], "--config", CONFIG, "--out", str(out)]
+    argv[argv.index("ground")] = state
+    assert _main_without_dispersive_warning(argv) == 1
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(out)!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+    assert not any(out.iterdir())
+
+
 def test_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main([

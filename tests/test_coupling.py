@@ -9,6 +9,7 @@ from cqedkit import (
     DispersiveValidityWarning,
     DomainError,
     LabelingError,
+    build_lumped_circuit,
     coupled_spectrum_oracle,
     coupling_strength,
     derive,
@@ -138,6 +139,53 @@ def test_norton_equivalent_impedance_oracle():
     assert abs(r_star - r_leading) / r_star == pytest.approx(
         (omega * c_k * r_load) ** 2, rel=1e-2
     )
+
+
+def _loaded_resonator_pole(c_r, l_r, c_k, r_load):
+    """Q, kappa and f_loaded from the pole of the loaded resonator.
+
+    Y(s) = 1/(s L_r) + s C_r + s C_k / (1 + s R C_k) vanishes where
+    L_r C_r R C_k s^3 + L_r (C_r + C_k) s^2 + R C_k s + 1 = 0. In units of
+    omega_r = 1/sqrt(L_r C_r) the coefficients are of order 1. The root
+    s = -sigma + j omega_d with the largest imaginary part gives
+    Q = |s| / 2 sigma, kappa = sigma / pi and f_loaded = omega_d / 2 pi.
+    """
+    omega_r = 1.0 / math.sqrt(l_r * c_r)
+    coefficients = [
+        l_r * c_r * r_load * c_k * omega_r**3,
+        l_r * (c_r + c_k) * omega_r**2,
+        r_load * c_k * omega_r,
+        1.0,
+    ]
+    roots = np.roots(coefficients) * omega_r
+    s = roots[np.argmax(roots.imag)]
+    sigma = -s.real
+    return abs(s) / (2.0 * sigma), sigma / math.pi, s.imag / (2.0 * math.pi)
+
+
+def test_quality_factor_matches_circuit_pole(reference_inputs):
+    # an oracle independent of the Norton fold: the complex pole of the
+    # whole circuit. On qubit_v1 the two agree to 3.0e-6 on Q and kappa and
+    # 3.3e-8 on f_loaded; over this grid (Q_ext 1,320 to 23,930) to 1.8e-5
+    # and 3.6e-7. Evaluating the Norton branch at the unloaded
+    # omega_r alone misses f_loaded by the 0.85 % loaded pull.
+    rng = np.random.default_rng(13)
+    fields = ("c_s_farad", "c_g_farad", "c_k_farad", "l_j_henry", "f_r_target_hertz")
+    designs = [reference_inputs] + [
+        replace(
+            reference_inputs,
+            **{f: getattr(reference_inputs, f) * rng.uniform(0.6, 1.4) for f in fields},
+        )
+        for _ in range(200)
+    ]
+    for i, inputs in enumerate(designs):
+        lumped = build_lumped_circuit(inputs)
+        circuit = (lumped.c_r_farad, lumped.l_r_henry, inputs.c_k_farad, inputs.r_load_ohm)
+        q_ext, kappa, f_loaded = external_quality_factor(*circuit)
+        q_pole, kappa_pole, f_pole = _loaded_resonator_pole(*circuit)
+        assert q_ext == pytest.approx(q_pole, rel=5e-5), i
+        assert kappa == pytest.approx(kappa_pole, rel=5e-5), i
+        assert f_loaded == pytest.approx(f_pole, rel=1e-6), i
 
 
 def test_purcell_reference():

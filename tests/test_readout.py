@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqedkit import (
     CouplingParameters,
@@ -14,7 +16,7 @@ from cqedkit import (
     s21_curve,
     write_curve_csv,
 )
-from cqedkit.readout import CSV_HEADER, _fwhm_of_dip
+from cqedkit.readout import CSV_HEADER, _fwhm_of_dip, _refined_minimum
 
 
 def _coupling(chi_total=-1414076.6030755676, q_ext=4378.586696298506,
@@ -303,3 +305,28 @@ def test_fwhm_edge_cases():
     # an edge sample below half depth: the crossing lies off the grid
     assert math.isnan(_fwhm_of_dip(frequency, np.array([0.4, 0.3, 0.0, 0.5, 1.0])))
     assert math.isnan(_fwhm_of_dip(frequency, np.array([1.0, 0.5, 0.0, 0.1, 0.4])))
+
+
+# magnitudes from a pool of a few values give ties and plateaus. Draws skip
+# (0, 1e-300): below 2^-1021 halving a difference of samples rounds, and the
+# sub-grid shift can pass 1/2. |S21| lies in [0, 2].
+_MAGNITUDE = st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e300))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    magnitude=st.lists(_MAGNITUDE, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool) | _MAGNITUDE, min_size=3, max_size=40)
+    ),
+    start=st.floats(min_value=1e3, max_value=1e10),
+    span=st.floats(min_value=1e-3, max_value=1e9),
+)
+def test_refined_minimum_stays_within_half_a_step(magnitude, start, span):
+    frequency = np.linspace(start, start + span, len(magnitude))
+    magnitude = np.array(magnitude)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        refined = _refined_minimum(frequency, magnitude)
+    i = int(np.argmin(magnitude))
+    half_step = 0.5 * float(np.diff(frequency).max())
+    assert abs(refined - frequency[i]) <= half_step * (1.0 + 1e-12) + np.spacing(frequency[-1])

@@ -113,18 +113,18 @@ def test_derive_near_degenerate_variant_warns_and_skips_oracle(reference_inputs)
 
 def test_compare_to_epr_reference_gaps(reference_derived, monkeypatch):
     comparison = compare_to_epr(reference_derived)
-    gaps = {entry.quantity: entry.gap_percent for entry in comparison.entries}
+    gaps = {entry.quantity: entry.gap_percent for entry in comparison}
     for name, expected in GAPS.items():
         assert gaps[name] == pytest.approx(expected, abs=1e-6), name
-    within = {entry.quantity: entry.within_expected for entry in comparison.entries}
+    within = {entry.quantity: entry.within_expected for entry in comparison}
     assert within == {"f_01": True, "f_r": True, "alpha": True, "chi": True}
-    assert comparison.all_within
+    assert all(entry.within_expected for entry in comparison)
     # the paper's printed 4.9% chi gap is 1.8 pp from the chain's 3.12%
     monkeypatch.setitem(EXPECTED_EPR_GAPS_PERCENT, "chi", 4.9)
     comparison = compare_to_epr(reference_derived)
-    within = {entry.quantity: entry.within_expected for entry in comparison.entries}
+    within = {entry.quantity: entry.within_expected for entry in comparison}
     assert within == {"f_01": True, "f_r": True, "alpha": True, "chi": False}
-    assert not comparison.all_within
+    assert not all(entry.within_expected for entry in comparison)
 
 
 def test_compare_to_matching_reference_gives_zero_gaps(reference_derived, monkeypatch):
@@ -136,12 +136,12 @@ def test_compare_to_matching_reference_gives_zero_gaps(reference_derived, monkey
     )
     monkeypatch.setattr("cqedkit.studio.EPR_REFERENCE", synthetic)
     comparison = compare_to_epr(reference_derived)
-    assert all(entry.gap_percent == 0.0 for entry in comparison.entries)
+    assert all(entry.gap_percent == 0.0 for entry in comparison)
 
 
 def test_alpha_gap_uses_charging_energy(reference_derived):
     entry = next(
-        e for e in compare_to_epr(reference_derived).entries if e.quantity == "alpha"
+        e for e in compare_to_epr(reference_derived) if e.quantity == "alpha"
     )
     e_c = reference_derived.lumped.e_c_hz
     assert entry.gap_percent == pytest.approx(
@@ -357,6 +357,23 @@ def test_design_file_rejects_bad_json(tmp_path):
         with pytest.raises(DomainError, match="is not valid JSON"):
             load_design(path)
 
+
+def test_design_file_nested_too_deeply_is_domain_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    with pytest.raises(DomainError, match="^input nested too deeply: "):
+        load_design(path)
+
+
+def test_report_of_deeply_nested_geometry_is_domain_error(reference_inputs):
+    geometry = {}
+    for _ in range(600):
+        geometry = {"a": geometry}
+    derived = _quiet_derive(replace(reference_inputs, geometry=geometry))
+    tuned = studio.TuneResult("l_j_henry", 11e-9, "f_01_hz", 4.55e9, 4.55e9, 0, derived)
+    for render, result in ((render_report, derived), (render_tune_report, tuned)):
+        with pytest.raises(DomainError, match="^input nested too deeply: "):
+            render(result)
 
 def test_input_digest_tracks_content(reference_inputs):
     assert input_digest(reference_inputs) == input_digest(load_reference_design())

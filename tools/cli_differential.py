@@ -1,0 +1,200 @@
+"""Differential test of the cqedkit CLI across two source trees.
+
+Runs ``cqedkit.cli.main`` in-process for all five commands (derive,
+compare, sweep, tune, s21) over seeded designs and writes one JSON line
+per call: exit code, stdout, stderr, the warnings raised and the SHA-256
+of each file the call wrote. Temporary paths are replaced by ``<tmp>``,
+so two trees that behave alike give identical records.
+
+Record a tree (it is imported from PYTHONPATH), then compare two records:
+
+    PYTHONPATH=src python tools/cli_differential.py --designs 1000 --out change.jsonl
+    PYTHONPATH=../parent/src python tools/cli_differential.py --designs 1000 --out parent.jsonl
+    python tools/cli_differential.py --compare parent.jsonl change.jsonl
+
+``--compare`` prints every field that differs and exits 1 if any does.
+
+Designs: four in five have the five sweepable fields drawn +-40 % around
+qubit_v1; the rest set one to three fields to 10^U(-300, 300). One in 50
+gets a geometry nested 600 deep, and one in 50 an existing directory as
+the s21 ``--out``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import contextlib
+import hashlib
+import io
+import json
+import math
+import random
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+from typing import Any, Iterator
+
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parent.parent / "designs" / "qubit_v1.json").read_text("utf-8")
+)
+SWEEPABLE = ("c_s_farad", "c_g_farad", "c_k_farad", "l_j_henry", "f_r_target_hertz")
+QUANTITIES = ("f_01_hz", "g_01_hz", "chi_total_hz", "q_ext", "kappa_hz", "t1_seconds")
+TARGETS = {"f_01_hz": (3.5e9, 5.5e9), "g_01_hz": (2e7, 8e7), "chi_total_hz": (-3e6, -5e5)}
+
+
+def _design(rng: random.Random, index: int) -> dict[str, Any]:
+    design = dict(REFERENCE)
+    if rng.random() < 0.8:
+        for name in SWEEPABLE:
+            design[name] = REFERENCE[name] * rng.uniform(0.6, 1.4)
+    else:
+        for name in rng.sample(sorted(design.keys() - {"geometry"}), rng.randint(1, 3)):
+            design[name] = 10.0 ** rng.uniform(-300.0, 300.0)
+    if index % 50 == 17:
+        geometry: dict[str, Any] = {}
+        for _ in range(600):
+            geometry = {"a": geometry}
+        design["geometry"] = geometry
+    return design
+
+
+def _calls(rng: random.Random, index: int, design: dict[str, Any]) -> list[list[str]]:
+    """argv of the five commands for one design, ``--config`` and ``--out`` left out."""
+    param = rng.choice(SWEEPABLE)
+    value = design[param]
+    emit = rng.sample(QUANTITIES, rng.randint(1, 3)) + ["chi_exact_hz"]
+    target = rng.choice(sorted(TARGETS))
+    vary = rng.choice(("l_j_henry", "c_g_farad", "c_s_farad"))
+    s21 = [
+        "s21",
+        "--state", rng.choice(("ground", "excited", "both")),
+        "--span-hz", repr(10.0 ** rng.uniform(5.0, 8.0)),
+        "--points", str(int(10.0 ** rng.uniform(math.log10(3), math.log10(3001)))),
+    ]
+    if rng.random() < 0.5:
+        s21 += ["--q-internal", repr(10.0 ** rng.uniform(2.0, 8.0))]
+    if index % 50 == 29:
+        s21[2] = "both"
+    return [
+        ["derive"],
+        ["compare"],
+        [
+            "sweep", "--param", param,
+            "--from", repr(value * 0.6), "--to", repr(value * 1.4),
+            "--steps", str(rng.randint(2, 25)), "--emit", ",".join(emit),
+        ],
+        [
+            "tune", "--vary", vary,
+            "--target", f"{target}={rng.uniform(*TARGETS[target])!r}",
+            "--bracket", f"{design[vary] * 0.5!r},{design[vary] * 2.0!r}",
+        ],
+        s21,
+    ]
+
+
+def _run_one(cli_main: Any, argv: list[str], tmp: Path) -> dict[str, Any]:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code: int | str = cli_main(argv)
+            except Exception as exc:  # a traceback at the command line
+                code = f"{type(exc).__name__}: {exc}"
+    files = {
+        str(path.relative_to(tmp)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp.rglob("*"))
+        if path.is_file() and path.name != "design.json"
+    }
+
+    def clean(text: str) -> str:
+        return text.replace(str(tmp), "<tmp>")
+
+    return {
+        "argv": [clean(arg) for arg in argv],
+        "exit": code,
+        "stdout": clean(stdout.getvalue()),
+        "stderr": clean(stderr.getvalue()),
+        "warnings": [f"{w.category.__name__}: {clean(str(w.message))}" for w in caught],
+        "files": files,
+    }
+
+
+def run(designs: int, seed: int) -> Iterator[dict[str, Any]]:
+    """One record per CLI call: five calls per design, in a fresh directory each."""
+    from cqedkit import cli
+
+    rng = random.Random(seed)
+    for index in range(designs):
+        design = _design(rng, index)
+        for argv in _calls(rng, index, design):
+            with tempfile.TemporaryDirectory() as name:
+                tmp = Path(name)
+                config = tmp / "design.json"
+                config.write_text(json.dumps(design), encoding="utf-8")
+                argv = [*argv, "--config", str(config)]
+                if argv[0] != "compare":
+                    out = tmp / "out"
+                    if argv[0] == "s21" and index % 50 == 29:
+                        out.mkdir()
+                    argv += ["--out", str(out)]
+                yield {"design": index, "command": argv[0], **_run_one(cli.main, argv, tmp)}
+
+
+def compare(first: list[dict[str, Any]], second: list[dict[str, Any]]) -> list[str]:
+    """Every field that differs between two runs, one line each."""
+    differences = []
+    if len(first) != len(second):
+        differences.append(f"record count: {len(first)} -> {len(second)}")
+    for a, b in zip(first, second):
+        where = f"design {a['design']} {a['command']}"
+        if (a["design"], a["command"]) != (b["design"], b["command"]):
+            differences.append(f"{where}: paired with design {b['design']} {b['command']}")
+            continue
+        for key in sorted(a.keys() | b.keys()):
+            if a.get(key) != b.get(key):
+                differences.append(f"{where}: {key}: {a.get(key)!r} -> {b.get(key)!r}")
+    return differences
+
+
+def summary(records: list[dict[str, Any]]) -> str:
+    exits = collections.Counter(str(record["exit"]) for record in records)
+    files = sum(len(record["files"]) for record in records)
+    designs = len({record["design"] for record in records})
+    tally = ", ".join(f"{code}: {count}" for code, count in sorted(exits.items()))
+    return f"{designs} designs, {len(records)} calls, exits {{{tally}}}, {files} files"
+
+
+def _read(path: str) -> list[dict[str, Any]]:
+    return [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--designs", type=int, default=1000)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", help="records file to write (JSON lines)")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two records files")
+    args = parser.parse_args(argv)
+    if args.compare:
+        first, second = (_read(path) for path in args.compare)
+        differences = compare(first, second)
+        for line in differences:
+            print(line)
+        print(f"{args.compare[0]}: {summary(first)}")
+        print(f"{args.compare[1]}: {summary(second)}")
+        print(f"{len(differences)} differences")
+        return 1 if differences else 0
+    if not args.out:
+        parser.error("give --out, or --compare")
+    records = list(run(args.designs, args.seed))
+    text = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    Path(args.out).write_text(text, encoding="utf-8")
+    print(summary(records), file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
