@@ -44,7 +44,9 @@ def _refined_minimum(frequency: np.ndarray, magnitude: np.ndarray) -> float:
     # > 0: i is the first minimum, so y0 > y1 <= y2; below 2 y1, y0 - 2 y1
     # is exact (Sterbenz), and above it both terms are >= 0 and one is > 0
     denominator = y0 - 2.0 * y1 + y2
-    shift = 0.5 * (y0 - y2) / denominator
+    # |y0 - y2| <= denominator, and doubling is exact where halving a
+    # subnormal difference would round, so |shift| <= 1/2
+    shift = (y0 - y2) / (2.0 * denominator)
     step = frequency[i] - frequency[i - 1]
     return float(frequency[i] + shift * step)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Collection, Mapping
 
 from . import __version__
 from .constants import junction_inductance_to_critical_current
@@ -56,7 +56,7 @@ class DerivedParameters:
 
     lumped: LumpedCircuit
     transmon_perturbative: PerturbativeTransmon
-    transmon_exact: TransmonSpectrum
+    transmon_exact: TransmonSpectrum | None  # None when the stage did not run
     coupling: CouplingParameters
     chi_exact_hz: float | None
 
@@ -231,6 +231,18 @@ QUANTITIES: dict[str, Callable[[DerivedParameters], float]] = {
 }
 
 
+# the stages beyond the closed-form chain, and the quantities that need them;
+# derive runs the closed-form chain for every quantity
+_EXACT = "exact diagonalization"
+_ORACLE = "dressed-state oracle"
+_EIGEN_STAGES = (_EXACT, _ORACLE)
+QUANTITY_STAGES: dict[str, tuple[str, ...]] = {
+    "f_01_exact_hz": (_EXACT,),
+    "anharmonicity_exact_hz": (_EXACT,),
+    "chi_exact_hz": _EIGEN_STAGES,
+}
+
+
 def _check_quantity(name: str) -> None:
     if name not in QUANTITIES:
         raise DomainError(
@@ -282,7 +294,10 @@ def load_reference_design() -> DesignInputs:
 
 def input_digest(inputs: DesignInputs) -> str:
     """SHA-256 of the canonical serialization of a design."""
-    canonical = json.dumps(design_to_dict(inputs), sort_keys=True, separators=(",", ":"))
+    try:
+        canonical = json.dumps(design_to_dict(inputs), sort_keys=True, separators=(",", ":"))
+    except RecursionError as exc:  # a geometry nested about 1,000 deep
+        raise DomainError(f"input nested too deeply: {exc}") from exc
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -290,15 +305,27 @@ def input_digest(inputs: DesignInputs) -> str:
 # derivation pipeline
 
 
-def derive(inputs: DesignInputs) -> DerivedParameters:
-    """Run the full derivation chain for one design.
+def derive(
+    inputs: DesignInputs, *, quantities: Collection[str] | None = None
+) -> DerivedParameters:
+    """Run the derivation chain for one design.
 
     Stages: lumped extraction -> transmon levels (closed form and exact
     diagonalization) -> coupling/readout figures -> dressed-state oracle.
     The oracle is skipped (chi_exact_hz = None) when the closed-form
     detuning is within 5 g_01 of the resonator, too close to degeneracy for
     dressed states to be labeled.
+
+    Given ``quantities`` (keys of ``QUANTITIES``), only the stages they
+    need (``QUANTITY_STAGES``) run beyond the closed-form chain; a stage
+    that did not run leaves ``transmon_exact`` or ``chi_exact_hz`` None.
     """
+    if quantities is None:
+        stages: Collection[str] = _EIGEN_STAGES
+    else:
+        for name in quantities:
+            _check_quantity(name)
+        stages = {stage for name in quantities for stage in QUANTITY_STAGES.get(name, ())}
     f_r = inputs.f_r_target_hertz
     try:
         stage = "lumped extraction"
@@ -306,8 +333,8 @@ def derive(inputs: DesignInputs) -> DerivedParameters:
         _require_finite("E_j/E_c", lumped.ej_ec_ratio)
         stage = "perturbative levels"
         pert = perturbative_levels(lumped.e_j_hz, lumped.e_c_hz)
-        stage = "exact diagonalization"
-        exact = exact_transmon_spectrum(lumped.e_j_hz, lumped.e_c_hz)
+        stage = _EXACT
+        exact = exact_transmon_spectrum(lumped.e_j_hz, lumped.e_c_hz) if _EXACT in stages else None
         stage = "zero-point voltage"
         v_rms = zero_point_voltage(f_r, lumped.c_r_farad)
         stage = "coupling strength"
@@ -328,9 +355,9 @@ def derive(inputs: DesignInputs) -> DerivedParameters:
             raise FloatingPointError(f"kappa underflows to 0 at f_loaded = {f_loaded:.3g} Hz")
         stage = "relaxation estimate"
         t1 = purcell_t1(detuning, g_01, q_ext, f_r)
-        stage = "dressed-state oracle"
+        stage = _ORACLE
         chi_exact: float | None = None
-        if g_01 == 0.0 or abs(detuning) > ORACLE_MIN_RATIO * g_01:
+        if _ORACLE in stages and _oracle_applies(g_01, detuning):
             chi_exact = coupled_spectrum_oracle(exact, f_r, g_01).chi_exact_hz
     except (DomainError, ConvergenceError, LabelingError, ArithmeticError) as exc:
         raise type(exc)(f"{stage}: {exc}") from exc
@@ -353,6 +380,10 @@ def derive(inputs: DesignInputs) -> DerivedParameters:
         coupling=coupling,
         chi_exact_hz=chi_exact,
     )
+
+
+def _oracle_applies(g_01: float, detuning: float) -> bool:
+    return g_01 == 0.0 or abs(detuning) > ORACLE_MIN_RATIO * g_01
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -406,7 +437,8 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
 def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Evaluate the derivation chain on a parameter grid, in grid order.
 
-    A row whose derivation fails is marked ``error`` and the sweep goes on.
+    Each point runs only the stages ``spec.outputs`` need. A row whose
+    derivation fails is marked ``error`` and the sweep goes on.
     ``workers`` is checked (>= 1) and otherwise ignored; it stays only for
     callers that pass ``workers=1``, such as the benchmark workloads.
     """
@@ -416,7 +448,7 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
 
     def evaluate(value: float) -> SweepRow:
         try:
-            derived = derive(replace(inputs, **{spec.parameter: value}))
+            derived = derive(replace(inputs, **{spec.parameter: value}), quantities=spec.outputs)
             outputs = {name: QUANTITIES[name](derived) for name in spec.outputs}
             return SweepRow(parameter_value=value, outputs=outputs, status="ok")
         except (ValueError, RuntimeError, ArithmeticError) as exc:
@@ -438,10 +470,12 @@ def tune(inputs: DesignInputs, spec: TuneSpec) -> TuneResult:
 
     The bracket endpoints must straddle the target. Convergence is
     declared when the achieved quantity matches the target to
-    ``spec.rel_tol`` relative; the returned design is fully re-derived
-    at the tuned parameter value.
+    ``spec.rel_tol`` relative. Each step runs only the stages the target
+    quantity needs; the returned design is fully derived at the tuned
+    parameter value.
     """
     quantity = QUANTITIES[spec.target_quantity]
+    partial = QUANTITY_STAGES.get(spec.target_quantity) != _EIGEN_STAGES
     target = spec.target_value
     tolerance = spec.rel_tol * max(abs(target), 1e-300)
     lo, hi = spec.bracket
@@ -454,10 +488,13 @@ def tune(inputs: DesignInputs, spec: TuneSpec) -> TuneResult:
                 f"{lo!r} and {hi!r} without reaching {target:.9g}: a jump, such as "
                 "the chi pole at f_12 = f_r, not a root"
             )
-        derived = derive(replace(inputs, **{spec.vary: value}))
+        design = replace(inputs, **{spec.vary: value})
+        derived = derive(design, quantities=(spec.target_quantity,))
         achieved = quantity(derived)
         if abs(achieved - target) <= tolerance:
             iteration = max(step - 1, 0)
+            if partial:
+                derived = derive(design)
             return TuneResult(
                 spec.vary, value, spec.target_quantity, target, achieved, iteration, derived
             )
@@ -615,7 +652,14 @@ def _json(obj: Any, pad: str) -> str:
 
 
 def _render(derived: DerivedParameters, **head: Any) -> str:
-    """The blocks in ``head``, then the report of ``derived``, as JSON text."""
+    """The blocks in ``head``, then the report of ``derived``, as JSON text.
+    A partial record from ``derive(..., quantities=...)`` is refused."""
+    coupling = derived.coupling
+    if derived.transmon_exact is None or (
+        derived.chi_exact_hz is None and _oracle_applies(coupling.g_01_hz, coupling.detuning_0_hz)
+    ):
+        stage = _EXACT if derived.transmon_exact is None else _ORACLE
+        raise DomainError(f"cannot report a partial derivation: the {stage} stage did not run")
     try:
         return _json({**head, **_report_tree(derived)}, "") + "\n"
     except RecursionError as exc:  # a geometry nested about 500 deep or more

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cqedkit import (
@@ -307,13 +307,21 @@ def test_fwhm_edge_cases():
     assert math.isnan(_fwhm_of_dip(frequency, np.array([1.0, 0.5, 0.0, 0.1, 0.4])))
 
 
-# magnitudes from a pool of a few values give ties and plateaus. Draws skip
-# (0, 1e-300): below 2^-1021 halving a difference of samples rounds, and the
-# sub-grid shift can pass 1/2. |S21| lies in [0, 2].
-_MAGNITUDE = st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e300))
+# magnitudes from a pool of a few values give ties and plateaus; subnormal
+# ones, small multiples of 2^-1074 among them, reach the range where halving
+# a difference of samples would round.
+# |S21| lies in [0, 2].
+_MAGNITUDE = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=5e-324, max_value=1e-300),
+    st.integers(min_value=1, max_value=7).map(lambda k: k * 5e-324),
+    st.floats(min_value=1e-300, max_value=1e300),
+)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
+# halving 3 * 2^-1074 rounds up, which refined this minimum to 1.667
+@example(magnitude=[1.5e-323, 0.0, 0.0, 5e-324], start=0.0, span=3.0)
 @given(
     magnitude=st.lists(_MAGNITUDE, min_size=1, max_size=4).flatmap(
         lambda pool: st.lists(st.sampled_from(pool) | _MAGNITUDE, min_size=3, max_size=40)
@@ -330,3 +338,4 @@ def test_refined_minimum_stays_within_half_a_step(magnitude, start, span):
     i = int(np.argmin(magnitude))
     half_step = 0.5 * float(np.diff(frequency).max())
     assert abs(refined - frequency[i]) <= half_step * (1.0 + 1e-12) + np.spacing(frequency[-1])
+

@@ -16,17 +16,21 @@ from hypothesis import strategies as st
 from cqedkit import (
     BracketingError,
     ConvergenceError,
+    ConvergenceWarning,
     DesignInputs,
     DispersiveValidityWarning,
     DomainError,
     EprReference,
+    LabelingError,
     SweepSpec,
     TuneSpec,
     compare_to_epr,
+    coupled_spectrum_oracle,
     derive,
     design_from_dict,
     design_to_dict,
     ej_to_junction_inductance,
+    exact_transmon_spectrum,
     input_digest,
     load_design,
     load_reference_design,
@@ -268,15 +272,148 @@ def test_tune_stops_when_the_bracket_cannot_shrink(reference_inputs, monkeypatch
     )
     calls = []
 
-    def counting_derive(design):
+    def counting_derive(design, **kwargs):
         calls.append(design.l_j_henry)
-        return _quiet_derive(design)
+        return _quiet_derive(design, **kwargs)
 
     monkeypatch.setattr(studio, "derive", counting_derive)
     with pytest.raises(ConvergenceError, match="between adjacent l_j_henry values"):
         tune(inputs, spec)
     assert len(calls) < 60
     assert len(set(calls)) == len(calls)
+
+
+# --- stages each quantity needs -------------------------------------------------
+
+# c_g_farad from 0 to 3x qubit_v1: g = 0, the dispersive regime, and a point
+# inside |detuning| < 5 g where derive skips the dressed-state oracle
+_CG_GRID = ("c_g_farad", 0.0, 13.2e-15, 4)
+
+
+@pytest.mark.parametrize("name", sorted(QUANTITIES))
+def test_sweep_row_equals_full_derive_bit_for_bit(reference_inputs, name):
+    rows = sweep(reference_inputs, SweepSpec(*_CG_GRID, (name,))).rows
+    for row in rows:
+        full = _quiet_derive(replace(reference_inputs, c_g_farad=row.parameter_value))
+        assert row.outputs[name].hex() == QUANTITIES[name](full).hex(), row.parameter_value
+    if name == "chi_exact_hz":
+        assert math.isnan(rows[-1].outputs[name]) and math.isfinite(rows[1].outputs[name])
+
+
+def _count_eigen_stages(monkeypatch, oracle=coupled_spectrum_oracle):
+    calls = {"spectrum": 0, "oracle": 0}
+
+    def spectrum(*args):
+        calls["spectrum"] += 1
+        return exact_transmon_spectrum(*args)
+
+    def counted_oracle(*args):
+        calls["oracle"] += 1
+        return oracle(*args)
+
+    monkeypatch.setattr(studio, "exact_transmon_spectrum", spectrum)
+    monkeypatch.setattr(studio, "coupled_spectrum_oracle", counted_oracle)
+    return calls
+
+
+@pytest.mark.parametrize(
+    ("outputs", "expected"),
+    [
+        (("f_01_hz", "g_01_hz", "chi_total_hz"), {"spectrum": 0, "oracle": 0}),
+        (("f_01_exact_hz", "kappa_hz"), {"spectrum": 4, "oracle": 0}),
+        (("anharmonicity_exact_hz",), {"spectrum": 4, "oracle": 0}),
+        # the last grid point lies inside |detuning| < 5 g
+        (("chi_exact_hz",), {"spectrum": 4, "oracle": 3}),
+    ],
+)
+def test_sweep_runs_only_the_stages_its_outputs_need(
+    reference_inputs, monkeypatch, outputs, expected
+):
+    calls = _count_eigen_stages(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DispersiveValidityWarning)
+        rows = sweep(reference_inputs, SweepSpec(*_CG_GRID, outputs)).rows
+    assert all(row.status == "ok" for row in rows)
+    assert calls == expected
+
+
+def test_derive_rejects_unknown_quantity(reference_inputs):
+    with pytest.raises(DomainError, match="unknown quantity 'nonsense'"):
+        derive(reference_inputs, quantities=("f_01_hz", "nonsense"))
+
+
+@pytest.mark.parametrize("target", ["f_01_hz", "f_01_exact_hz", "chi_exact_hz"])
+def test_tune_result_is_the_full_derive_at_the_tuned_value(reference_inputs, monkeypatch, target):
+    value = QUANTITIES[target](_quiet_derive(replace(reference_inputs, l_j_henry=11.3e-9)))
+    calls = _count_eigen_stages(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DispersiveValidityWarning)
+        result = tune(reference_inputs, TuneSpec("l_j_henry", target, value, (10.8e-9, 12e-9)))
+    steps = result.iterations + 2
+    # every step runs the target's stages; a partial tune then derives in full once
+    assert calls == {
+        "f_01_hz": {"spectrum": 1, "oracle": 1},
+        "f_01_exact_hz": {"spectrum": steps + 1, "oracle": 1},
+        "chi_exact_hz": {"spectrum": steps, "oracle": steps},
+    }[target]
+    monkeypatch.undo()
+    full = _quiet_derive(replace(reference_inputs, l_j_henry=result.parameter_value))
+    assert result.derived == full
+    assert render_tune_report(result) == render_tune_report(replace(result, derived=full))
+
+
+def test_closed_form_tune_survives_an_oracle_failure_at_a_step(reference_inputs, monkeypatch):
+    spec = TuneSpec("l_j_henry", "f_01_hz", 4.55e9, (8e-9, 14e-9))
+    expected = tune(reference_inputs, spec)
+    tuned_g = expected.derived.coupling.g_01_hz
+
+    def oracle(exact, f_r, g_01):
+        if g_01 != tuned_g:
+            raise LabelingError(
+                "no dressed state has dominant overlap with bare state(s) [(1, 1)]"
+            )
+        return coupled_spectrum_oracle(exact, f_r, g_01)
+
+    calls = _count_eigen_stages(monkeypatch, oracle)
+    # a full derive at any step but the last fails in the oracle
+    with pytest.raises(LabelingError, match="^dressed-state oracle: no dressed state"):
+        _quiet_derive(replace(reference_inputs, l_j_henry=11e-9))
+    calls["oracle"] = 0
+    assert tune(reference_inputs, spec) == expected
+    assert calls["oracle"] == 1
+    chi_spec = replace(spec, target_quantity="chi_exact_hz", target_value=-1.43e6)
+    with pytest.raises(LabelingError):
+        tune(reference_inputs, chi_spec)
+
+
+def test_closed_form_sweep_skips_the_unconverged_exact_solve(reference_inputs):
+    # E_j/E_c near 1e13 needs a charge cutoff beyond the 200 the solver allows
+    spec = SweepSpec("c_s_farad", 5.0e16, 5.36e16, 2, ("f_01_hz",))
+    for outputs, warned in ((("f_01_hz",), False), (("f_01_hz", "f_01_exact_hz"), True)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = sweep(reference_inputs, replace(spec, outputs=outputs)).rows
+        assert [row.status for row in rows] == ["ok", "ok"]
+        convergence = [w for w in caught if issubclass(w.category, ConvergenceWarning)]
+        assert len(convergence) == (2 if warned else 0)
+
+
+def test_report_refuses_a_partial_derivation(reference_inputs):
+    for quantities, stage in (
+        ((), "exact diagonalization"),
+        (("f_01_exact_hz",), "dressed-state oracle"),
+    ):
+        derived = _quiet_derive(reference_inputs, quantities=quantities)
+        tuned = studio.TuneResult("l_j_henry", 11e-9, "f_01_hz", 4.55e9, 4.55e9, 0, derived)
+        message = f"^cannot report a partial derivation: the {stage} stage did not run$"
+        for render, result in ((render_report, derived), (render_tune_report, tuned)):
+            with pytest.raises(DomainError, match=message):
+                render(result)
+    # inside |detuning| < 5 g the oracle does not run in a full derive either
+    near = replace(reference_inputs, c_g_farad=13.2e-15)
+    partial = _quiet_derive(near, quantities=("f_01_exact_hz",))
+    assert partial == _quiet_derive(near)
+    assert render_report(partial) == render_report(_quiet_derive(near))
 
 
 def test_tune_gives_up_after_the_iteration_cap(reference_inputs, monkeypatch, tmp_path, capsys):
@@ -374,6 +511,15 @@ def test_report_of_deeply_nested_geometry_is_domain_error(reference_inputs):
     for render, result in ((render_report, derived), (render_tune_report, tuned)):
         with pytest.raises(DomainError, match="^input nested too deeply: "):
             render(result)
+
+
+def test_input_digest_of_deeply_nested_geometry_is_domain_error(reference_inputs):
+    geometry = {}
+    for _ in range(1000):
+        geometry = {"a": geometry}
+    with pytest.raises(DomainError, match="^input nested too deeply: "):
+        input_digest(replace(reference_inputs, geometry=geometry))
+
 
 def test_input_digest_tracks_content(reference_inputs):
     assert input_digest(reference_inputs) == input_digest(load_reference_design())

@@ -17,7 +17,9 @@ Record a tree (it is imported from PYTHONPATH), then compare two records:
 Designs: four in five have the five sweepable fields drawn +-40 % around
 qubit_v1; the rest set one to three fields to 10^U(-300, 300). One in 50
 gets a geometry nested 600 deep, and one in 50 an existing directory as
-the s21 ``--out``.
+the s21 ``--out``. A sweep emits one to three closed-form quantities and,
+in two of three, ``f_01_exact_hz`` or ``chi_exact_hz``; a tune targets
+``f_01_hz``, ``g_01_hz``, ``chi_total_hz`` or ``chi_exact_hz``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,15 @@ REFERENCE = json.loads(
 )
 SWEEPABLE = ("c_s_farad", "c_g_farad", "c_k_farad", "l_j_henry", "f_r_target_hertz")
 QUANTITIES = ("f_01_hz", "g_01_hz", "chi_total_hz", "q_ext", "kappa_hz", "t1_seconds")
-TARGETS = {"f_01_hz": (3.5e9, 5.5e9), "g_01_hz": (2e7, 8e7), "chi_total_hz": (-3e6, -5e5)}
+# a sweep emits no eigen quantity, one that needs the exact spectrum, or one
+# that also needs the dressed-state oracle
+EIGEN_EMITS = ((), ("f_01_exact_hz",), ("chi_exact_hz",))
+TARGETS = {
+    "f_01_hz": (3.5e9, 5.5e9),
+    "g_01_hz": (2e7, 8e7),
+    "chi_total_hz": (-3e6, -5e5),
+    "chi_exact_hz": (-3e6, -5e5),
+}
 
 
 def _design(rng: random.Random, index: int) -> dict[str, Any]:
@@ -64,7 +74,7 @@ def _calls(rng: random.Random, index: int, design: dict[str, Any]) -> list[list[
     """argv of the five commands for one design, ``--config`` and ``--out`` left out."""
     param = rng.choice(SWEEPABLE)
     value = design[param]
-    emit = rng.sample(QUANTITIES, rng.randint(1, 3)) + ["chi_exact_hz"]
+    emit = [*rng.sample(QUANTITIES, rng.randint(1, 3)), *rng.choice(EIGEN_EMITS)]
     target = rng.choice(sorted(TARGETS))
     vary = rng.choice(("l_j_henry", "c_g_farad", "c_s_farad"))
     s21 = [
