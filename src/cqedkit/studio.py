@@ -306,7 +306,10 @@ def input_digest(inputs: DesignInputs) -> str:
 
 
 def derive(
-    inputs: DesignInputs, *, quantities: Collection[str] | None = None
+    inputs: DesignInputs,
+    *,
+    quantities: Collection[str] | None = None,
+    solved: dict[tuple[Any, ...], Any] | None = None,
 ) -> DerivedParameters:
     """Run the derivation chain for one design.
 
@@ -319,6 +322,11 @@ def derive(
     Given ``quantities`` (keys of ``QUANTITIES``), only the stages they
     need (``QUANTITY_STAGES``) run beyond the closed-form chain; a stage
     that did not run leaves ``transmon_exact`` or ``chi_exact_hz`` None.
+
+    ``solved`` is a dict that a caller keeps over calls on related designs,
+    as ``sweep`` does: it maps the inputs of each eigen stage to its result,
+    so a stage whose inputs repeat (the transmon solve in a sweep of
+    ``c_k_farad`` or ``f_r_target_hertz``) runs, and warns, only once.
     """
     if quantities is None:
         stages: Collection[str] = _EIGEN_STAGES
@@ -334,7 +342,13 @@ def derive(
         stage = "perturbative levels"
         pert = perturbative_levels(lumped.e_j_hz, lumped.e_c_hz)
         stage = _EXACT
-        exact = exact_transmon_spectrum(lumped.e_j_hz, lumped.e_c_hz) if _EXACT in stages else None
+        exact = None
+        if _EXACT in stages:
+            exact = _solve(
+                solved,
+                (_EXACT, lumped.e_j_hz, lumped.e_c_hz),
+                lambda: exact_transmon_spectrum(lumped.e_j_hz, lumped.e_c_hz),
+            )
         stage = "zero-point voltage"
         v_rms = zero_point_voltage(f_r, lumped.c_r_farad)
         stage = "coupling strength"
@@ -358,7 +372,11 @@ def derive(
         stage = _ORACLE
         chi_exact: float | None = None
         if _ORACLE in stages and _oracle_applies(g_01, detuning):
-            chi_exact = coupled_spectrum_oracle(exact, f_r, g_01).chi_exact_hz
+            chi_exact = _solve(
+                solved,
+                (_ORACLE, lumped.e_j_hz, lumped.e_c_hz, f_r, g_01),
+                lambda: coupled_spectrum_oracle(exact, f_r, g_01).chi_exact_hz,
+            )
     except (DomainError, ConvergenceError, LabelingError, ArithmeticError) as exc:
         raise type(exc)(f"{stage}: {exc}") from exc
     coupling = CouplingParameters(
@@ -380,6 +398,17 @@ def derive(
         coupling=coupling,
         chi_exact_hz=chi_exact,
     )
+
+
+def _solve(
+    solved: dict[tuple[Any, ...], Any] | None, key: tuple[Any, ...], run: Callable[[], Any]
+) -> Any:
+    """``run()``, or its result for ``key`` when ``solved`` already holds one."""
+    if solved is None:
+        return run()
+    if key not in solved:
+        solved[key] = run()
+    return solved[key]
 
 
 def _oracle_applies(g_01: float, detuning: float) -> bool:
@@ -437,18 +466,21 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
 def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Evaluate the derivation chain on a parameter grid, in grid order.
 
-    Each point runs only the stages ``spec.outputs`` need. A row whose
-    derivation fails is marked ``error`` and the sweep goes on.
+    Each point runs only the stages ``spec.outputs`` need, and an eigen
+    stage whose inputs match an earlier point's reuses its result. A row
+    whose derivation fails is marked ``error`` and the sweep goes on.
     ``workers`` is checked (>= 1) and otherwise ignored; it stays only for
     callers that pass ``workers=1``, such as the benchmark workloads.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     values = _grid(spec.lo, spec.hi, spec.steps)
+    solved: dict[tuple[Any, ...], Any] = {}
 
     def evaluate(value: float) -> SweepRow:
         try:
-            derived = derive(replace(inputs, **{spec.parameter: value}), quantities=spec.outputs)
+            design = replace(inputs, **{spec.parameter: value})
+            derived = derive(design, quantities=spec.outputs, solved=solved)
             outputs = {name: QUANTITIES[name](derived) for name in spec.outputs}
             return SweepRow(parameter_value=value, outputs=outputs, status="ok")
         except (ValueError, RuntimeError, ArithmeticError) as exc:

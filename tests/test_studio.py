@@ -337,6 +337,44 @@ def test_sweep_runs_only_the_stages_its_outputs_need(
     assert calls == expected
 
 
+@pytest.mark.parametrize(
+    ("parameter", "expected"),
+    [
+        # c_k_farad enters neither eigen stage, f_r_target_hertz only the oracle
+        ("c_k_farad", {"spectrum": 1, "oracle": 1}),
+        ("f_r_target_hertz", {"spectrum": 1, "oracle": 4}),
+        ("l_j_henry", {"spectrum": 4, "oracle": 4}),
+    ],
+)
+def test_sweep_solves_each_eigen_stage_once_per_distinct_input(
+    reference_inputs, monkeypatch, parameter, expected
+):
+    base = getattr(reference_inputs, parameter)
+    spec = SweepSpec(parameter, 0.98 * base, 1.02 * base, 4, tuple(sorted(QUANTITIES)))
+    calls = _count_eigen_stages(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DispersiveValidityWarning)
+        rows = sweep(reference_inputs, spec).rows
+    assert calls == expected
+    monkeypatch.undo()
+    for row in rows:
+        full = _quiet_derive(replace(reference_inputs, **{parameter: row.parameter_value}))
+        for name in spec.outputs:
+            assert row.outputs[name].hex() == QUANTITIES[name](full).hex(), (name, row)
+
+
+def test_sweep_warns_once_for_a_reused_exact_solve(reference_inputs):
+    # the unconverged design of the test below, swept where E_j and E_c stay put
+    design = replace(reference_inputs, c_s_farad=5.0e16)
+    spec = SweepSpec("c_k_farad", 1e-15, 2e-15, 3, ("f_01_exact_hz",))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = sweep(design, spec).rows
+    assert [row.status for row in rows] == ["ok"] * 3
+    assert len({row.outputs["f_01_exact_hz"] for row in rows}) == 1
+    assert sum(issubclass(w.category, ConvergenceWarning) for w in caught) == 1
+
+
 def test_derive_rejects_unknown_quantity(reference_inputs):
     with pytest.raises(DomainError, match="unknown quantity 'nonsense'"):
         derive(reference_inputs, quantities=("f_01_hz", "nonsense"))
