@@ -18,12 +18,15 @@ from typing import Any
 
 from . import __version__
 from .errors import BracketingError, ConvergenceError, DomainError, LabelingError
+from .lumped import DesignInputs
 from .readout import s21_curve, write_curve_csv
 from .studio import (
     SweepSpec,
     TuneSpec,
+    _render,
     compare_to_epr,
     derive,
+    design_to_dict,
     load_design,
     render_report,
     render_tune_report,
@@ -160,13 +163,21 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         bracket=bracket,
         rel_tol=args.tol,
     )
-    result = tune(load_design(args.config), spec)
+    inputs = load_design(args.config)
+    _refuse_unreportable(inputs)
+    result = tune(inputs, spec)
     Path(args.out).write_text(render_tune_report(result), encoding="utf-8")
     sys.stdout.write(
         f"{result.parameter} = {result.parameter_value:.9g} gives "
         f"{result.target_quantity} = {result.achieved_value:.9g}: {args.out}\n"
     )
     return EXIT_OK
+
+
+def _refuse_unreportable(inputs: DesignInputs) -> None:
+    # the report's emitter on the design, one call below _cmd_tune as
+    # render_tune_report is: a geometry it would refuse is refused before tuning
+    _render({"inputs": design_to_dict(inputs)})
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:

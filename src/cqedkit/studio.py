@@ -231,18 +231,6 @@ QUANTITIES: dict[str, Callable[[DerivedParameters], float]] = {
 }
 
 
-# the stages beyond the closed-form chain, and the quantities that need them;
-# derive runs the closed-form chain for every quantity
-_EXACT = "exact diagonalization"
-_ORACLE = "dressed-state oracle"
-_EIGEN_STAGES = (_EXACT, _ORACLE)
-QUANTITY_STAGES: dict[str, tuple[str, ...]] = {
-    "f_01_exact_hz": (_EXACT,),
-    "anharmonicity_exact_hz": (_EXACT,),
-    "chi_exact_hz": _EIGEN_STAGES,
-}
-
-
 def _check_quantity(name: str) -> None:
     if name not in QUANTITIES:
         raise DomainError(
@@ -319,21 +307,26 @@ def derive(
     detuning is within 5 g_01 of the resonator, too close to degeneracy for
     dressed states to be labeled.
 
-    Given ``quantities`` (keys of ``QUANTITIES``), only the stages they
-    need (``QUANTITY_STAGES``) run beyond the closed-form chain; a stage
-    that did not run leaves ``transmon_exact`` or ``chi_exact_hz`` None.
+    Given ``quantities`` (keys of ``QUANTITIES``), the closed-form chain
+    runs, the exact diagonalization only for ``f_01_exact_hz``,
+    ``anharmonicity_exact_hz`` or ``chi_exact_hz``, and the oracle only for
+    ``chi_exact_hz``; a stage that did not run leaves ``transmon_exact``
+    or ``chi_exact_hz`` None.
 
     ``solved`` is a dict that a caller keeps over calls on related designs,
-    as ``sweep`` does: it maps the inputs of each eigen stage to its result,
-    so a stage whose inputs repeat (the transmon solve in a sweep of
-    ``c_k_farad`` or ``f_r_target_hertz``) runs, and warns, only once.
+    as ``sweep`` and ``tune`` do: it maps the inputs of each eigen stage to
+    its result, so a stage whose inputs repeat (the transmon solve in a
+    sweep of ``c_k_farad`` or ``f_r_target_hertz``) runs, and warns, only
+    once.
     """
     if quantities is None:
-        stages: Collection[str] = _EIGEN_STAGES
+        quantities = QUANTITIES
     else:
         for name in quantities:
             _check_quantity(name)
-        stages = {stage for name in quantities for stage in QUANTITY_STAGES.get(name, ())}
+    oracle = "chi_exact_hz" in quantities
+    if solved is None:
+        solved = {}
     f_r = inputs.f_r_target_hertz
     try:
         stage = "lumped extraction"
@@ -341,14 +334,14 @@ def derive(
         _require_finite("E_j/E_c", lumped.ej_ec_ratio)
         stage = "perturbative levels"
         pert = perturbative_levels(lumped.e_j_hz, lumped.e_c_hz)
-        stage = _EXACT
+        stage = "exact diagonalization"
         exact = None
-        if _EXACT in stages:
-            exact = _solve(
-                solved,
-                (_EXACT, lumped.e_j_hz, lumped.e_c_hz),
-                lambda: exact_transmon_spectrum(lumped.e_j_hz, lumped.e_c_hz),
-            )
+        if oracle or "f_01_exact_hz" in quantities or "anharmonicity_exact_hz" in quantities:
+            # two entries; the oracle's keys have four, so the stages never share one
+            key: tuple[float, ...] = (lumped.e_j_hz, lumped.e_c_hz)
+            if key not in solved:
+                solved[key] = exact_transmon_spectrum(*key)
+            exact = solved[key]
         stage = "zero-point voltage"
         v_rms = zero_point_voltage(f_r, lumped.c_r_farad)
         stage = "coupling strength"
@@ -369,14 +362,13 @@ def derive(
             raise FloatingPointError(f"kappa underflows to 0 at f_loaded = {f_loaded:.3g} Hz")
         stage = "relaxation estimate"
         t1 = purcell_t1(detuning, g_01, q_ext, f_r)
-        stage = _ORACLE
+        stage = "dressed-state oracle"
         chi_exact: float | None = None
-        if _ORACLE in stages and _oracle_applies(g_01, detuning):
-            chi_exact = _solve(
-                solved,
-                (_ORACLE, lumped.e_j_hz, lumped.e_c_hz, f_r, g_01),
-                lambda: coupled_spectrum_oracle(exact, f_r, g_01).chi_exact_hz,
-            )
+        if oracle and _oracle_applies(g_01, detuning):
+            key = (lumped.e_j_hz, lumped.e_c_hz, f_r, g_01)
+            if key not in solved:
+                solved[key] = coupled_spectrum_oracle(exact, f_r, g_01).chi_exact_hz
+            chi_exact = solved[key]
     except (DomainError, ConvergenceError, LabelingError, ArithmeticError) as exc:
         raise type(exc)(f"{stage}: {exc}") from exc
     coupling = CouplingParameters(
@@ -398,17 +390,6 @@ def derive(
         coupling=coupling,
         chi_exact_hz=chi_exact,
     )
-
-
-def _solve(
-    solved: dict[tuple[Any, ...], Any] | None, key: tuple[Any, ...], run: Callable[[], Any]
-) -> Any:
-    """``run()``, or its result for ``key`` when ``solved`` already holds one."""
-    if solved is None:
-        return run()
-    if key not in solved:
-        solved[key] = run()
-    return solved[key]
 
 
 def _oracle_applies(g_01: float, detuning: float) -> bool:
@@ -503,14 +484,14 @@ def tune(inputs: DesignInputs, spec: TuneSpec) -> TuneResult:
     The bracket endpoints must straddle the target. Convergence is
     declared when the achieved quantity matches the target to
     ``spec.rel_tol`` relative. Each step runs only the stages the target
-    quantity needs; the returned design is fully derived at the tuned
-    parameter value.
+    quantity needs, and an eigen stage solved at the tuned value is reused
+    when the returned design is fully derived there.
     """
     quantity = QUANTITIES[spec.target_quantity]
-    partial = QUANTITY_STAGES.get(spec.target_quantity) != _EIGEN_STAGES
     target = spec.target_value
     tolerance = spec.rel_tol * max(abs(target), 1e-300)
     lo, hi = spec.bracket
+    solved: dict[tuple[Any, ...], Any] = {}
     # step 0 tries lo, step 1 hi, and step k > 1 is bisection iteration k - 1
     for step in range(TUNE_MAX_ITERATIONS + 2):
         value = spec.bracket[step] if step < 2 else 0.5 * (lo + hi)
@@ -521,12 +502,14 @@ def tune(inputs: DesignInputs, spec: TuneSpec) -> TuneResult:
                 "the chi pole at f_12 = f_r, not a root"
             )
         design = replace(inputs, **{spec.vary: value})
-        derived = derive(design, quantities=(spec.target_quantity,))
-        achieved = quantity(derived)
+        achieved = quantity(derive(design, quantities=(spec.target_quantity,), solved=solved))
+        if math.isnan(achieved):  # a NaN has no side of the target
+            raise ConvergenceError(
+                f"{spec.target_quantity} is undefined at {spec.vary} = {value!r}"
+            )
         if abs(achieved - target) <= tolerance:
+            derived = derive(design, solved=solved)
             iteration = max(step - 1, 0)
-            if partial:
-                derived = derive(design)
             return TuneResult(
                 spec.vary, value, spec.target_quantity, target, achieved, iteration, derived
             )
@@ -607,15 +590,21 @@ def _report_tree(derived: DerivedParameters) -> dict[str, Any]:
     """The report before output formatting: full-precision floats, inf and NaN.
 
     Each record's block lists its fields in declaration order, then the
-    values derived from them.
+    values derived from them. A partial record from
+    ``derive(..., quantities=...)`` is refused.
     """
+    coupling = derived.coupling
+    if derived.transmon_exact is None or (
+        derived.chi_exact_hz is None and _oracle_applies(coupling.g_01_hz, coupling.detuning_0_hz)
+    ):
+        stage = "dressed-state oracle" if derived.transmon_exact else "exact diagonalization"
+        raise DomainError(f"cannot report a partial derivation: the {stage} stage did not run")
     lumped = {
         **vars(derived.lumped),
         "ej_ec_ratio": derived.lumped.ej_ec_ratio,
         "in_transmon_regime": derived.lumped.in_transmon_regime,
     }
     inputs = lumped.pop("inputs")
-    coupling = derived.coupling
     return {
         "provenance": {
             "tool": TOOL_NAME,
@@ -683,23 +672,16 @@ def _json(obj: Any, pad: str) -> str:
     return _json(json.loads(json.dumps(obj)), pad)
 
 
-def _render(derived: DerivedParameters, **head: Any) -> str:
-    """The blocks in ``head``, then the report of ``derived``, as JSON text.
-    A partial record from ``derive(..., quantities=...)`` is refused."""
-    coupling = derived.coupling
-    if derived.transmon_exact is None or (
-        derived.chi_exact_hz is None and _oracle_applies(coupling.g_01_hz, coupling.detuning_0_hz)
-    ):
-        stage = _EXACT if derived.transmon_exact is None else _ORACLE
-        raise DomainError(f"cannot report a partial derivation: the {stage} stage did not run")
+def _render(tree: dict[str, Any]) -> str:
+    """A report tree as JSON text."""
     try:
-        return _json({**head, **_report_tree(derived)}, "") + "\n"
+        return _json(tree, "") + "\n"
     except RecursionError as exc:  # a geometry nested about 500 deep or more
         raise DomainError(f"input nested too deeply: {exc}") from exc
 
 
 def render_report(derived: DerivedParameters) -> str:
-    return _render(derived)
+    return _render(_report_tree(derived))
 
 
 def render_tune_report(result: TuneResult) -> str:
@@ -716,7 +698,7 @@ def render_tune_report(result: TuneResult) -> str:
         "relative_error": achieved_err,
         "iterations": result.iterations,
     }
-    return _render(result.derived, tuned=tuned)
+    return _render({"tuned": tuned, **_report_tree(result.derived)})
 
 
 def sweep_csv_lines(result: SweepResult) -> list[str]:

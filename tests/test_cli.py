@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqedkit import DispersiveValidityWarning
+from cqedkit import DispersiveValidityWarning, studio
 from cqedkit.cli import main
 from cqedkit.studio import EXPECTED_EPR_GAPS_PERCENT
 
@@ -487,6 +487,47 @@ def test_deeply_nested_design_file_is_validation_error(tmp_path, capsys, text):
         err = capsys.readouterr().err
         assert err.startswith("error: input nested too deeply: ") and err.count("\n") == 1, err
         assert not (tmp_path / "r").exists()
+
+
+def test_tune_refuses_a_design_too_deep_to_report_before_its_first_step(
+    tmp_path, capsys, monkeypatch
+):
+    config, out = tmp_path / "design.json", tmp_path / "r"
+    design = json.loads(Path(CONFIG).read_text())
+    calls = []
+
+    def run(command, depth):
+        # written by hand: json.dumps itself gives up on the deepest
+        geometry = '{"a": ' * depth + "{}" + "}" * depth
+        config.write_text(json.dumps({**design, "geometry": None}).replace("null", geometry))
+        calls.clear()
+        argv = [*_WRITING_COMMANDS.get(command, [command]), "--config", str(config)]
+        if command != "compare":
+            argv += ["--out", str(out)]
+        return _main_without_dispersive_warning(argv)
+
+    # bisect for the shallowest geometry each command refuses, called as
+    # the tunes below are: the limits depend on the stack depth
+    limits, lo = [], 1
+    for command in ("derive", "compare"):
+        hi = 2000
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if run(command, mid) == 1 else (mid, hi)
+        limits.append(hi)
+    render_limit, load_limit = limits
+    assert 400 < render_limit < load_limit - 400
+    capsys.readouterr()
+    counted = studio.derive
+    monkeypatch.setattr(studio, "derive", lambda *a, **k: calls.append(1) or counted(*a, **k))
+    assert run("tune", render_limit - 1) == 0 and len(calls) > 2
+    assert capsys.readouterr().err == ""
+    for depth in (render_limit, load_limit - 1):
+        out.unlink(missing_ok=True)
+        assert run("tune", depth) == 1 and calls == [], depth
+        err = capsys.readouterr().err
+        assert err.startswith("error: input nested too deeply: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 # --- argv fuzzing: every command line ends in exit 0, 1 or 2 -----------------

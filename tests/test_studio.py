@@ -324,6 +324,14 @@ def _count_eigen_stages(monkeypatch, oracle=coupled_spectrum_oracle):
         (("anharmonicity_exact_hz",), {"spectrum": 4, "oracle": 0}),
         # the last grid point lies inside |detuning| < 5 g
         (("chi_exact_hz",), {"spectrum": 4, "oracle": 3}),
+        # each name alone: the spectrum for the three exact names, the oracle for chi
+        *(
+            ((name,), {
+                "spectrum": 4 if name.endswith("_exact_hz") else 0,
+                "oracle": 3 if name == "chi_exact_hz" else 0,
+            })
+            for name in sorted(QUANTITIES)
+        ),
     ],
 )
 def test_sweep_runs_only_the_stages_its_outputs_need(
@@ -388,10 +396,11 @@ def test_tune_result_is_the_full_derive_at_the_tuned_value(reference_inputs, mon
         warnings.simplefilter("ignore", DispersiveValidityWarning)
         result = tune(reference_inputs, TuneSpec("l_j_henry", target, value, (10.8e-9, 12e-9)))
     steps = result.iterations + 2
-    # every step runs the target's stages; a partial tune then derives in full once
+    # every step runs the target's stages, and the full derive at the tuned
+    # value reuses what its step solved
     assert calls == {
         "f_01_hz": {"spectrum": 1, "oracle": 1},
-        "f_01_exact_hz": {"spectrum": steps + 1, "oracle": 1},
+        "f_01_exact_hz": {"spectrum": steps, "oracle": 1},
         "chi_exact_hz": {"spectrum": steps, "oracle": steps},
     }[target]
     monkeypatch.undo()
@@ -422,6 +431,33 @@ def test_closed_form_tune_survives_an_oracle_failure_at_a_step(reference_inputs,
     chi_spec = replace(spec, target_quantity="chi_exact_hz", target_value=-1.43e6)
     with pytest.raises(LabelingError):
         tune(reference_inputs, chi_spec)
+
+
+def test_tune_refuses_an_undefined_target_at_an_endpoint(reference_inputs):
+    # the oracle is skipped at l_j = 10 nH (|detuning| < 5 g), so chi_exact_hz is NaN
+    spec = TuneSpec("l_j_henry", "chi_exact_hz", -1147451.08, (10e-9, 12e-9))
+    with warnings.catch_warnings(), pytest.raises(ConvergenceError) as caught:
+        warnings.simplefilter("ignore", DispersiveValidityWarning)
+        tune(reference_inputs, spec)
+    assert str(caught.value) == "chi_exact_hz is undefined at l_j_henry = 1e-08"
+
+
+def test_tune_refuses_an_undefined_target_at_a_bisection_step(reference_inputs, monkeypatch):
+    spec = TuneSpec("l_j_henry", "chi_exact_hz", -1.43e6, (8e-9, 14e-9))
+    calls = []
+
+    def oracle(exact, f_r, g_01):
+        calls.append(g_01)
+        result = coupled_spectrum_oracle(exact, f_r, g_01)
+        return replace(result, chi_exact_hz=math.nan) if len(calls) == 4 else result
+
+    monkeypatch.setattr(studio, "coupled_spectrum_oracle", oracle)
+    with warnings.catch_warnings(), pytest.raises(ConvergenceError) as caught:
+        warnings.simplefilter("ignore", DispersiveValidityWarning)
+        tune(reference_inputs, spec)
+    # the endpoints, then 11 nH, then the NaN at the second bisection step
+    assert len(calls) == 4
+    assert str(caught.value) == "chi_exact_hz is undefined at l_j_henry = 1.25e-08"
 
 
 def test_closed_form_sweep_skips_the_unconverged_exact_solve(reference_inputs):

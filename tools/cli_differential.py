@@ -19,7 +19,8 @@ qubit_v1; the rest set one to three fields to 10^U(-300, 300). One in 50
 gets a geometry nested 600 deep, and one in 50 an existing directory as
 the s21 ``--out``. A sweep emits one to three closed-form quantities and,
 in two of three, ``f_01_exact_hz`` or ``chi_exact_hz``; a tune targets
-``f_01_hz``, ``g_01_hz``, ``chi_total_hz`` or ``chi_exact_hz``.
+``f_01_hz``, ``g_01_hz``, ``chi_total_hz``, ``f_01_exact_hz`` or
+``chi_exact_hz``.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ TARGETS = {
     "g_01_hz": (2e7, 8e7),
     "chi_total_hz": (-3e6, -5e5),
     "chi_exact_hz": (-3e6, -5e5),
+    "f_01_exact_hz": (3.5e9, 5.5e9),
 }
 
 
