@@ -23,6 +23,42 @@ CSV_HEADER = "frequency_hz,re_s21,im_s21,abs_s21"
 _CSV_ROW = "%.6f,%.9f,%.9f,%.9f\n"
 _FLAT_CURVE_DEPTH = 1e-9
 
+# _csv_body prints a cell as _CSV_ROW does when the rounding of |x| is
+# certified: more than 2^-20 from a tie at 6 (frequency) or 9 (S21) decimals,
+# far beyond the 2^-24 that scaling a fraction below 1 by 10^9 rounds by
+_TIE_MARGIN = 2.0**-20
+
+
+def _chunk_table() -> np.ndarray:
+    """Four ASCII bytes per entry, read as one uint32; blanks are dropped.
+
+    From 0: 0000-9999; from 10,000: the same with leading zeros blank (0 all
+    blank); from 20,000: the same, but 0 prints "0"; from 30,000: "." and one
+    digit; from 30,010: "." and two digits; from 30,110: blank, "-", ",",
+    ",-", a newline and a NUL that marks a row left to _CSV_ROW.
+    """
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    digits = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for place in range(4):
+        digits[..., place] = digit.reshape((10,) + (1,) * (3 - place))
+    digits = digits.reshape(10000, 4)
+    leading = np.where(np.arange(10000)[:, None] >= [1000, 100, 10, 1], digits, ord(" "))
+    last = leading.copy()
+    last[0, 3] = ord("0")
+    one, two = np.full((10, 4), ord(" "), np.uint8), np.full((100, 4), ord(" "), np.uint8)
+    one[:, 0] = two[:, 0] = ord(".")
+    one[:, 1] = digit
+    two[:, 1:3] = digits[:100, 2:]
+    marks = np.frombuffer(b"    -   ,   ,-  \n   \0   ", np.uint8).reshape(-1, 4)
+    table = np.concatenate((digits, leading, last, one, two, marks))
+    return table.view(np.uint32).ravel()
+
+
+_CHUNKS = _chunk_table()
+_LEADING, _LAST, _POINT_ONE, _POINT_TWO = 10000, 20000, 30000, 30010
+# the entry after _BLANK and the one after _COMMA add a "-"
+_BLANK, _COMMA, _NEWLINE, _MARK = 30110, 30112, 30114, 30115
+
 
 @dataclass(frozen=True)
 class TransmissionCurve:
@@ -137,15 +173,100 @@ def notch_separation(ground: TransmissionCurve, excited: TransmissionCurve) -> f
     return abs(ground.f_notch_hz - excited.f_notch_hz)
 
 
+def _rounded(values: np.ndarray, decimals: int) -> tuple[np.ndarray, ...]:
+    """|values| rounded to ``decimals`` places, as integer and fraction
+    parts (int64), and where that rounding is certified: |x| 10^d below 2^62
+    and no tie within _TIE_MARGIN."""
+    scale = 10.0**decimals
+    bound = 2.0**62 / scale
+    # fmin also takes NaN to the bound, so no cast below warns
+    magnitude = np.fmin(np.abs(values), bound)
+    whole = np.floor(magnitude)
+    scaled = (magnitude - whole) * scale
+    fraction = np.rint(scaled)
+    certified = (magnitude < bound) & (np.abs(scaled - fraction) < 0.5 - _TIE_MARGIN)
+    carry = fraction == scale
+    return (
+        (whole + carry).astype(np.int64),
+        (fraction - carry * scale).astype(np.int64),
+        certified,
+    )
+
+
+def _chunks(integer: np.ndarray) -> int:
+    """Chunks of four digits that the largest integer part needs."""
+    return (len(str(int(integer.max(initial=0)))) + 3) // 4
+
+
+def _fill(
+    out: np.ndarray,
+    values: np.ndarray,
+    integer: np.ndarray,
+    fraction: np.ndarray,
+    lead: int,
+    point: int,
+) -> None:
+    """Fill ``out`` (cells, chunks, rows) with table indices for ``values``
+    (cells, rows): ``lead`` or the one after it for a set sign bit, the
+    integer part four digits a chunk, then ``point`` and the fraction."""
+    np.add(np.signbit(values), lead, out=out[:, 0])
+    chunks = _chunks(integer)
+    fraction_chunks = out.shape[1] - 1 - chunks
+    higher = 0
+    for i in range(chunks):
+        upper = integer // 10000 ** (chunks - 1 - i)
+        # the leading chunk prints without leading zeros; the last keeps a 0
+        leading = _LAST if i == chunks - 1 else _LEADING
+        np.add(upper - higher * 10000, (upper < 10000) * leading, out=out[:, 1 + i])
+        higher = upper
+    higher = 0
+    for i in range(fraction_chunks):
+        upper = fraction // 10000 ** (fraction_chunks - 1 - i)
+        np.add(upper - higher * 10000, 0 if i else point, out=out[:, chunks + 1 + i])
+        higher = upper
+
+
+def _csv_body(columns: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The rows that _CSV_ROW prints for (frequency, re, im, abs) columns.
+
+    ``columns`` has shape (4, rows). Returns the ASCII bytes and the mask of
+    the rows that _CSV_ROW printed itself: rows with a cell that is a tie at
+    its precision (or within 2^-20 of one), or whose |x| 10^d reaches 2^62
+    (a frequency above about 4.6 THz), or that is not finite.
+    """
+    rows = columns.shape[1]
+    frequency, s21 = columns[:1], columns[1:]
+    integer, fraction, certified = _rounded(frequency, 6)
+    s21_integer, s21_fraction, s21_certified = _rounded(s21, 9)
+    # one table entry per chunk of four characters. A frequency cell is its
+    # sign, integer part and six decimals ("." and 2, then 4); an S21 cell a
+    # comma and sign, integer part and nine decimals (1, 4, 4)
+    width = 1 + _chunks(integer) + 2
+    s21_width = 1 + _chunks(s21_integer) + 3
+    # int16 holds every table index and keeps this array a quarter the size
+    index = np.empty((width + 3 * s21_width + 1, rows), np.int16)
+    _fill(index[None, :width], frequency, integer, fraction, _BLANK, _POINT_TWO)
+    cells = index[width:-1].reshape(3, s21_width, rows)
+    _fill(cells, s21, s21_integer, s21_fraction, _COMMA, _POINT_ONE)
+    index[-1] = _NEWLINE
+
+    fallback = ~(certified[0] & s21_certified.all(axis=0))
+    index[:, fallback] = _BLANK
+    index[-1, fallback] = _MARK
+    body = _CHUNKS.take(index).T.tobytes().translate(None, b" ")
+    if fallback.any():
+        parts = body.split(b"\0")
+        text = [(_CSV_ROW % tuple(row)).encode("ascii") for row in columns[:, fallback].T.tolist()]
+        body = b"".join(part + row for part, row in zip(parts, [*text, b""]))
+    return body, fallback
+
+
 def write_curve_csv(curve: TransmissionCurve, path: str | Path) -> None:
     """Write a curve as CSV (plain decimal notation, ascending frequency)."""
-    s21 = curve.s21.tolist()
-    cells: list[float] = [0.0] * (4 * len(s21))
-    cells[0::4] = curve.frequency_hz.tolist()
-    cells[1::4] = curve.s21.real.tolist()
-    cells[2::4] = curve.s21.imag.tolist()
-    # complex abs per element, as the NumPy scalar gives it; np.abs on the
-    # array differs from it in the last bit on about half the elements
-    cells[3::4] = [abs(value) for value in s21]
-    text = _CSV_ROW * len(s21) % tuple(cells)
-    Path(path).write_text(f"{CSV_HEADER}\n{text}", encoding="ascii")
+    # in double precision, as Python's complex holds each sample
+    s21 = np.asarray(curve.s21, complex)
+    re, im = s21.real, s21.imag
+    # np.hypot gives the complex abs that Python's abs gives per element;
+    # np.abs on the complex array differs from it in the last bit
+    body, _ = _csv_body(np.stack((curve.frequency_hz, re, im, np.hypot(re, im))))
+    Path(path).write_bytes(f"{CSV_HEADER}\n".encode("ascii") + body)

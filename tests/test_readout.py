@@ -1,6 +1,8 @@
 import math
 import random
 import warnings
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from cqedkit import (
     s21_curve,
     write_curve_csv,
 )
-from cqedkit.readout import CSV_HEADER, _fwhm_of_dip, _refined_minimum
+from cqedkit.readout import CSV_HEADER, _CSV_ROW, _csv_body, _fwhm_of_dip, _refined_minimum
 
 
 def _coupling(chi_total=-1414076.6030755676, q_ext=4378.586696298506,
@@ -236,6 +238,95 @@ def test_csv_bytes_match_per_row_formatting(tmp_path):
         write_curve_csv(curve, path)
         assert path.read_bytes() == _reference_csv(curve).encode("ascii"), i
     assert lossy >= 60
+
+
+def test_csv_bytes_where_frequency_rows_fall_back(tmp_path):
+    # f x 10^6 reaches 2^62 at about 4.6 THz: above it every row is left to
+    # _CSV_ROW; a grid across it mixes the two paths
+    path = tmp_path / "curve.csv"
+    for f_loaded in (2e13, 2.0**62 / 1e6):
+        curve = s21_curve(_coupling(q_ext=1e5, f_loaded=f_loaded), "ground", 1e9, 2001)
+        write_curve_csv(curve, path)
+        assert path.read_bytes() == _reference_csv(curve).encode("ascii"), f_loaded
+        re, im = curve.s21.real, curve.s21.imag
+        _, fallback = _csv_body(np.stack((curve.frequency_hz, re, im, np.hypot(re, im))))
+        above = curve.frequency_hz * 1e6 >= 2.0**62
+        assert above.any() and fallback[above].all(), f_loaded
+        if f_loaded < 1e13:
+            assert 0 < fallback.sum() < fallback.shape[0]
+
+
+def test_csv_of_a_single_precision_curve_prints_its_double_values(tmp_path):
+    # each sample prints as the Python complex it converts to, abs included
+    curve = s21_curve(_coupling(), "ground", 20e6, 201)
+    curve = replace(curve, s21=curve.s21.astype(np.complex64))
+    path = tmp_path / "curve.csv"
+    write_curve_csv(curve, path)
+    rows = zip(curve.frequency_hz.tolist(), curve.s21.tolist())
+    text = "".join(_CSV_ROW % (f, value.real, value.imag, abs(value)) for f, value in rows)
+    assert path.read_text() == f"{CSV_HEADER}\n{text}"
+
+def test_non_finite_cells_are_left_to_the_row_format():
+    columns = np.array([[math.nan], [math.inf], [-math.inf], [0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        body, fallback = _csv_body(columns)
+    assert body == (_CSV_ROW % (math.nan, math.inf, -math.inf, 0.5)).encode("ascii")
+    assert fallback.tolist() == [True]
+
+
+def _residual(x, decimals):
+    scaled = Fraction(abs(x)) * 10**decimals
+    return scaled - math.floor(scaled)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+# a minus sign for -0.0 and for a value that rounds to zero
+@example(x=-0.0)
+@example(x=-1e-12)
+@example(x=5e-324)
+# exact ties: 1/1024 x 10^9 = 976562.5 and 1/128 x 10^6 = 7812.5
+@example(x=1 / 1024)
+@example(x=-3 / 1024)
+@example(x=1 / 128)
+# a fraction that rounds up to the next integer, here to a fifth digit
+@example(x=9999.9999999996)
+@example(x=-0.9999999997)
+# both sides of 2^52 and 2^53 after scaling by 10^6 and by 10^9
+@example(x=np.nextafter(2.0**52 / 1e6, 0.0))
+@example(x=np.nextafter(2.0**52 / 1e6, math.inf))
+@example(x=np.nextafter(2.0**53 / 1e6, 0.0))
+@example(x=np.nextafter(2.0**53 / 1e6, math.inf))
+@example(x=np.nextafter(2.0**52 / 1e9, 0.0))
+@example(x=np.nextafter(2.0**53 / 1e9, math.inf))
+# out of range: |x| 10^d of 2^62 and more
+@example(x=9.2e12)
+@example(x=-1.7e308)
+@example(x=1.7e308)
+@given(
+    x=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=-1e13, max_value=1e13),
+        st.integers(min_value=-(2**45), max_value=2**45).map(lambda k: k / 1024),
+    )
+)
+def test_fixed_point_cells_match_percent_formatting(x):
+    # x in the frequency column of one row and in the re column of the next
+    columns = np.zeros((4, 2))
+    columns[0, 0] = columns[1, 1] = x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        body, fallback = _csv_body(columns)
+    first, second = body.decode("ascii").splitlines()
+    assert first.split(",")[0] == "%.6f" % x
+    assert second.split(",")[1] == "%.9f" % x
+    assert body == (_CSV_ROW % (x, 0.0, 0.0, 0.0) + _CSV_ROW % (0.0, x, 0.0, 0.0)).encode()
+    for row, decimals in ((0, 6), (1, 9)):
+        residual = _residual(x, decimals)
+        if residual == Fraction(1, 2) or abs(x) >= 2.0**62 / 10**decimals:
+            assert fallback[row], (row, x)
+        elif abs(residual - Fraction(1, 2)) > Fraction(1, 2**19) and abs(x) < 2.0**61 / 10**decimals:
+            assert not fallback[row], (row, x)
 
 
 def _fwhm_reference(frequency, power):

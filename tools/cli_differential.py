@@ -4,7 +4,10 @@ Runs ``cqedkit.cli.main`` in-process for all five commands (derive,
 compare, sweep, tune, s21) over seeded designs and writes one JSON line
 per call: exit code, stdout, stderr, the warnings raised and the SHA-256
 of each file the call wrote. Temporary paths are replaced by ``<tmp>``,
-so two trees that behave alike give identical records.
+so two trees that behave alike give identical records. Next to every
+warning raised, a record lists the ones Python's default filter prints:
+each message once per category and source line, and no deprecation,
+import or resource warning.
 
 Record a tree (it is imported from PYTHONPATH), then compare two records:
 
@@ -12,7 +15,9 @@ Record a tree (it is imported from PYTHONPATH), then compare two records:
     PYTHONPATH=../parent/src python tools/cli_differential.py --designs 1000 --out parent.jsonl
     python tools/cli_differential.py --compare parent.jsonl change.jsonl
 
-``--compare`` prints every field that differs and exits 1 if any does.
+``--compare`` prints every field that differs and exits 1 if any does. It
+compares the printed warnings, not every one raised, so a repeat that the
+CLI would not print is no difference.
 
 Designs: four in five have the five sweepable fields drawn +-40 % around
 qubit_v1; the rest set one to three fields to 10^U(-300, 300). One in 50
@@ -47,6 +52,8 @@ QUANTITIES = ("f_01_hz", "g_01_hz", "chi_total_hz", "q_ext", "kappa_hz", "t1_sec
 # a sweep emits no eigen quantity, one that needs the exact spectrum, or one
 # that also needs the dressed-state oracle
 EIGEN_EMITS = ((), ("f_01_exact_hz",), ("chi_exact_hz",))
+# what Python's default filter ignores outside __main__
+SILENT = (DeprecationWarning, PendingDeprecationWarning, ImportWarning, ResourceWarning)
 TARGETS = {
     "f_01_hz": (3.5e9, 5.5e9),
     "g_01_hz": (2e7, 8e7),
@@ -124,12 +131,20 @@ def _run_one(cli_main: Any, argv: list[str], tmp: Path) -> dict[str, Any]:
     def clean(text: str) -> str:
         return text.replace(str(tmp), "<tmp>")
 
+    def line(w: warnings.WarningMessage) -> str:
+        return f"{w.category.__name__}: {clean(str(w.message))}"
+
+    printed: dict[tuple[str, type, str, int], str] = {}
+    for w in caught:
+        if not issubclass(w.category, SILENT):
+            printed.setdefault((str(w.message), w.category, w.filename, w.lineno), line(w))
     return {
         "argv": [clean(arg) for arg in argv],
         "exit": code,
         "stdout": clean(stdout.getvalue()),
         "stderr": clean(stderr.getvalue()),
-        "warnings": [f"{w.category.__name__}: {clean(str(w.message))}" for w in caught],
+        "warnings": [line(w) for w in caught],
+        "printed_warnings": list(printed.values()),
         "files": files,
     }
 
@@ -156,7 +171,10 @@ def run(designs: int, seed: int) -> Iterator[dict[str, Any]]:
 
 
 def compare(first: list[dict[str, Any]], second: list[dict[str, Any]]) -> list[str]:
-    """Every field that differs between two runs, one line each."""
+    """Every field that differs between two runs, one line each.
+
+    Warnings count as the CLI prints them (``printed_warnings``), not as raised.
+    """
     differences = []
     if len(first) != len(second):
         differences.append(f"record count: {len(first)} -> {len(second)}")
@@ -165,7 +183,7 @@ def compare(first: list[dict[str, Any]], second: list[dict[str, Any]]) -> list[s
         if (a["design"], a["command"]) != (b["design"], b["command"]):
             differences.append(f"{where}: paired with design {b['design']} {b['command']}")
             continue
-        for key in sorted(a.keys() | b.keys()):
+        for key in sorted((a.keys() | b.keys()) - {"warnings"}):
             if a.get(key) != b.get(key):
                 differences.append(f"{where}: {key}: {a.get(key)!r} -> {b.get(key)!r}")
     return differences
