@@ -18,15 +18,12 @@ from typing import Any
 
 from . import __version__
 from .errors import BracketingError, ConvergenceError, DomainError, LabelingError
-from .lumped import DesignInputs
 from .readout import s21_curve, write_curve_csv
 from .studio import (
     SweepSpec,
     TuneSpec,
-    _render,
     compare_to_epr,
     derive,
-    design_to_dict,
     load_design,
     render_report,
     render_tune_report,
@@ -109,7 +106,8 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 
 
 def _cmd_s21(args: argparse.Namespace) -> int:
-    derived = derive(load_design(args.config))
+    # the curve reads closed forms only: no exact solve, no oracle
+    derived = derive(load_design(args.config), quantities=())
     states = ("ground", "excited") if args.state == "both" else (args.state,)
     for state in states:
         curve = s21_curve(
@@ -163,9 +161,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         bracket=bracket,
         rel_tol=args.tol,
     )
-    inputs = load_design(args.config)
-    _refuse_unreportable(inputs)
-    result = tune(inputs, spec)
+    result = tune(load_design(args.config), spec)
     Path(args.out).write_text(render_tune_report(result), encoding="utf-8")
     sys.stdout.write(
         f"{result.parameter} = {result.parameter_value:.9g} gives "
@@ -174,14 +170,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _refuse_unreportable(inputs: DesignInputs) -> None:
-    # the report's emitter on the design, one call below _cmd_tune as
-    # render_tune_report is: a geometry it would refuse is refused before tuning
-    _render({"inputs": design_to_dict(inputs)})
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
-    entries = compare_to_epr(derive(load_design(args.config)))
+    entries = compare_to_epr(derive(load_design(args.config), quantities=()))
     header = f"{'quantity':<8} {'analytic':>16} {'reference':>16} {'gap_%':>8} {'expected_%':>11} ok"
     sys.stdout.write(header + "\n")
     for entry in entries:

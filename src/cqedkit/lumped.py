@@ -16,6 +16,10 @@ from .constants import ELEMENTARY_CHARGE, PLANCK, TWO_PI, junction_inductance_to
 from .errors import DomainError
 
 TRANSMON_REGIME_MIN_RATIO = 50.0
+# levels a geometry may nest below itself: far below where json and the report
+# emitter reach Python's recursion limit, so no caller's stack depth moves the line
+MAX_GEOMETRY_DEPTH = 100
+_LEAF_TYPES = frozenset((str, int, float, bool, type(None)))
 
 
 @dataclass(frozen=True)
@@ -25,6 +29,7 @@ class DesignInputs:
     Field names carry the SI unit and match the design-file keys.
     ``geometry`` is free-form provenance metadata, a mapping: it is copied,
     carried through to reports (floats rounded) and never used in any computation.
+    Its dicts, lists and tuples may nest ``MAX_GEOMETRY_DEPTH`` levels below it.
     """
 
     c_s_farad: float
@@ -37,9 +42,22 @@ class DesignInputs:
     geometry: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.geometry, Mapping):
+        if type(self.geometry) is not dict and not isinstance(self.geometry, Mapping):
             raise DomainError(f"geometry must be an object, got {type(self.geometry).__name__}")
-        object.__setattr__(self, "geometry", dict(self.geometry))
+        geometry = dict(self.geometry)
+        object.__setattr__(self, "geometry", geometry)
+        # a level at a time, each container once per level, so that a
+        # geometry holding itself is refused too
+        level: Any = () if _LEAF_TYPES.issuperset(map(type, geometry.values())) else (geometry,)
+        depth = 0
+        while level and depth <= MAX_GEOMETRY_DEPTH:
+            depth += 1
+            children = (c for n in level for c in (n.values() if isinstance(n, dict) else n))
+            level = {id(c): c for c in children if isinstance(c, (dict, list, tuple))}.values()
+        if level:
+            raise DomainError(
+                f"input nested too deeply: geometry nests more than {MAX_GEOMETRY_DEPTH} levels"
+            )
         if self.r_load_ohm is None:
             object.__setattr__(self, "r_load_ohm", self.z_0_ohm)
         strictly_positive = (

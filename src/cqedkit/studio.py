@@ -282,10 +282,7 @@ def load_reference_design() -> DesignInputs:
 
 def input_digest(inputs: DesignInputs) -> str:
     """SHA-256 of the canonical serialization of a design."""
-    try:
-        canonical = json.dumps(design_to_dict(inputs), sort_keys=True, separators=(",", ":"))
-    except RecursionError as exc:  # a geometry nested about 1,000 deep
-        raise DomainError(f"input nested too deeply: {exc}") from exc
+    canonical = json.dumps(design_to_dict(inputs), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -672,16 +669,8 @@ def _json(obj: Any, pad: str) -> str:
     return _json(json.loads(json.dumps(obj)), pad)
 
 
-def _render(tree: dict[str, Any]) -> str:
-    """A report tree as JSON text."""
-    try:
-        return _json(tree, "") + "\n"
-    except RecursionError as exc:  # a geometry nested about 500 deep or more
-        raise DomainError(f"input nested too deeply: {exc}") from exc
-
-
 def render_report(derived: DerivedParameters) -> str:
-    return _render(_report_tree(derived))
+    return _json(_report_tree(derived), "") + "\n"
 
 
 def render_tune_report(result: TuneResult) -> str:
@@ -698,7 +687,7 @@ def render_tune_report(result: TuneResult) -> str:
         "relative_error": achieved_err,
         "iterations": result.iterations,
     }
-    return _render({"tuned": tuned, **_report_tree(result.derived)})
+    return _json({"tuned": tuned, **_report_tree(result.derived)}, "") + "\n"
 
 
 def sweep_csv_lines(result: SweepResult) -> list[str]:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from cqedkit import DispersiveValidityWarning, studio
 from cqedkit.cli import main
+from cqedkit.lumped import MAX_GEOMETRY_DEPTH
 from cqedkit.studio import EXPECTED_EPR_GAPS_PERCENT
 
 CONFIG = str(Path(__file__).resolve().parent.parent / "designs" / "qubit_v1.json")
@@ -468,12 +469,22 @@ def _nested_geometry(depth):
     return geometry
 
 
+_COMMANDS = {**_WRITING_COMMANDS, "compare": ["compare"]}
+
+
+def _run_command(command, config, out):
+    argv = [*_COMMANDS[command], "--config", str(config)]
+    if command != "compare":
+        argv += ["--out", str(out)]
+    return _main_without_dispersive_warning(argv)
+
+
 @pytest.mark.parametrize(
     "text",
     [
         # json.loads gives up on the nesting
         "[" * 100000,
-        # json.loads parses it; rendering the report gives up
+        # json.loads parses it; the design refuses its geometry
         json.dumps({**json.loads(Path(CONFIG).read_text()), "geometry": _nested_geometry(600)}),
     ],
     ids=["parse", "render"],
@@ -481,53 +492,38 @@ def _nested_geometry(depth):
 def test_deeply_nested_design_file_is_validation_error(tmp_path, capsys, text):
     config = tmp_path / "design.json"
     config.write_text(text)
-    for command in ("derive", "tune"):
-        argv = [*_WRITING_COMMANDS[command], "--config", str(config), "--out", str(tmp_path / "r")]
-        assert _main_without_dispersive_warning(argv) == 1
+    for command in sorted(_COMMANDS):
+        assert _run_command(command, config, tmp_path / "r") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: input nested too deeply: ") and err.count("\n") == 1, err
-        assert not (tmp_path / "r").exists()
+        assert sorted(tmp_path.iterdir()) == [config]
 
 
-def test_tune_refuses_a_design_too_deep_to_report_before_its_first_step(
+def test_every_command_takes_geometry_to_the_depth_bound_and_refuses_one_level_more(
     tmp_path, capsys, monkeypatch
 ):
-    config, out = tmp_path / "design.json", tmp_path / "r"
+    config = tmp_path / "design.json"
     design = json.loads(Path(CONFIG).read_text())
     calls = []
-
-    def run(command, depth):
-        # written by hand: json.dumps itself gives up on the deepest
-        geometry = '{"a": ' * depth + "{}" + "}" * depth
-        config.write_text(json.dumps({**design, "geometry": None}).replace("null", geometry))
-        calls.clear()
-        argv = [*_WRITING_COMMANDS.get(command, [command]), "--config", str(config)]
-        if command != "compare":
-            argv += ["--out", str(out)]
-        return _main_without_dispersive_warning(argv)
-
-    # bisect for the shallowest geometry each command refuses, called as
-    # the tunes below are: the limits depend on the stack depth
-    limits, lo = [], 1
-    for command in ("derive", "compare"):
-        hi = 2000
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if run(command, mid) == 1 else (mid, hi)
-        limits.append(hi)
-    render_limit, load_limit = limits
-    assert 400 < render_limit < load_limit - 400
-    capsys.readouterr()
     counted = studio.derive
     monkeypatch.setattr(studio, "derive", lambda *a, **k: calls.append(1) or counted(*a, **k))
-    assert run("tune", render_limit - 1) == 0 and len(calls) > 2
-    assert capsys.readouterr().err == ""
-    for depth in (render_limit, load_limit - 1):
-        out.unlink(missing_ok=True)
-        assert run("tune", depth) == 1 and calls == [], depth
-        err = capsys.readouterr().err
-        assert err.startswith("error: input nested too deeply: ") and err.count("\n") == 1, err
-        assert not out.exists()
+    for depth, code in ((MAX_GEOMETRY_DEPTH, 0), (MAX_GEOMETRY_DEPTH + 1, 1)):
+        config.write_text(json.dumps({**design, "geometry": _nested_geometry(depth)}))
+        for command in sorted(_COMMANDS):
+            out = tmp_path / str(depth) / command
+            out.parent.mkdir(exist_ok=True)
+            calls.clear()
+            assert _run_command(command, config, out) == code, (command, depth)
+            err = capsys.readouterr().err
+            if code == 0:
+                assert err == ""
+                assert command != "tune" or len(calls) > 2
+            else:
+                assert err == (
+                    "error: input nested too deeply: "
+                    f"geometry nests more than {MAX_GEOMETRY_DEPTH} levels\n"
+                ), (command, err)
+                assert calls == [] and not any(out.parent.iterdir()), command
 
 
 # --- argv fuzzing: every command line ends in exit 0, 1 or 2 -----------------

@@ -3,6 +3,8 @@ import time
 import warnings
 from pathlib import Path
 
+from cqedkit.lumped import MAX_GEOMETRY_DEPTH
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_differential.py"
 
 
@@ -48,3 +50,7 @@ def test_a_repeat_the_cli_would_not_print_is_no_difference(tmp_path):
     assert tool.compare([record], [repeat]) == []
     dropped = {**record, "printed_warnings": record["printed_warnings"][1:]}
     assert len(tool.compare([record], [dropped])) == 1
+
+
+def test_corpus_nests_geometry_to_the_bound_a_design_accepts():
+    assert _load_tool().NESTING_BOUND == MAX_GEOMETRY_DEPTH

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import linecache
@@ -40,6 +41,7 @@ from cqedkit import (
 )
 from cqedkit import studio
 from cqedkit.cli import main
+from cqedkit.lumped import MAX_GEOMETRY_DEPTH
 from cqedkit.studio import (
     EXPECTED_EPR_GAPS_PERCENT,
     QUANTITIES,
@@ -577,22 +579,59 @@ def test_design_file_nested_too_deeply_is_domain_error(tmp_path):
 
 
 def test_report_of_deeply_nested_geometry_is_domain_error(reference_inputs):
+    # the design refuses the geometry before any report of it is rendered
     geometry = {}
     for _ in range(600):
         geometry = {"a": geometry}
-    derived = _quiet_derive(replace(reference_inputs, geometry=geometry))
-    tuned = studio.TuneResult("l_j_henry", 11e-9, "f_01_hz", 4.55e9, 4.55e9, 0, derived)
-    for render, result in ((render_report, derived), (render_tune_report, tuned)):
-        with pytest.raises(DomainError, match="^input nested too deeply: "):
-            render(result)
+    with pytest.raises(DomainError, match="^input nested too deeply: "):
+        replace(reference_inputs, geometry=geometry)
 
 
 def test_input_digest_of_deeply_nested_geometry_is_domain_error(reference_inputs):
+    # the design refuses the geometry before any digest of it is taken
     geometry = {}
     for _ in range(1000):
         geometry = {"a": geometry}
     with pytest.raises(DomainError, match="^input nested too deeply: "):
-        input_digest(replace(reference_inputs, geometry=geometry))
+        replace(reference_inputs, geometry=geometry)
+
+
+class _List(list):
+    pass
+
+
+def test_geometry_nested_to_the_bound_is_reported(reference_inputs):
+    # dicts, lists and tuples, and their subclasses, count as levels alike
+    nested = 0.5
+    for level in range(MAX_GEOMETRY_DEPTH):
+        nested = (dict, list, tuple, collections.OrderedDict, _List)[level % 5](
+            {"a": nested} if level % 5 in (0, 3) else [nested]
+        )
+    derived = _quiet_derive(replace(reference_inputs, geometry={"deep": nested}))
+    tuned = studio.TuneResult("l_j_henry", 11e-9, "f_01_hz", 4.55e9, 4.55e9, 0, derived)
+    assert json.loads(render_report(derived))["inputs"]["geometry"]["deep"]
+    assert json.loads(render_tune_report(tuned))["inputs"]["geometry"]["deep"]
+    assert len(input_digest(derived.lumped.inputs)) == 64
+    with pytest.raises(DomainError, match="^input nested too deeply: "):
+        replace(reference_inputs, geometry={"deep": [nested]})
+
+
+def _holds_itself():
+    loop = {}
+    loop["self"] = loop
+    fan = collections.OrderedDict()
+    fan["a"] = fan["b"] = [fan, (fan,)]
+    chain = _List()
+    chain.append({"next": chain})
+    return loop, fan, {"list": chain}
+
+
+@pytest.mark.parametrize("geometry", _holds_itself(), ids=["dict", "fan-out", "list"])
+def test_geometry_that_holds_itself_is_domain_error(reference_inputs, geometry):
+    # json.dumps would meet the cycle only once a digest is taken, and raise
+    # a bare ValueError ("Circular reference detected")
+    with pytest.raises(DomainError, match="^input nested too deeply: "):
+        replace(reference_inputs, geometry=geometry)
 
 
 def test_input_digest_tracks_content(reference_inputs):

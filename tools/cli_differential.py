@@ -21,11 +21,12 @@ CLI would not print is no difference.
 
 Designs: four in five have the five sweepable fields drawn +-40 % around
 qubit_v1; the rest set one to three fields to 10^U(-300, 300). One in 50
-gets a geometry nested 600 deep, and one in 50 an existing directory as
-the s21 ``--out``. A sweep emits one to three closed-form quantities and,
-in two of three, ``f_01_exact_hz`` or ``chi_exact_hz``; a tune targets
-``f_01_hz``, ``g_01_hz``, ``chi_total_hz``, ``f_01_exact_hz`` or
-``chi_exact_hz``.
+gets a geometry nested 600 deep, one in 50 a geometry nested exactly
+``NESTING_BOUND`` deep (the most a design accepts), one in 50 a geometry
+a level deeper, and one in 50 an existing directory as the s21 ``--out``.
+A sweep emits one to three closed-form quantities and, in two of three,
+``f_01_exact_hz`` or ``chi_exact_hz``; a tune targets ``f_01_hz``,
+``g_01_hz``, ``chi_total_hz``, ``f_01_exact_hz`` or ``chi_exact_hz``.
 """
 
 from __future__ import annotations
@@ -54,6 +55,11 @@ QUANTITIES = ("f_01_hz", "g_01_hz", "chi_total_hz", "q_ext", "kappa_hz", "t1_sec
 EIGEN_EMITS = ((), ("f_01_exact_hz",), ("chi_exact_hz",))
 # what Python's default filter ignores outside __main__
 SILENT = (DeprecationWarning, PendingDeprecationWarning, ImportWarning, ResourceWarning)
+# cqedkit.lumped.MAX_GEOMETRY_DEPTH, written out so that a tree without
+# that name can be recorded too
+NESTING_BOUND = 100
+# design index modulo 50 -> depth of its geometry
+NESTED = {17: 600, 18: NESTING_BOUND, 19: NESTING_BOUND + 1}
 TARGETS = {
     "f_01_hz": (3.5e9, 5.5e9),
     "g_01_hz": (2e7, 8e7),
@@ -71,9 +77,9 @@ def _design(rng: random.Random, index: int) -> dict[str, Any]:
     else:
         for name in rng.sample(sorted(design.keys() - {"geometry"}), rng.randint(1, 3)):
             design[name] = 10.0 ** rng.uniform(-300.0, 300.0)
-    if index % 50 == 17:
+    if index % 50 in NESTED:
         geometry: dict[str, Any] = {}
-        for _ in range(600):
+        for _ in range(NESTED[index % 50]):
             geometry = {"a": geometry}
         design["geometry"] = geometry
     return design
