@@ -39,6 +39,13 @@ _MIN_DISPERSIVE_RATIO = 10.0  # |detuning| / g below which the warning fires
 ORACLE_MIN_RATIO = 5.0
 
 
+# the oracle's bare states |j, m>, ordered by j + m, then j: H couples each
+# only to the next, |j + 1, m - 1>, by BLOCK_LADDER * g_01 = sqrt((j + 1) m) g_01,
+# which is 0 between blocks
+BLOCK_STATES = tuple((j, k - j) for k in range(3) for j in range(k + 1))
+BLOCK_LADDER = tuple(math.sqrt((j + 1.0) * m) for j, m in BLOCK_STATES[:-1])
+
+
 @dataclass(frozen=True)
 class CouplingParameters:
     """Readout-chain figures of merit for one design."""
@@ -123,15 +130,30 @@ def dispersive_shift(
     delta_01 = f_01_hz - f_r_hz
     delta_12 = f_12_hz - f_r_hz
     if min(abs(delta_01), abs(delta_12)) < _MIN_DISPERSIVE_RATIO * g_01_hz:
-        warnings.warn(
-            f"detuning {min(abs(delta_01), abs(delta_12)):.3e} Hz is within "
-            f"{_MIN_DISPERSIVE_RATIO:.0f} g_01 of resonance; dispersive formula unreliable",
-            DispersiveValidityWarning,
-            stacklevel=2,
-        )
+        warn_dispersive(min(abs(delta_01), abs(delta_12)), stacklevel=2)
     chi_01 = g_01_hz**2 / delta_01
     chi_12 = 2.0 * g_01_hz**2 / delta_12
     return chi_01, chi_12, chi_01 - chi_12 / 2.0
+
+
+def warn_dispersive(detuning_hz: float, stacklevel: int) -> None:
+    """The warning of a detuning within 10 g_01; ``stacklevel`` as the caller's."""
+    warnings.warn(
+        f"detuning {detuning_hz:.3e} Hz is within "
+        f"{_MIN_DISPERSIVE_RATIO:.0f} g_01 of resonance; dispersive formula unreliable",
+        DispersiveValidityWarning,
+        stacklevel=stacklevel + 1,
+    )
+
+
+def warn_ambiguous_labels(abs_detuning_hz: float, stacklevel: int) -> None:
+    """The oracle's warning of a detuning within 5 g_01; ``stacklevel`` as the caller's."""
+    warnings.warn(
+        f"|detuning| = {abs_detuning_hz:.3e} Hz is within {ORACLE_MIN_RATIO:.0f} g_01; "
+        "dressed-state labels may be ambiguous",
+        DispersiveValidityWarning,
+        stacklevel=stacklevel + 1,
+    )
 
 
 def norton_equivalent(
@@ -218,25 +240,17 @@ def coupled_spectrum_oracle(
 
     detuning = transmon.f_01_exact_hz - f_r_hz
     if g_01_hz > 0.0 and abs(detuning) <= ORACLE_MIN_RATIO * g_01_hz:
-        warnings.warn(
-            f"|detuning| = {abs(detuning):.3e} Hz is within {ORACLE_MIN_RATIO:.0f} g_01; "
-            "dressed-state labels may be ambiguous",
-            DispersiveValidityWarning,
-            stacklevel=2,
-        )
+        warn_ambiguous_labels(abs(detuning), stacklevel=2)
 
-    # ordered by j + m, then j: H couples |j, m> only to the next state,
-    # |j + 1, m - 1>, by sqrt((j + 1) m) g_01, which is 0 between blocks
-    states = [(j, k - j) for k in range(3) for j in range(k + 1)]
-    diag = [transmon.levels_hz[j] + m * f_r_hz for j, m in states]
-    off = [math.sqrt((j + 1.0) * m) * g_01_hz for j, m in states[:-1]]
+    diag = [transmon.levels_hz[j] + m * f_r_hz for j, m in BLOCK_STATES]
+    off = [ladder * g_01_hz for ladder in BLOCK_LADDER]
     energies, vectors = np.linalg.eigh(_tridiagonal_matrix(np.array(diag), np.array(off)))
     weights = vectors**2
     dressed: dict[tuple[int, int], float] = {}
     for k, bare in enumerate(np.argmax(weights, axis=0).tolist()):
         # the eigenvectors are orthonormal, so no two states pass 0.5 on one label
         if weights[bare, k] > 0.5:
-            dressed[states[bare]] = float(energies[k])
+            dressed[BLOCK_STATES[bare]] = float(energies[k])
 
     required = [(0, 0), (0, 1), (1, 0), (1, 1)]
     missing = [label for label in required if label not in dressed]

@@ -19,6 +19,11 @@ TRANSMON_REGIME_MIN_RATIO = 50.0
 # levels a geometry may nest below itself: far below where json and the report
 # emitter reach Python's recursion limit, so no caller's stack depth moves the line
 MAX_GEOMETRY_DEPTH = 100
+# containers a geometry may hold, each counted once per path that reaches it:
+# a list shared at every level (x = [x, x]) would double the digest and the
+# report with each level. A JSON file cannot share objects, so for one read
+# from a file this is its count of objects and arrays.
+MAX_GEOMETRY_CONTAINERS = 10**6
 _LEAF_TYPES = frozenset((str, int, float, bool, type(None)))
 
 
@@ -29,7 +34,8 @@ class DesignInputs:
     Field names carry the SI unit and match the design-file keys.
     ``geometry`` is free-form provenance metadata, a mapping: it is copied,
     carried through to reports (floats rounded) and never used in any computation.
-    Its dicts, lists and tuples may nest ``MAX_GEOMETRY_DEPTH`` levels below it.
+    Its dicts, lists and tuples may nest ``MAX_GEOMETRY_DEPTH`` levels below it,
+    and number at most ``MAX_GEOMETRY_CONTAINERS``, each once per path to it.
     """
 
     c_s_farad: float
@@ -46,14 +52,27 @@ class DesignInputs:
             raise DomainError(f"geometry must be an object, got {type(self.geometry).__name__}")
         geometry = dict(self.geometry)
         object.__setattr__(self, "geometry", geometry)
-        # a level at a time, each container once per level, so that a
-        # geometry holding itself is refused too
-        level: Any = () if _LEAF_TYPES.issuperset(map(type, geometry.values())) else (geometry,)
-        depth = 0
+        # a level at a time, each container once per level with the number of
+        # paths that reach it, so that a geometry holding itself is refused too
+        level: Any = () if _LEAF_TYPES.issuperset(map(type, geometry.values())) else {
+            id(geometry): (geometry, 1)
+        }
+        depth = containers = 0
         while level and depth <= MAX_GEOMETRY_DEPTH:
             depth += 1
-            children = (c for n in level for c in (n.values() if isinstance(n, dict) else n))
-            level = {id(c): c for c in children if isinstance(c, (dict, list, tuple))}.values()
+            children: dict[int, tuple[Any, int]] = {}
+            for node, paths in level.values():
+                for child in node.values() if isinstance(node, dict) else node:
+                    if isinstance(child, (dict, list, tuple)):
+                        paths_before = children.get(id(child), (None, 0))[1]
+                        children[id(child)] = (child, paths_before + paths)
+            containers += sum(paths for _, paths in children.values())
+            if containers > MAX_GEOMETRY_CONTAINERS:
+                raise DomainError(
+                    "input nested too deeply: geometry holds more than "
+                    f"{MAX_GEOMETRY_CONTAINERS} containers, counted by path"
+                )
+            level = children
         if level:
             raise DomainError(
                 f"input nested too deeply: geometry nests more than {MAX_GEOMETRY_DEPTH} levels"

@@ -59,6 +59,22 @@ def perturbative_levels(e_j_hz: float, e_c_hz: float) -> PerturbativeTransmon:
     )
 
 
+def needed_charge_cutoff(ratio: float) -> int:
+    """The smallest charge cutoff the convergence rule accepts at E_j/E_c = ``ratio``."""
+    width = math.ceil(min(4.0 * ratio**0.25, _MAX_CHARGE_CUTOFF))
+    return max(_MIN_CHARGE_CUTOFF, width + 2)
+
+
+def warn_unconverged(charge_cutoff: int, ratio: float, needed: int, stacklevel: int) -> None:
+    """The ``ConvergenceWarning`` of a cutoff below the rule; ``stacklevel`` as the caller's."""
+    warnings.warn(
+        f"charge basis cutoff {charge_cutoff} not converged: E_j/E_c = {ratio:.4g} "
+        f"needs a cutoff of at least {needed} for {_N_LEVELS} levels",
+        ConvergenceWarning,
+        stacklevel=stacklevel + 1,
+    )
+
+
 def _tridiagonal_matrix(diagonal: np.ndarray, offdiagonal: np.ndarray) -> np.ndarray:
     """The dense symmetric matrix with this diagonal and first off-diagonals."""
     size = diagonal.shape[0]
@@ -97,17 +113,11 @@ def exact_transmon_spectrum(
     if charge_cutoff is not None and charge_cutoff < _MIN_CHARGE_CUTOFF:
         raise DomainError(f"charge_cutoff must be at least 10, got {charge_cutoff}")
     ratio = e_j_hz / e_c_hz
-    width = math.ceil(min(4.0 * ratio**0.25, _MAX_CHARGE_CUTOFF))
-    needed = max(_MIN_CHARGE_CUTOFF, width + 2)
+    needed = needed_charge_cutoff(ratio)
     if charge_cutoff is None:
         charge_cutoff = min(needed, _MAX_CHARGE_CUTOFF)
     if charge_cutoff < needed:
-        warnings.warn(
-            f"charge basis cutoff {charge_cutoff} not converged: E_j/E_c = {ratio:.4g} "
-            f"needs a cutoff of at least {needed} for {_N_LEVELS} levels",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
+        warn_unconverged(charge_cutoff, ratio, needed, stacklevel=2)
     charge = np.arange(-charge_cutoff, charge_cutoff + 1, dtype=float)
     hamiltonian = _tridiagonal_matrix(
         4.0 * e_c_hz * (charge - n_g) ** 2, np.full(2 * charge_cutoff, -e_j_hz / 2.0)

@@ -17,9 +17,21 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, Callable, Collection, Mapping
 
+import numpy as np
+
 from . import __version__
-from .constants import junction_inductance_to_critical_current
+from .constants import (
+    ELEMENTARY_CHARGE,
+    FLUX_QUANTUM,
+    PLANCK,
+    REDUCED_PLANCK,
+    TWO_PI,
+    junction_inductance_to_critical_current,
+)
 from .coupling import (
+    _MIN_DISPERSIVE_RATIO,
+    BLOCK_LADDER,
+    BLOCK_STATES,
     ORACLE_MIN_RATIO,
     CouplingParameters,
     coupled_spectrum_oracle,
@@ -27,6 +39,8 @@ from .coupling import (
     dispersive_shift,
     external_quality_factor,
     purcell_t1,
+    warn_ambiguous_labels,
+    warn_dispersive,
     zero_point_voltage,
 )
 from .errors import (
@@ -37,10 +51,14 @@ from .errors import (
 )
 from .lumped import DesignInputs, LumpedCircuit, build_lumped_circuit
 from .spectrum import (
+    _MAX_CHARGE_CUTOFF,
+    _N_LEVELS,
     PerturbativeTransmon,
     TransmonSpectrum,
     exact_transmon_spectrum,
+    needed_charge_cutoff,
     perturbative_levels,
+    warn_unconverged,
 )
 
 TOOL_NAME = "cqedkit"
@@ -444,32 +462,365 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
 def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Evaluate the derivation chain on a parameter grid, in grid order.
 
-    Each point runs only the stages ``spec.outputs`` need, and an eigen
-    stage whose inputs match an earlier point's reuses its result. A row
-    whose derivation fails is marked ``error`` and the sweep goes on.
-    ``workers`` is checked (>= 1) and otherwise ignored; it stays only for
-    callers that pass ``workers=1``, such as the benchmark workloads.
+    The grid is evaluated as one batch (``_sweep_batch``), and each row is
+    bit for bit what ``derive`` gives for its point, with the same warnings
+    in the same order. Only the stages ``spec.outputs`` need run, each eigen
+    stage once per distinct input. A row whose derivation fails is marked
+    ``error`` and the sweep goes on. ``workers`` is checked (>= 1) and
+    otherwise ignored; it stays only for callers that pass ``workers=1``,
+    such as the benchmark workloads.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     values = _grid(spec.lo, spec.hi, spec.steps)
-    solved: dict[tuple[Any, ...], Any] = {}
+    outputs, stages, spectra, oracles = _sweep_batch(inputs, spec, values)
+    # derive's memo over the rows derive runs, and the keys of every stage
+    # run so far, so that each eigen stage warns once per distinct input
+    solved: dict[tuple[float, ...], Any] = {}
+    # the first row the batch gives is derived too, as a check of the batch
+    check = next((i for i, row in enumerate(outputs) if row is not None), -1)
+    rows: list[SweepRow] = []
+    for i, value in enumerate(values):
+        batched = outputs[i]
+        if batched is None or i == check:
+            rows.append(_sweep_row(inputs, spec, value, solved))
+            if i == check and not _same_bits(rows[-1], batched):
+                rows += [_sweep_row(inputs, spec, v, solved) for v in values[i + 1 :]]
+                break
+            continue
+        spectrum_key, near, oracle_key = stages[i]
+        if spectrum_key is not None and spectrum_key not in solved:
+            spectrum, needed = spectra[spectrum_key]
+            if spectrum.charge_cutoff < needed:
+                ratio = spectrum_key[0] / spectrum_key[1]
+                warn_unconverged(spectrum.charge_cutoff, ratio, needed, stacklevel=1)
+            solved[spectrum_key] = spectrum
+        if near is not None:
+            warn_dispersive(near, stacklevel=1)
+        if oracle_key is not None and oracle_key not in solved:
+            solved[oracle_key], ambiguous = oracles[oracle_key]
+            if ambiguous is not None:
+                warn_ambiguous_labels(ambiguous, stacklevel=1)
+        rows.append(SweepRow(parameter_value=value, outputs=batched, status="ok"))
+    return SweepResult(spec=spec, rows=tuple(rows))
 
-    def evaluate(value: float) -> SweepRow:
-        try:
-            design = replace(inputs, **{spec.parameter: value})
-            derived = derive(design, quantities=spec.outputs, solved=solved)
-            outputs = {name: QUANTITIES[name](derived) for name in spec.outputs}
-            return SweepRow(parameter_value=value, outputs=outputs, status="ok")
-        except (ValueError, RuntimeError, ArithmeticError) as exc:
-            return SweepRow(
-                parameter_value=value,
-                outputs={},
-                status="error",
-                error=f"{type(exc).__name__}: {exc}",
+
+def _sweep_row(
+    inputs: DesignInputs, spec: SweepSpec, value: float, solved: dict[tuple[float, ...], Any]
+) -> SweepRow:
+    try:
+        design = replace(inputs, **{spec.parameter: value})
+        derived = derive(design, quantities=spec.outputs, solved=solved)
+        outputs = {name: QUANTITIES[name](derived) for name in spec.outputs}
+        return SweepRow(parameter_value=value, outputs=outputs, status="ok")
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        return SweepRow(
+            parameter_value=value,
+            outputs={},
+            status="error",
+            error=f"{type(exc).__name__}: {exc}",
+        )
+
+
+def _same_bits(row: SweepRow, outputs: Mapping[str, float]) -> bool:
+    return row.status == "ok" and [v.hex() for v in row.outputs.values()] == [
+        v.hex() for v in outputs.values()
+    ]
+
+
+# bytes of matrices one stacked eigensolve may receive: at the charge basis's
+# 401-state cap a matrix is 1.3 MB, and 101 of them would be 130 MB
+_STACK_BYTES = 4 * 2**20
+_E_SQUARED = ELEMENTARY_CHARGE**2
+_PHI_SQUARED = (FLUX_QUANTUM / TWO_PI) ** 2
+_EXACT_QUANTITIES = frozenset(("f_01_exact_hz", "anharmonicity_exact_hz", "chi_exact_hz"))
+
+
+def _pow(column: np.ndarray, exponent: float) -> np.ndarray:
+    """Python's float ``**`` on each element, inf where it overflows.
+
+    NumPy's power rounds differently (``x**2`` on about 1 draw in 1,200,
+    ``x**0.25`` on 5 %), and the batch must give derive's bits.
+    """
+    values = column.tolist()
+    try:
+        return np.array([v**exponent for v in values])
+    except OverflowError:
+        powers = []
+        for v in values:
+            try:
+                powers.append(v**exponent)
+            except OverflowError:
+                powers.append(math.inf)
+        return np.array(powers)
+
+
+def _sweep_batch(
+    inputs: DesignInputs, spec: SweepSpec, values: list[float]
+) -> tuple[
+    list[dict[str, float] | None],
+    list[tuple[Any, Any, Any]],
+    dict[tuple[float, ...], tuple[TransmonSpectrum, int]],
+    dict[tuple[float, ...], tuple[float, float | None]],
+]:
+    """The sweep's grid as one NumPy pass, each row along the leading axis.
+
+    It repeats derive's arithmetic operation for operation, so that every
+    value has derive's bits: the closed-form chain as columns (an input that
+    does not vary is a column of one), with ``**`` taken by Python on each
+    element; the exact solve once per distinct (E_j, E_c), stacked into one
+    ``eigvalsh`` per charge cutoff; the oracle once per distinct
+    (E_j, E_c, f_r, g_01), stacked into one ``eigh``. It raises no warning.
+
+    Returns, per row, its outputs, or None for a row the batch does not vouch
+    for: an input that is not a Python float or is out of range, a stage's
+    ``DomainError`` condition, a value that is not finite, an iteration
+    that does not converge or a failed labeling; ``sweep`` derives those
+    one at a time. Per row also the keys of the eigen stages it ran and
+    the detuning its ``DispersiveValidityWarning`` names (None if none);
+    per spectrum key the spectrum and the cutoff the rule needs; per oracle
+    key chi_exact and the |detuning| of the oracle's warning (None if none).
+    """
+    n = len(values)
+    others = {
+        name: getattr(inputs, name)
+        for name in (*SWEEPABLE_PARAMETERS, "z_0_ohm", "r_load_ohm")
+        if name != spec.parameter
+    }
+    if any(type(v) is not float for v in others.values()):
+        # an int mixes with another int by exact integer arithmetic in derive
+        return [None] * n, [], {}, {}
+    x = {name: np.array([v]) for name, v in others.items()}
+    swept = x[spec.parameter] = np.array([v if type(v) is float else math.nan for v in values])
+    c_s, c_g, c_k, l_j, f_r = (x[name] for name in SWEEPABLE_PARAMETERS)
+    r_load = x["r_load_ohm"]
+    with np.errstate(all="ignore"):
+        # each quotient, power and root is checked: where derive's float
+        # arithmetic raises, NumPy gives an inf or a NaN
+        checked = [swept]
+        ok = (swept >= 0.0) if spec.parameter == "c_g_farad" else (swept > 0.0)
+        # lumped extraction
+        omega_r = TWO_PI * f_r
+        c_r = math.pi / (4.0 * omega_r * x["z_0_ohm"])
+        omega_r_squared = _pow(omega_r, 2)
+        l_r = 1.0 / (c_r * omega_r_squared)
+        c_sigma = c_s + c_g
+        e_c = _E_SQUARED / (2.0 * c_sigma * PLANCK)
+        e_j = _PHI_SQUARED / (l_j * PLANCK)
+        beta = c_g / (c_g + c_s)
+        ratio = e_j / e_c
+        i_c = FLUX_QUANTUM / (TWO_PI * l_j)
+        checked += [c_r, omega_r_squared, l_r, e_c, e_j, ratio, i_c]
+        ok = ok & (e_j > 0.0) & (e_c > 0.0) & (c_r > 0.0) & (beta < 1.0)
+        # perturbative levels
+        f_01 = np.sqrt(8.0 * e_j * e_c) - e_c
+        f_12 = f_01 - e_c
+        # zero-point voltage and coupling strength
+        v_rms = np.sqrt(REDUCED_PLANCK * TWO_PI * f_r / (2.0 * c_r))
+        base = e_j / (32.0 * e_c)
+        # a negative base, on a row already refused, would give a complex power
+        quarter = _pow(np.where(base >= 0.0, base, math.nan), 0.25)
+        coupled = beta > 0.0
+        g_01 = np.where(
+            coupled,
+            2.0 * beta * ELEMENTARY_CHARGE * v_rms / REDUCED_PLANCK * quarter / TWO_PI,
+            0.0,
+        )
+        checked += [f_01, v_rms, g_01]
+        # dispersive shift
+        detuning = f_01 - f_r
+        delta_12 = f_12 - f_r
+        ok = ok & (detuning != 0.0) & (delta_12 != 0.0)
+        g_squared = _pow(g_01, 2)
+        chi_01 = np.where(coupled, g_squared / detuning, 0.0)
+        chi_12 = np.where(coupled, 2.0 * g_squared / delta_12, 0.0)
+        chi_total = np.where(coupled, chi_01 - chi_12 / 2.0, 0.0)
+        near = np.minimum(np.abs(detuning), np.abs(delta_12))
+        warns = coupled & (near < _MIN_DISPERSIVE_RATIO * g_01)
+        checked += [g_squared, chi_01, chi_12, chi_total]
+        # quality factor: each row iterates until its own test passes
+        shape = np.broadcast_shapes(c_r.shape, l_r.shape, c_k.shape)
+        c_r_q, l_r_q, c_k_q, r_q = (np.broadcast_to(a, shape) for a in (c_r, l_r, c_k, r_load))
+        c_k_squared = _pow(c_k_q, 2)
+        omega = 1.0 / np.sqrt(l_r_q * c_r_q)
+        settled = np.zeros(shape, dtype=bool)
+        active = np.flatnonzero(np.isfinite(omega) & np.isfinite(c_k_squared))
+        for _ in range(100):
+            if not active.size:
+                break
+            w = omega[active]
+            ck = c_k_q[active]
+            norton = _pow(w * ck * r_q[active], 2)
+            new = 1.0 / np.sqrt(l_r_q[active] * (c_r_q[active] + ck / (1.0 + norton)))
+            # the Norton resistance derive also takes at each step divides
+            # by w**2 c_k**2 R; far from 0 and from overflow it cannot raise
+            sound = (
+                np.isfinite(norton) & np.isfinite(new)
+                & (w < 1e150) & (w * w * c_k_squared[active] * r_q[active] > 1e-300)
             )
+            omega[active] = new
+            done = sound & (np.abs(new - w) <= 1e-15 * w)
+            settled[active[done]] = True
+            active = active[sound & ~done]
+        norton = _pow(omega * c_k_q * r_q, 2)
+        omega_squared = _pow(omega, 2)
+        r_star = (1.0 + norton) / (omega_squared * c_k_squared * r_q)
+        q_ext = omega * r_star * (c_r_q + c_k_q / (1.0 + norton))
+        f_loaded = omega / TWO_PI
+        kappa = f_loaded / q_ext
+        checked += [norton, omega_squared, r_star, q_ext, kappa]
+        ok = ok & settled & (kappa != 0.0) & (q_ext > 0.0)
+        # relaxation estimate
+        t1_coupled = _pow(detuning / g_01, 2) * q_ext / (TWO_PI * f_r)
+        t1 = np.where(coupled, t1_coupled, math.inf)
+        checked += [np.where(coupled, t1_coupled, 0.0)]
+        columns = {
+            "i_c_ampere": i_c,
+            "e_j_hz": e_j,
+            "e_c_hz": e_c,
+            "ej_ec_ratio": ratio,
+            "c_r_farad": c_r,
+            "l_r_henry": l_r,
+            "c_sigma_farad": c_sigma,
+            "beta": beta,
+            "f_01_hz": f_01,
+            "f_12_hz": f_12,
+            "anharmonicity_hz": -e_c,
+            "v_rms_volt": v_rms,
+            "g_01_hz": g_01,
+            "detuning_hz": detuning,
+            "abs_detuning_hz": np.abs(detuning),
+            "chi_01_hz": chi_01,
+            "chi_12_hz": chi_12,
+            "chi_total_hz": chi_total,
+            "q_ext": q_ext,
+            "kappa_hz": kappa,
+            "f_r_loaded_hz": f_loaded,
+            "t1_seconds": t1,
+        }
+        for column in checked:
+            ok &= np.isfinite(column)
+        applies = (g_01 == 0.0) | (np.abs(detuning) > ORACLE_MIN_RATIO * g_01)
+    ej, ec, fr, g, near_list, warned, applies = (
+        np.broadcast_to(a, (n,)).tolist() for a in (e_j, e_c, f_r, g_01, near, warns, applies)
+    )
+    good = ok.tolist()
 
-    return SweepResult(spec=spec, rows=tuple(evaluate(v) for v in values))
+    exact = _EXACT_QUANTITIES.intersection(spec.outputs)
+    spectra: dict[tuple[float, ...], tuple[TransmonSpectrum, int]] = {}
+    spectrum_keys: list[tuple[float, float] | None] = [None] * n
+    if exact:
+        spectrum_keys = [(ej[i], ec[i]) if good[i] else None for i in range(n)]
+        spectra = _batched_spectra(dict.fromkeys(k for k in spectrum_keys if k is not None))
+    oracles: dict[tuple[float, ...], tuple[float, float | None]] = {}
+    oracle_keys: list[tuple[float, ...] | None] = [None] * n
+    chi_exact = [math.nan] * n
+    if "chi_exact_hz" in exact:
+        oracle_keys = [
+            (ej[i], ec[i], fr[i], g[i]) if good[i] and applies[i] else None for i in range(n)
+        ]
+        oracles = _batched_oracle(dict.fromkeys(k for k in oracle_keys if k is not None), spectra)
+        for i, key in enumerate(oracle_keys):
+            if key is not None:
+                chi = oracles[key][0]
+                if chi is None:
+                    good[i] = False
+                else:
+                    chi_exact[i] = chi
+
+    lists = []
+    for name in spec.outputs:
+        if name == "chi_exact_hz":
+            lists.append(chi_exact)
+        elif name in exact:  # f_01_exact_hz and anharmonicity_exact_hz name the fields
+            lists.append([
+                getattr(spectra[k][0], name) if k is not None else math.nan for k in spectrum_keys
+            ])
+        else:
+            lists.append(np.broadcast_to(columns[name], (n,)).tolist())
+    outputs: list[dict[str, float] | None] = [
+        dict(zip(spec.outputs, row)) if good[i] else None
+        for i, row in enumerate(zip(*lists))
+    ]
+    stages = [
+        (spectrum_keys[i], near_list[i] if warned[i] else None, oracle_keys[i])
+        for i in range(n)
+    ]
+    return outputs, stages, spectra, oracles
+
+
+def _batched_spectra(
+    keys: Mapping[tuple[float, float], None],
+) -> dict[tuple[float, ...], tuple[TransmonSpectrum, int]]:
+    """``exact_transmon_spectrum`` at n_g = 0 of each (E_j, E_c), one ``eigvalsh`` per
+    cutoff and byte budget; with each spectrum, the cutoff the rule needs."""
+    groups: dict[int, list[tuple[tuple[float, float], int]]] = {}
+    for key in keys:
+        needed = needed_charge_cutoff(key[0] / key[1])
+        groups.setdefault(min(needed, _MAX_CHARGE_CUTOFF), []).append((key, needed))
+    spectra: dict[tuple[float, ...], tuple[TransmonSpectrum, int]] = {}
+    for cutoff, group in groups.items():
+        size = 2 * cutoff + 1
+        charge_squared = np.arange(-cutoff, cutoff + 1, dtype=float) ** 2
+        per_call = max(1, _STACK_BYTES // (size * size * 8))
+        for start in range(0, len(group), per_call):
+            chunk = group[start : start + per_call]
+            e_j = np.array([key[0] for key, _ in chunk])
+            e_c = np.array([key[1] for key, _ in chunk])
+            matrices = np.zeros((len(chunk), size * size))
+            matrices[:, :: size + 1] = (4.0 * e_c)[:, None] * charge_squared
+            matrices[:, 1 :: size + 1] = matrices[:, size :: size + 1] = (-e_j / 2.0)[:, None]
+            levels = np.linalg.eigvalsh(matrices.reshape(-1, size, size))[:, :_N_LEVELS]
+            levels = levels - levels[:, :1]
+            anharmonicity = (levels[:, 2] - 2.0 * levels[:, 1]).tolist()
+            for (key, needed), row, alpha in zip(chunk, levels.tolist(), anharmonicity):
+                spectrum = TransmonSpectrum(
+                    levels_hz=tuple(row),
+                    n_g=0.0,
+                    charge_cutoff=cutoff,
+                    f_01_exact_hz=row[1],
+                    anharmonicity_exact_hz=alpha,
+                )
+                spectra[key] = (spectrum, needed)
+    return spectra
+
+
+def _batched_oracle(
+    keys: Mapping[tuple[float, ...], None],
+    spectra: Mapping[tuple[float, ...], tuple[TransmonSpectrum, int]],
+) -> dict[tuple[float, ...], tuple[float | None, float | None]]:
+    """``coupled_spectrum_oracle`` of each (E_j, E_c, f_r, g_01) in one ``eigh``: chi_exact
+    (None where the labeling fails) and the |detuning| its warning names (None if none)."""
+    if not keys:
+        return {}
+    levels = np.array([spectra[key[:2]][0].levels_hz[:3] for key in keys])
+    f_r = np.array([key[2] for key in keys])
+    g_01 = np.array([key[3] for key in keys])
+    size = len(BLOCK_STATES)
+    matrices = np.zeros((len(keys), size * size))
+    matrices[:, :: size + 1] = levels[:, [j for j, _ in BLOCK_STATES]] + np.array(
+        [float(m) for _, m in BLOCK_STATES]
+    ) * f_r[:, None]
+    matrices[:, 1 :: size + 1] = matrices[:, size :: size + 1] = g_01[:, None] * np.array(
+        BLOCK_LADDER
+    )
+    energies, vectors = np.linalg.eigh(matrices.reshape(-1, size, size))
+    weights = vectors**2
+    bare = weights.argmax(axis=1)
+    dominant = np.take_along_axis(weights, bare[:, None, :], axis=1)[:, 0, :] > 0.5
+    dressed = {}
+    labeled = np.ones(len(keys), dtype=bool)
+    for label in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        match = dominant & (bare == BLOCK_STATES.index(label))
+        labeled &= match.any(axis=1)
+        dressed[label] = np.take_along_axis(energies, match.argmax(axis=1)[:, None], axis=1)[:, 0]
+    chi = (((dressed[1, 1] - dressed[1, 0]) - (dressed[0, 1] - dressed[0, 0])) / 2.0).tolist()
+    oracles: dict[tuple[float, ...], tuple[float | None, float | None]] = {}
+    for key, chi_exact, ok in zip(keys, chi, labeled.tolist()):
+        detuning = abs(spectra[key[:2]][0].f_01_exact_hz - key[2])
+        ambiguous = key[3] > 0.0 and detuning <= ORACLE_MIN_RATIO * key[3]
+        oracles[key] = (chi_exact if ok else None, detuning if ambiguous else None)
+    return oracles
 
 
 TUNE_MAX_ITERATIONS = 200  # bisection steps before tune gives up

@@ -5,6 +5,7 @@ import linecache
 import math
 import random
 import re
+import time
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -41,7 +42,7 @@ from cqedkit import (
 )
 from cqedkit import studio
 from cqedkit.cli import main
-from cqedkit.lumped import MAX_GEOMETRY_DEPTH
+from cqedkit.lumped import MAX_GEOMETRY_CONTAINERS, MAX_GEOMETRY_DEPTH
 from cqedkit.studio import (
     EXPECTED_EPR_GAPS_PERCENT,
     QUANTITIES,
@@ -318,6 +319,28 @@ def _count_eigen_stages(monkeypatch, oracle=coupled_spectrum_oracle):
     return calls
 
 
+def _count_solved_rows(monkeypatch):
+    """Rows each eigen stage solves: the matrices a sweep's batch stacks into
+    ``eigvalsh`` (the exact spectrum) and ``eigh`` (the oracle), and apart
+    from them the single matrices of the row ``sweep`` derives as a check."""
+    stacked = {"spectrum": 0, "oracle": 0}
+    single = {"spectrum": 0, "oracle": 0}
+
+    def counting(stage, solve):
+        def counted(matrices):
+            if matrices.ndim == 3:
+                stacked[stage] += len(matrices)
+            else:
+                single[stage] += 1
+            return solve(matrices)
+
+        return counted
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("spectrum", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counting("oracle", np.linalg.eigh))
+    return stacked, single
+
+
 @pytest.mark.parametrize(
     ("outputs", "expected"),
     [
@@ -339,12 +362,15 @@ def _count_eigen_stages(monkeypatch, oracle=coupled_spectrum_oracle):
 def test_sweep_runs_only_the_stages_its_outputs_need(
     reference_inputs, monkeypatch, outputs, expected
 ):
-    calls = _count_eigen_stages(monkeypatch)
+    stacked, single = _count_solved_rows(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DispersiveValidityWarning)
         rows = sweep(reference_inputs, SweepSpec(*_CG_GRID, outputs)).rows
     assert all(row.status == "ok" for row in rows)
-    assert calls == expected
+    assert stacked == expected
+    # the first row, derived to check the batch, runs the same stages (g = 0
+    # there, so the oracle applies)
+    assert single == {stage: min(count, 1) for stage, count in expected.items()}
 
 
 @pytest.mark.parametrize(
@@ -361,11 +387,12 @@ def test_sweep_solves_each_eigen_stage_once_per_distinct_input(
 ):
     base = getattr(reference_inputs, parameter)
     spec = SweepSpec(parameter, 0.98 * base, 1.02 * base, 4, tuple(sorted(QUANTITIES)))
-    calls = _count_eigen_stages(monkeypatch)
+    stacked, single = _count_solved_rows(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DispersiveValidityWarning)
         rows = sweep(reference_inputs, spec).rows
-    assert calls == expected
+    assert stacked == expected
+    assert single == {"spectrum": 1, "oracle": 1}
     monkeypatch.undo()
     for row in rows:
         full = _quiet_derive(replace(reference_inputs, **{parameter: row.parameter_value}))
@@ -632,6 +659,31 @@ def test_geometry_that_holds_itself_is_domain_error(reference_inputs, geometry):
     # a bare ValueError ("Circular reference detected")
     with pytest.raises(DomainError, match="^input nested too deeply: "):
         replace(reference_inputs, geometry=geometry)
+
+
+def test_geometry_shared_at_every_level_is_refused_quickly(reference_inputs):
+    # 40 levels of one list held twice: 2^40 paths, so a digest or a report
+    # of it would never finish
+    shared = [0.5]
+    for _ in range(40):
+        shared = [shared, shared]
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="^input nested too deeply: .* counted by path$"):
+        replace(reference_inputs, geometry={"shared": shared})
+    # one point held once too often, in a flat list
+    point = [1.0, 2.0]
+    with pytest.raises(DomainError, match="counted by path$"):
+        replace(reference_inputs, geometry={"points": [point] * (MAX_GEOMETRY_CONTAINERS + 1)})
+    assert time.perf_counter() - start < 1.0
+
+
+def test_geometry_with_many_distinct_points_is_accepted(reference_inputs):
+    points = [[0.5 * i, -0.25 * i] for i in range(50_000)]
+    design = replace(reference_inputs, geometry={"outline": points})
+    assert len(input_digest(design)) == 64
+    # the outline and its points, at the bound
+    outline = [[1.0]] * (MAX_GEOMETRY_CONTAINERS - 1)
+    assert replace(reference_inputs, geometry={"outline": outline}).geometry["outline"] is outline
 
 
 def test_input_digest_tracks_content(reference_inputs):

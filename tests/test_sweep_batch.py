@@ -1,0 +1,168 @@
+"""``sweep`` evaluates its grid as one batch; these tests hold it to the
+per-row loop it replaced, bit for bit, warning for warning."""
+
+import math
+import random
+import warnings
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from cqedkit import ConvergenceWarning, DispersiveValidityWarning, SweepSpec, derive, sweep
+from cqedkit import studio
+from cqedkit.studio import QUANTITIES, SWEEPABLE_PARAMETERS, SweepRow
+
+CLOSED_FORMS = tuple(name for name in sorted(QUANTITIES) if "exact" not in name)
+
+
+def _per_row_sweep(inputs, spec):
+    """The loop ``sweep`` ran before the batch: one ``derive`` per grid point,
+    with one memo of eigen-stage results for the whole sweep."""
+    solved = {}
+    rows = []
+    for value in studio._grid(spec.lo, spec.hi, spec.steps):
+        try:
+            design = replace(inputs, **{spec.parameter: value})
+            derived = derive(design, quantities=spec.outputs, solved=solved)
+            outputs = {name: QUANTITIES[name](derived) for name in spec.outputs}
+            rows.append(SweepRow(parameter_value=value, outputs=outputs, status="ok"))
+        except (ValueError, RuntimeError, ArithmeticError) as exc:
+            rows.append(
+                SweepRow(value, {}, status="error", error=f"{type(exc).__name__}: {exc}")
+            )
+    return rows
+
+
+def _bits(row):
+    return (
+        row.parameter_value.hex(),
+        row.status,
+        row.error,
+        [(name, value.hex()) for name, value in row.outputs.items()],
+    )
+
+
+def _recorded(run):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = run()
+    return [_bits(row) for row in rows], [(w.category, str(w.message)) for w in caught]
+
+
+def _count_derives(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return derive(*args, **kwargs)
+
+    monkeypatch.setattr(studio, "derive", counted)
+    return calls
+
+
+def _assert_same_as_per_row(design, spec):
+    expected, expected_warnings = _recorded(lambda: _per_row_sweep(design, spec))
+    got, got_warnings = _recorded(lambda: sweep(design, spec).rows)
+    for want, have in zip(expected, got):
+        assert have == want
+    assert len(got) == len(expected)
+    assert got_warnings == expected_warnings
+
+
+SPANS = {
+    "around": lambda rng, v: (v * rng.uniform(0.5, 0.9), v * rng.uniform(1.1, 1.5)),
+    "through_zero": lambda rng, v: (-v * rng.uniform(0.5, 1.0), v * rng.uniform(1.0, 2.0)),
+    "to_overflow": lambda rng, v: (v, 10.0 ** rng.uniform(150.0, 308.0)),
+    "from_underflow": lambda rng, v: (10.0 ** rng.uniform(-320.0, -150.0), v),
+}
+
+
+@pytest.mark.parametrize("outputs", [tuple(sorted(QUANTITIES)), CLOSED_FORMS], ids=["all", "closed"])
+@pytest.mark.parametrize("span", sorted(SPANS))
+@pytest.mark.parametrize("parameter", SWEEPABLE_PARAMETERS)
+def test_sweep_equals_the_per_row_loop(reference_inputs, parameter, span, outputs):
+    rng = random.Random(f"{parameter}:{span}:{len(outputs)}")
+    design = replace(
+        reference_inputs,
+        **{name: getattr(reference_inputs, name) * rng.uniform(0.6, 1.4) for name in SWEEPABLE_PARAMETERS},
+    )
+    lo, hi = SPANS[span](rng, getattr(design, parameter))
+    _assert_same_as_per_row(design, SweepSpec(parameter, lo, hi, 101, outputs))
+
+
+@pytest.mark.parametrize("parameter", ["c_k_farad", "f_r_target_hertz"])
+def test_sweep_of_an_unconverged_design_equals_the_per_row_loop(reference_inputs, parameter):
+    # E_j/E_c near 1e13 caps the charge basis: one ConvergenceWarning per distinct (E_j, E_c)
+    design = replace(reference_inputs, c_s_farad=5.0e16)
+    value = getattr(design, parameter)
+    spec = SweepSpec(parameter, -value, 3.0 * value, 101, tuple(sorted(QUANTITIES)))
+    _assert_same_as_per_row(design, spec)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sweep(design, spec)
+    assert sum(issubclass(w.category, ConvergenceWarning) for w in caught) == 1
+
+
+def test_sweep_of_a_design_holding_an_int_is_derived_row_by_row(reference_inputs, monkeypatch):
+    # an int input takes derive's integer arithmetic, which the batch does not repeat
+    design = replace(reference_inputs, z_0_ohm=50)
+    spec = SweepSpec("l_j_henry", 9e-9, 13e-9, 5, ("f_01_hz", "q_ext", "chi_exact_hz"))
+    calls = _count_derives(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DispersiveValidityWarning)
+        rows = sweep(design, spec).rows
+    assert len(calls) == 5
+    monkeypatch.undo()
+    _assert_same_as_per_row(design, spec)
+    assert [row.status for row in rows] == ["ok"] * 5
+
+
+def test_sweep_derives_only_its_first_row_when_the_batch_gives_every_row(
+    reference_inputs, monkeypatch
+):
+    # the benchmark's traced run divides by the derives made under each sweep
+    calls = _count_derives(monkeypatch)
+    spec = SweepSpec("c_k_farad", 6e-15, 10e-15, 101, ("kappa_hz", "chi_exact_hz"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DispersiveValidityWarning)
+        sweep(reference_inputs, spec)
+    assert [design.c_k_farad for design in calls] == [6e-15]
+
+
+def test_sweep_falls_back_to_derive_when_the_batch_misses_a_bit(reference_inputs, monkeypatch):
+    batch = studio._sweep_batch
+
+    def off_by_one_ulp(inputs, spec, values):
+        outputs, *rest = batch(inputs, spec, values)
+        outputs[0] = {name: math.nextafter(v, math.inf) for name, v in outputs[0].items()}
+        return outputs, *rest
+
+    monkeypatch.setattr(studio, "_sweep_batch", off_by_one_ulp)
+    spec = SweepSpec("l_j_henry", 9e-9, 13e-9, 41, tuple(sorted(QUANTITIES)))
+    _assert_same_as_per_row(reference_inputs, spec)
+
+
+def test_no_stacked_solve_exceeds_the_byte_budget(reference_inputs, monkeypatch):
+    # E_j/E_c near 1e13: every point solves the capped 401-state charge basis
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(matrices):
+        sizes.append((matrices.ndim, matrices.nbytes))
+        return eigvalsh(matrices)
+
+    design = replace(reference_inputs, c_s_farad=5.0e16)
+    spec = SweepSpec("c_s_farad", 5.0e16, 5.36e16, 101, ("f_01_exact_hz", "q_ext"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        rows = sweep(design, spec).rows
+    stacked = [nbytes for ndim, nbytes in sizes if ndim == 3]
+    assert sum(stacked) == 101 * 401**2 * 8  # every row solved once, in stacks
+    assert max(stacked) <= studio._STACK_BYTES
+    monkeypatch.undo()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        expected = _per_row_sweep(design, spec)
+    assert [_bits(row) for row in rows] == [_bits(row) for row in expected]

@@ -25,7 +25,10 @@ gets a geometry nested 600 deep, one in 50 a geometry nested exactly
 ``NESTING_BOUND`` deep (the most a design accepts), one in 50 a geometry
 a level deeper, and one in 50 an existing directory as the s21 ``--out``.
 A sweep emits one to three closed-form quantities and, in two of three,
-``f_01_exact_hz`` or ``chi_exact_hz``; a tune targets ``f_01_hz``,
+``f_01_exact_hz`` or ``chi_exact_hz``. One sweep in five has 101 steps, the
+rest 2 to 25, and one in ten runs from -value to +value instead of 0.6 to 1.4
+times the value, so that the rows a sweep cannot batch and derives one at a
+time (invalid, failing or non-finite) show up; a tune targets ``f_01_hz``,
 ``g_01_hz``, ``chi_total_hz``, ``f_01_exact_hz`` or ``chi_exact_hz``.
 """
 
@@ -89,6 +92,8 @@ def _calls(rng: random.Random, index: int, design: dict[str, Any]) -> list[list[
     """argv of the five commands for one design, ``--config`` and ``--out`` left out."""
     param = rng.choice(SWEEPABLE)
     value = design[param]
+    steps = 101 if rng.random() < 0.2 else rng.randint(2, 25)
+    lo, hi = (-value, value) if rng.random() < 0.1 else (value * 0.6, value * 1.4)
     emit = [*rng.sample(QUANTITIES, rng.randint(1, 3)), *rng.choice(EIGEN_EMITS)]
     target = rng.choice(sorted(TARGETS))
     vary = rng.choice(("l_j_henry", "c_g_farad", "c_s_farad"))
@@ -107,8 +112,8 @@ def _calls(rng: random.Random, index: int, design: dict[str, Any]) -> list[list[
         ["compare"],
         [
             "sweep", "--param", param,
-            "--from", repr(value * 0.6), "--to", repr(value * 1.4),
-            "--steps", str(rng.randint(2, 25)), "--emit", ",".join(emit),
+            "--from", repr(lo), "--to", repr(hi),
+            "--steps", str(steps), "--emit", ",".join(emit),
         ],
         [
             "tune", "--vary", vary,
