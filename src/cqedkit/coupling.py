@@ -259,7 +259,8 @@ def coupled_spectrum_oracle(
             f"no dressed state has dominant overlap with bare state(s) {missing}; "
             "system is outside the dispersive labeling regime"
         )
-    chi_exact = (
+    # at g_01 = 0 no block couples, and chi is 0 exactly, not the rounding of the sum
+    chi_exact = 0.0 if g_01_hz == 0.0 else (
         (dressed[(1, 1)] - dressed[(1, 0)]) - (dressed[(0, 1)] - dressed[(0, 0)])
     ) / 2.0
     return CoupledSpectrum(dressed_energies_hz=dressed, chi_exact_hz=chi_exact)

@@ -7,11 +7,18 @@ diagonalizes the Cooper-pair-box Hamiltonian in the charge basis,
     H = 4 E_c (n - n_g)^2 - (E_j / 2) (|n><n+1| + h.c.),   n in [-N, N],
 
 and is the independent oracle that the closed-form chain is checked
-against.
+against. At n_g = 0, the offset derive and sweep use, H commutes with
+n -> -n and splits into an even block, |0> and (|n> + |-n>)/sqrt(2) for
+n = 1..N, whose first coupling is sqrt(2) (-E_j / 2), and an odd block,
+(|n> - |-n>)/sqrt(2) for n = 1..N (Koch et al., PRA 76, 042319 (2007)).
+``_parity_levels`` solves both blocks of many (E_j, E_c) rows in one
+``eigvalsh`` call, so a single spectrum and a sweep's stack take the same
+path and give the same bits; any other n_g takes the dense matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -83,6 +90,57 @@ def _tridiagonal_matrix(diagonal: np.ndarray, offdiagonal: np.ndarray) -> np.nda
     return matrix
 
 
+@functools.lru_cache(maxsize=8)
+def _parity_blocks(charge_cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd blocks at n_g = 0 as E_c times one matrix plus E_j times another.
+
+    Both blocks are (cutoff + 1)-square, so that one stack holds them: the
+    odd block, which has no n = 0 state, holds in its place a decoupled
+    entry 4 E_c (cutoff + 1)^2 + E_j, above every eigenvalue of the block
+    (Gershgorin), so it is never among the lowest levels.
+    """
+    size = charge_cutoff + 1
+    n = np.arange(size)
+    charging = np.zeros((2, 1, size, size))
+    charging[:, 0, n, n] = 4.0 * n**2
+    charging[1, 0, 0, 0] = 4.0 * size**2
+    hopping = np.zeros((2, 1, size, size))
+    hopping[:, 0, n[:-1], n[1:]] = hopping[:, 0, n[1:], n[:-1]] = -0.5
+    hopping[0, 0, 0, 1] = hopping[0, 0, 1, 0] = -math.sqrt(0.5)
+    hopping[1, 0, 0, 1] = hopping[1, 0, 1, 0] = 0.0
+    hopping[1, 0, 0, 0] = 1.0
+    charging.setflags(write=False)
+    hopping.setflags(write=False)
+    return charging, hopping
+
+
+def _parity_levels(e_j_hz: np.ndarray, e_c_hz: np.ndarray, charge_cutoff: int) -> np.ndarray:
+    """The lowest ``_N_LEVELS`` ground-referenced levels at n_g = 0 of each row.
+
+    Both parity blocks of every row go to one ``eigvalsh`` call; a row's
+    levels do not depend on the other rows it is stacked with.
+    """
+    rows = e_j_hz.shape[0]
+    size = charge_cutoff + 1
+    charging, hopping = _parity_blocks(charge_cutoff)
+    matrices = e_c_hz[:, None, None] * charging
+    matrices += e_j_hz[:, None, None] * hopping
+    both = np.linalg.eigvalsh(matrices.reshape(2 * rows, size, size))[:, :_N_LEVELS]
+    levels = np.sort(np.concatenate((both[:rows], both[rows:]), axis=1), axis=1)[:, :_N_LEVELS]
+    return levels - levels[:, :1]
+
+
+def _spectrum(levels: list[float], n_g: float, charge_cutoff: int) -> TransmonSpectrum:
+    """The record of ground-referenced ``levels``."""
+    return TransmonSpectrum(
+        levels_hz=tuple(levels),
+        n_g=n_g,
+        charge_cutoff=charge_cutoff,
+        f_01_exact_hz=levels[1],
+        anharmonicity_exact_hz=levels[2] - 2.0 * levels[1],
+    )
+
+
 def exact_transmon_spectrum(
     e_j_hz: float,
     e_c_hz: float,
@@ -107,6 +165,9 @@ def exact_transmon_spectrum(
         max(|level|, E_c) for E_j/E_c in [1, 1e4] at n_g = 0, 1/4, 1/2.
 
     A cutoff below the rule, chosen or capped, issues a ``ConvergenceWarning``.
+    At n_g = 0 the two parity blocks are solved (``_parity_levels``), and
+    their merged levels agree with the full matrix's to 1e-12 of
+    max(|level|, E_c) within the rule.
     """
     if not e_j_hz > 0.0 or not e_c_hz > 0.0:
         raise DomainError(f"energies must be positive, got E_j={e_j_hz}, E_c={e_c_hz}")
@@ -118,16 +179,13 @@ def exact_transmon_spectrum(
         charge_cutoff = min(needed, _MAX_CHARGE_CUTOFF)
     if charge_cutoff < needed:
         warn_unconverged(charge_cutoff, ratio, needed, stacklevel=2)
-    charge = np.arange(-charge_cutoff, charge_cutoff + 1, dtype=float)
-    hamiltonian = _tridiagonal_matrix(
-        4.0 * e_c_hz * (charge - n_g) ** 2, np.full(2 * charge_cutoff, -e_j_hz / 2.0)
-    )
-    levels = np.linalg.eigvalsh(hamiltonian)[:_N_LEVELS]
-    levels = levels - levels[0]
-    return TransmonSpectrum(
-        levels_hz=tuple(levels.tolist()),
-        n_g=n_g,
-        charge_cutoff=charge_cutoff,
-        f_01_exact_hz=float(levels[1]),
-        anharmonicity_exact_hz=float(levels[2] - 2.0 * levels[1]),
-    )
+    if n_g == 0.0:
+        levels = _parity_levels(np.array([e_j_hz]), np.array([e_c_hz]), charge_cutoff)[0]
+    else:
+        charge = np.arange(-charge_cutoff, charge_cutoff + 1, dtype=float)
+        hamiltonian = _tridiagonal_matrix(
+            4.0 * e_c_hz * (charge - n_g) ** 2, np.full(2 * charge_cutoff, -e_j_hz / 2.0)
+        )
+        levels = np.linalg.eigvalsh(hamiltonian)[:_N_LEVELS]
+        levels = levels - levels[0]
+    return _spectrum(levels.tolist(), n_g, charge_cutoff)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
@@ -52,9 +53,10 @@ from .errors import (
 from .lumped import DesignInputs, LumpedCircuit, build_lumped_circuit
 from .spectrum import (
     _MAX_CHARGE_CUTOFF,
-    _N_LEVELS,
     PerturbativeTransmon,
     TransmonSpectrum,
+    _parity_levels,
+    _spectrum,
     exact_transmon_spectrum,
     needed_charge_cutoff,
     perturbative_levels,
@@ -161,7 +163,8 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class TuneSpec:
-    """Bisect ``vary`` inside ``bracket`` until ``target_quantity`` hits ``target_value``."""
+    """Vary ``vary`` inside ``bracket`` until ``target_quantity`` hits ``target_value``
+    to ``rel_tol`` relative; ``tune`` steps by Chandrupatla's method."""
 
     vary: str
     target_quantity: str
@@ -529,7 +532,8 @@ def _same_bits(row: SweepRow, outputs: Mapping[str, float]) -> bool:
 
 
 # bytes of matrices one stacked eigensolve may receive: at the charge basis's
-# 401-state cap a matrix is 1.3 MB, and 101 of them would be 130 MB
+# 401-state cap the two parity blocks of a key are 0.65 MB, and 101 of them
+# would be 65 MB
 _STACK_BYTES = 4 * 2**20
 _E_SQUARED = ELEMENTARY_CHARGE**2
 _PHI_SQUARED = (FLUX_QUANTUM / TWO_PI) ** 2
@@ -568,9 +572,10 @@ def _sweep_batch(
     It repeats derive's arithmetic operation for operation, so that every
     value has derive's bits: the closed-form chain as columns (an input that
     does not vary is a column of one), with ``**`` taken by Python on each
-    element; the exact solve once per distinct (E_j, E_c), stacked into one
-    ``eigvalsh`` per charge cutoff; the oracle once per distinct
-    (E_j, E_c, f_r, g_01), stacked into one ``eigh``. It raises no warning.
+    element; the exact solve once per distinct (E_j, E_c), through the
+    parity kernel ``exact_transmon_spectrum`` uses, one call per charge
+    cutoff; the oracle once per distinct (E_j, E_c, f_r, g_01), stacked into
+    one ``eigh``. It raises no warning.
 
     Returns, per row, its outputs, or None for a row the batch does not vouch
     for: an input that is not a Python float or is out of range, a stage's
@@ -752,36 +757,23 @@ def _sweep_batch(
 def _batched_spectra(
     keys: Mapping[tuple[float, float], None],
 ) -> dict[tuple[float, ...], tuple[TransmonSpectrum, int]]:
-    """``exact_transmon_spectrum`` at n_g = 0 of each (E_j, E_c), one ``eigvalsh`` per
-    cutoff and byte budget; with each spectrum, the cutoff the rule needs."""
+    """``exact_transmon_spectrum`` at n_g = 0 of each (E_j, E_c), through its own kernel,
+    one call per cutoff and byte budget; with each spectrum, the cutoff the rule needs."""
     groups: dict[int, list[tuple[tuple[float, float], int]]] = {}
     for key in keys:
         needed = needed_charge_cutoff(key[0] / key[1])
         groups.setdefault(min(needed, _MAX_CHARGE_CUTOFF), []).append((key, needed))
     spectra: dict[tuple[float, ...], tuple[TransmonSpectrum, int]] = {}
     for cutoff, group in groups.items():
-        size = 2 * cutoff + 1
-        charge_squared = np.arange(-cutoff, cutoff + 1, dtype=float) ** 2
-        per_call = max(1, _STACK_BYTES // (size * size * 8))
+        # two blocks of (cutoff + 1)^2 doubles per key
+        per_call = max(1, _STACK_BYTES // (2 * (cutoff + 1) ** 2 * 8))
         for start in range(0, len(group), per_call):
             chunk = group[start : start + per_call]
-            e_j = np.array([key[0] for key, _ in chunk])
-            e_c = np.array([key[1] for key, _ in chunk])
-            matrices = np.zeros((len(chunk), size * size))
-            matrices[:, :: size + 1] = (4.0 * e_c)[:, None] * charge_squared
-            matrices[:, 1 :: size + 1] = matrices[:, size :: size + 1] = (-e_j / 2.0)[:, None]
-            levels = np.linalg.eigvalsh(matrices.reshape(-1, size, size))[:, :_N_LEVELS]
-            levels = levels - levels[:, :1]
-            anharmonicity = (levels[:, 2] - 2.0 * levels[:, 1]).tolist()
-            for (key, needed), row, alpha in zip(chunk, levels.tolist(), anharmonicity):
-                spectrum = TransmonSpectrum(
-                    levels_hz=tuple(row),
-                    n_g=0.0,
-                    charge_cutoff=cutoff,
-                    f_01_exact_hz=row[1],
-                    anharmonicity_exact_hz=alpha,
-                )
-                spectra[key] = (spectrum, needed)
+            levels = _parity_levels(
+                np.array([key[0] for key, _ in chunk]), np.array([key[1] for key, _ in chunk]), cutoff
+            )
+            for (key, needed), row in zip(chunk, levels.tolist()):
+                spectra[key] = (_spectrum(row, 0.0, cutoff), needed)
     return spectra
 
 
@@ -814,7 +806,9 @@ def _batched_oracle(
         match = dominant & (bare == BLOCK_STATES.index(label))
         labeled &= match.any(axis=1)
         dressed[label] = np.take_along_axis(energies, match.argmax(axis=1)[:, None], axis=1)[:, 0]
-    chi = (((dressed[1, 1] - dressed[1, 0]) - (dressed[0, 1] - dressed[0, 0])) / 2.0).tolist()
+    chi = np.where(
+        g_01 == 0.0, 0.0, ((dressed[1, 1] - dressed[1, 0]) - (dressed[0, 1] - dressed[0, 0])) / 2.0
+    ).tolist()
     oracles: dict[tuple[float, ...], tuple[float | None, float | None]] = {}
     for key, chi_exact, ok in zip(keys, chi, labeled.tolist()):
         detuning = abs(spectra[key[:2]][0].f_01_exact_hz - key[2])
@@ -823,27 +817,35 @@ def _batched_oracle(
     return oracles
 
 
-TUNE_MAX_ITERATIONS = 200  # bisection steps before tune gives up
+TUNE_MAX_ITERATIONS = 200  # interior steps before tune gives up
+_EPSILON = sys.float_info.epsilon
 
 
 def tune(inputs: DesignInputs, spec: TuneSpec) -> TuneResult:
-    """Bisect one design parameter until a derived quantity hits a target.
+    """Vary one design parameter inside a bracket until a derived quantity hits a target.
 
-    The bracket endpoints must straddle the target. Convergence is
-    declared when the achieved quantity matches the target to
-    ``spec.rel_tol`` relative. Each step runs only the stages the target
-    quantity needs, and an eigen stage solved at the tuned value is reused
-    when the returned design is fully derived there.
+    Step 0 derives at the bracket's low end and step 1 at its high end; the
+    two must straddle the target. Each later step derives inside the bracket
+    that still straddles it, by Chandrupatla's method (Adv. Eng. Softw. 28,
+    145 (1997)): the root of the inverse quadratic through the last three
+    points where they are monotone enough for it, else the midpoint, and the
+    secant root at the first interior step. Convergence is declared when the
+    achieved quantity matches the target to ``spec.rel_tol`` relative. Each
+    step runs only the stages the target quantity needs, and an eigen stage
+    solved at the tuned value is reused when the returned design is fully
+    derived there.
     """
     quantity = QUANTITIES[spec.target_quantity]
     target = spec.target_value
     tolerance = spec.rel_tol * max(abs(target), 1e-300)
-    lo, hi = spec.bracket
     solved: dict[tuple[Any, ...], Any] = {}
-    # step 0 tries lo, step 1 hi, and step k > 1 is bisection iteration k - 1
+    # the latest point a, the bracket's other end b and the point a replaced,
+    # c, each with its miss, achieved - target: b's miss has the other sign
+    a = f_a = b = f_b = c = f_c = math.nan
     for step in range(TUNE_MAX_ITERATIONS + 2):
-        value = spec.bracket[step] if step < 2 else 0.5 * (lo + hi)
-        if step > 1 and (value == lo or value == hi):
+        value = spec.bracket[step] if step < 2 else _chandrupatla_step(a, f_a, b, f_b, c, f_c)
+        if value is None:
+            lo, hi = sorted((a, b))
             raise ConvergenceError(
                 f"{spec.target_quantity} changes sign between adjacent {spec.vary} values "
                 f"{lo!r} and {hi!r} without reaching {target:.9g}: a jump, such as "
@@ -861,24 +863,59 @@ def tune(inputs: DesignInputs, spec: TuneSpec) -> TuneResult:
             return TuneResult(
                 spec.vary, value, spec.target_quantity, target, achieved, iteration, derived
             )
-        side = math.copysign(1.0, achieved - target)
+        miss = achieved - target
+        crossed = math.copysign(1.0, miss) != math.copysign(1.0, f_a)
         if step == 0:
-            q_lo, lo_side = achieved, side
+            q_lo = achieved
         elif step == 1:
-            if side == lo_side:
+            if not crossed:
                 raise BracketingError(
                     f"{spec.target_quantity} does not change sign across the bracket: "
-                    f"{spec.target_quantity}({lo:g}) = {q_lo:.9g}, "
-                    f"{spec.target_quantity}({hi:g}) = {achieved:.9g}, target {target:.9g}"
+                    f"{spec.target_quantity}({a:g}) = {q_lo:.9g}, "
+                    f"{spec.target_quantity}({value:g}) = {achieved:.9g}, target {target:.9g}"
                 )
-        elif side == lo_side:
-            lo = value
+            b, f_b = a, f_a
+        elif crossed:
+            b, f_b, c, f_c = a, f_a, b, f_b
         else:
-            hi = value
+            c, f_c = a, f_a
+        a, f_a = value, miss
     raise ConvergenceError(
-        f"bisection did not reach {spec.target_quantity} = {target:.9g} "
+        f"tune did not reach {spec.target_quantity} = {target:.9g} "
         f"within {TUNE_MAX_ITERATIONS} iterations"
     )
+
+
+def _chandrupatla_step(
+    a: float, f_a: float, b: float, f_b: float, c: float, f_c: float
+) -> float | None:
+    """The next point strictly between a and b, or None when they are adjacent floats.
+
+    With c not yet known (NaN) it is the secant root; then the inverse
+    quadratic root where Chandrupatla's test finds a, b and c monotone
+    enough, else the midpoint, as also when a root lands on a or b. As in
+    Chandrupatla's paper, the fraction t of the way from a to b is clamped
+    to [t_min, 1 - t_min], with t_min = 2 eps |larger end| / |b - a|, so
+    that no step stalls on an end: the end it replaces moves by a few ulp
+    at least.
+    """
+    if math.isnan(c):
+        t = f_a / (f_a - f_b)
+    else:
+        xi = (a - b) / (c - b)
+        phi = (f_a - f_b) / (f_c - f_b)
+        t = 0.5
+        if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+            t = f_a / (f_b - f_a) * f_c / (f_b - f_c) + (c - a) / (b - a) * f_a / (
+                f_c - f_a
+            ) * f_b / (f_c - f_b)
+    t_min = 2.0 * _EPSILON * max(abs(a), abs(b)) / abs(b - a)
+    value = a + min(max(t, t_min), 1.0 - t_min) * (b - a) if 0.0 < t < 1.0 else math.nan
+    if not min(a, b) < value < max(a, b):
+        value = 0.5 * (a + b)
+        if value == a or value == b:
+            return None
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import importlib.util
 import time
 import warnings
@@ -54,3 +55,61 @@ def test_a_repeat_the_cli_would_not_print_is_no_difference(tmp_path):
 
 def test_corpus_nests_geometry_to_the_bound_a_design_accepts():
     assert _load_tool().NESTING_BOUND == MAX_GEOMETRY_DEPTH
+
+
+def _tune_record(root, relative_error, **fields):
+    tuned = {"parameter": "l_j_henry", "parameter_value": root, "relative_error": relative_error}
+    return {
+        "design": 0, "command": "tune", "argv": ["tune", "--vary", "l_j_henry"], "exit": 0,
+        "stdout": f"l_j_henry = {root!r}", "stderr": "", "warnings": [], "printed_warnings": [],
+        "files": {"out": repr(root)}, "tuned": tuned, **fields,
+    }
+
+
+def test_tunes_that_both_meet_the_tolerance_are_a_declared_class():
+    tool = _load_tool()
+    parent = _tune_record(1.1e-8, 5e-7)
+    moved = _tune_record(1.1000004e-8, 2e-10, printed_warnings=["UserWarning: step"])
+    classes = collections.Counter()
+    assert tool.compare([parent], [moved], classes) == []
+    assert classes == {tool.TUNE_ROOT: 1}
+    missed = _tune_record(1.1000004e-8, 2e-6)
+    assert len(tool.compare([parent], [missed])) == 3  # files, stdout, tuned
+    failed = {**moved, "exit": 2, "stderr": "numerical failure: ..."}
+    assert len(tool.compare([parent], [failed])) > 0
+    loud = _tune_record(1.1000004e-8, 2e-10, stderr="a new line")
+    assert "design 0 tune: stderr: '' -> 'a new line'" in tool.compare([parent], [loud])
+
+
+def _text_record(command, text):
+    return {
+        "design": 0, "command": command, "argv": [command], "exit": 0, "stdout": "",
+        "stderr": "", "warnings": [], "printed_warnings": [], "files": {"out": text}, "text": text,
+    }
+
+
+def test_last_digit_rounding_is_a_declared_class():
+    tool = _load_tool()
+    report = '{\n  "f_01_exact_hz": 4540478240.0,\n  "chi_exact_hz": 0.0,\n  "q_ext": 4432.5\n}\n'
+    csv = "l_j_henry,chi_exact_hz,f_01_hz,status,error\n1.1e-08,-936781.128,4.5e9,ok,\n"
+    same = [
+        (report, report.replace("4540478240.0", "4540478250.0").replace(
+            '"chi_exact_hz": 0.0', '"chi_exact_hz": -4.76837158e-07'
+        )),
+        (csv, csv.replace("-936781.128", "-936781.127")),
+        (csv.replace("-936781.128", "0.0"), csv.replace("-936781.128", "9.53674316e-07")),
+    ]
+    for first, second in same:
+        classes = collections.Counter()
+        command = "sweep" if first.startswith("l_j") else "derive"
+        a, b = _text_record(command, first), _text_record(command, second)
+        assert tool.compare([a], [b], classes) == [] and classes == {tool.ROUNDING: 1}
+    different = [
+        (report, report.replace("4540478240.0", "4540478260.0")),  # two units
+        (report, report.replace("4432.5", "0.0")),  # not chi: no noise floor
+        (csv, csv.replace("4.5e9", "4.5e9,").replace("error\n", "error,x\n")),
+        (csv.replace("-936781.128", "0.0"), csv.replace("-936781.128", "-0.0")),
+        (csv, csv.replace(",ok,", ",error,")),
+    ]
+    for first, second in different:
+        assert tool.compare([_text_record("sweep", first)], [_text_record("sweep", second)])

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,13 @@ from scipy.special import mathieu_a, mathieu_b
 from cqedkit import (
     ConvergenceWarning,
     DomainError,
+    derive,
     exact_transmon_spectrum,
+    load_reference_design,
     perturbative_levels,
 )
-from cqedkit.spectrum import _tridiagonal_matrix
+from cqedkit import spectrum as spectrum_module
+from cqedkit.spectrum import _parity_levels, _tridiagonal_matrix, needed_charge_cutoff
 
 E_J_REF = 14860137527.889196
 E_C_REF = 188812060.87005678
@@ -224,3 +228,71 @@ def test_exact_spectrum_preconditions():
         exact_transmon_spectrum(E_J_REF, E_C_REF, charge_cutoff=9)
     with pytest.raises(DomainError):
         exact_transmon_spectrum(-1e9, E_C_REF)
+
+
+# --- the parity kernel at n_g = 0 ----------------------------------------------
+
+
+def _dense_levels(e_j, e_c, cutoff, n_g=0.0):
+    """The lowest 8 ground-referenced levels of the full 2 cutoff + 1 charge basis."""
+    charge = np.arange(-cutoff, cutoff + 1, dtype=float)
+    hamiltonian = _tridiagonal_matrix(
+        4.0 * e_c * (charge - n_g) ** 2, np.full(2 * cutoff, -e_j / 2.0)
+    )
+    levels = np.linalg.eigvalsh(hamiltonian)[:8]
+    return levels - levels[0]
+
+
+def test_parity_kernel_matches_the_dense_solve():
+    # at the rule's cutoff the two solves agree to 1e-12 of max(|level|, E_c);
+    # at a wider cutoff each carries the eigensolver's roundoff of a few ulp of
+    # the matrix norm, about 4 E_c N^2 + E_j, which the bound adds
+    e_c = 0.2e9
+    for ratio in np.logspace(0.0, 4.0, 41):
+        e_j = ratio * e_c
+        rule = needed_charge_cutoff(ratio)
+        for cutoff in sorted({rule, 10, 50, 100, 200}):
+            kernel = _parity_levels(np.array([e_j]), np.array([e_c]), cutoff)[0]
+            dense = _dense_levels(e_j, e_c, cutoff)
+            bound = 1e-12 * np.maximum(np.abs(dense), e_c)
+            if cutoff > rule:
+                bound += 1e-14 * (4.0 * e_c * cutoff**2 + e_j)
+            assert np.all(np.abs(kernel - dense) <= bound), (ratio, cutoff)
+
+
+def test_parity_kernel_rows_do_not_depend_on_their_stack():
+    rng = np.random.default_rng(11)
+    e_c = rng.uniform(0.1e9, 0.3e9, 37)
+    e_j = e_c * rng.uniform(20.0, 200.0, 37)
+    stacked = _parity_levels(e_j, e_c, 16)
+    for i in range(37):
+        alone = _parity_levels(e_j[i : i + 1], e_c[i : i + 1], 16)
+        assert [v.hex() for v in alone[0].tolist()] == [v.hex() for v in stacked[i].tolist()]
+
+
+def test_only_zero_offset_charge_takes_the_parity_kernel(monkeypatch):
+    calls = []
+    kernel = spectrum_module._parity_levels
+
+    def counted(*args):
+        calls.append(args[2])
+        return kernel(*args)
+
+    monkeypatch.setattr(spectrum_module, "_parity_levels", counted)
+    for n_g in (0.25, 0.5, -0.5, 1e-12):
+        spectrum = exact_transmon_spectrum(E_J_REF, E_C_REF, n_g, 20)
+        assert spectrum.n_g == n_g
+        assert spectrum.levels_hz == tuple(_dense_levels(E_J_REF, E_C_REF, 20, n_g).tolist())
+    assert calls == []
+    exact_transmon_spectrum(E_J_REF, E_C_REF, 0.0, 20)
+    assert calls == [20]
+
+
+def test_capped_design_still_warns():
+    # E_j/E_c near 1e13 asks for a cutoff beyond 200: derive solves the capped
+    # basis, now as two parity blocks of 201 states, and says it is not converged
+    design = replace(load_reference_design(), c_s_farad=5.36e16)
+    with pytest.warns(ConvergenceWarning, match="charge basis cutoff 200 not converged"):
+        derived = derive(design, quantities=("f_01_exact_hz",))
+    assert derived.transmon_exact.charge_cutoff == 200
+    assert derived.transmon_exact.levels_hz[0] == 0.0

@@ -5,6 +5,7 @@ import linecache
 import math
 import random
 import re
+import sys
 import time
 import warnings
 from dataclasses import fields, replace
@@ -264,7 +265,7 @@ def test_tune_rejects_non_straddling_bracket(reference_inputs):
 
 def test_tune_stops_when_the_bracket_cannot_shrink(reference_inputs, monkeypatch):
     # chi_total jumps across its pole at f_12 = f_r inside this bracket; no
-    # bisection step lands on the pole, so the bracket closes on two adjacent
+    # step lands on the pole, so the bracket closes on two adjacent
     # floats where chi_total changes sign without reaching the target
     inputs = replace(reference_inputs, f_r_target_hertz=4.911757023241299e9)
     spec = TuneSpec(
@@ -284,6 +285,75 @@ def test_tune_stops_when_the_bracket_cannot_shrink(reference_inputs, monkeypatch
         tune(inputs, spec)
     assert len(calls) < 60
     assert len(set(calls)) == len(calls)
+
+
+# quantities strictly monotone in each parameter around qubit_v1
+_MONOTONE_TUNES = {
+    "l_j_henry": ("f_01_hz", "e_j_hz", "i_c_ampere", "f_01_exact_hz"),
+    "c_s_farad": ("e_c_hz", "f_01_hz", "beta", "ej_ec_ratio"),
+    "c_g_farad": ("beta", "g_01_hz", "e_c_hz"),
+    "c_k_farad": ("kappa_hz", "q_ext", "f_r_loaded_hz"),
+    "f_r_target_hertz": ("c_r_farad", "v_rms_volt", "f_r_loaded_hz"),
+}
+
+
+def test_monotone_tunes_take_few_derives(reference_inputs, monkeypatch):
+    # bisection took 12-22 derives on these; the interpolating steps take at
+    # most 8, the full derive of the tuned design included
+    rng = random.Random(2020)
+    counts = []
+    for _ in range(60):
+        vary = rng.choice(sorted(_MONOTONE_TUNES))
+        quantity = rng.choice(_MONOTONE_TUNES[vary])
+        base = getattr(reference_inputs, vary)
+        bracket = (base * rng.uniform(0.7, 0.99), base * rng.uniform(1.01, 1.3))
+        at = replace(reference_inputs, **{vary: rng.uniform(*bracket)})
+        target = QUANTITIES[quantity](_quiet_derive(at))
+        calls = []
+
+        def counting_derive(design, **kwargs):
+            calls.append(design)
+            return _quiet_derive(design, **kwargs)
+
+        monkeypatch.setattr(studio, "derive", counting_derive)
+        result = tune(reference_inputs, TuneSpec(vary, quantity, target, bracket))
+        monkeypatch.undo()
+        assert abs(result.achieved_value - target) <= 1e-6 * abs(target)
+        counts.append(len(calls))
+    assert max(counts) <= 8, counts
+
+
+def test_a_step_lands_clear_of_both_ends_of_the_bracket():
+    # the secant root lies 2e-16 of the way in from either end; a step that
+    # close would move an end by an ulp, and the clamp keeps it 4 ulp of 2.0 in
+    eps = sys.float_info.epsilon
+    assert studio._chandrupatla_step(1.0, 2e-16, 2.0, -1.0, math.nan, math.nan) == 1.0 + 4 * eps
+    assert studio._chandrupatla_step(2.0, 2e-16, 1.0, -1.0, math.nan, math.nan) == 2.0 - 4 * eps
+    assert studio._chandrupatla_step(1.0, 1.0, 2.0, -2e-16, math.nan, math.nan) == 2.0 - 4 * eps
+    # within a few ulp the step is the midpoint, and at adjacent floats there is none
+    step = studio._chandrupatla_step
+    assert step(1.0, 1.0, 1.0 + 4 * eps, -1.0, math.nan, math.nan) == 1.0 + 2 * eps
+    assert step(1.0, 1.0, 1.0 + eps, -1.0, math.nan, math.nan) is None
+
+
+@pytest.mark.parametrize("bracket", [(10e-9, 30e-9), (1e-9, 11.5e-9), (5e-9, 100e-9)])
+def test_tune_keeps_stepping_where_the_slope_jumps_at_the_root(
+    reference_inputs, monkeypatch, bracket
+):
+    # the slope drops 1e6-fold at the root, so the inverse quadratic through the
+    # last points keeps passing Chandrupatla's test while it lands far from the
+    # root; bisection takes 18 to 23 steps to 1e-12 here
+    root = 11e-9
+
+    def kinked(design):
+        x = (design.l_j_henry - root) / root
+        return 1.0 + (x if x < 0 else 1e-6 * x)
+
+    monkeypatch.setitem(QUANTITIES, "f_01_hz", kinked)
+    monkeypatch.setattr(studio, "derive", lambda design, **kwargs: design)
+    result = tune(reference_inputs, TuneSpec("l_j_henry", "f_01_hz", 1.0, bracket, 1e-12))
+    assert abs(result.achieved_value - 1.0) <= 1e-12
+    assert result.iterations <= 32
 
 
 # --- stages each quantity needs -------------------------------------------------
@@ -320,24 +390,34 @@ def _count_eigen_stages(monkeypatch, oracle=coupled_spectrum_oracle):
 
 
 def _count_solved_rows(monkeypatch):
-    """Rows each eigen stage solves: the matrices a sweep's batch stacks into
-    ``eigvalsh`` (the exact spectrum) and ``eigh`` (the oracle), and apart
-    from them the single matrices of the row ``sweep`` derives as a check."""
+    """Rows each eigen stage solves: the exact spectra a sweep's batch stacks
+    into ``eigvalsh`` (two parity blocks each) and the oracle matrices it
+    stacks into ``eigh``, and apart from them the single solves of the row
+    ``sweep`` derives as a check: ``exact_transmon_spectrum``, whose two
+    blocks ``eigvalsh`` also sees, and the oracle's one matrix."""
     stacked = {"spectrum": 0, "oracle": 0}
     single = {"spectrum": 0, "oracle": 0}
+    solve_spectra, solve_oracles = np.linalg.eigvalsh, np.linalg.eigh
 
-    def counting(stage, solve):
-        def counted(matrices):
-            if matrices.ndim == 3:
-                stacked[stage] += len(matrices)
-            else:
-                single[stage] += 1
-            return solve(matrices)
+    def spectra(matrices):
+        stacked["spectrum"] += len(matrices) // 2
+        return solve_spectra(matrices)
 
-        return counted
+    def spectrum(*args):
+        single["spectrum"] += 1
+        stacked["spectrum"] -= 1
+        return exact_transmon_spectrum(*args)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting("spectrum", np.linalg.eigvalsh))
-    monkeypatch.setattr(np.linalg, "eigh", counting("oracle", np.linalg.eigh))
+    def oracles(matrices):
+        if matrices.ndim == 3:
+            stacked["oracle"] += len(matrices)
+        else:
+            single["oracle"] += 1
+        return solve_oracles(matrices)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spectra)
+    monkeypatch.setattr(studio, "exact_transmon_spectrum", spectrum)
+    monkeypatch.setattr(np.linalg, "eigh", oracles)
     return stacked, single
 
 
@@ -471,22 +551,30 @@ def test_tune_refuses_an_undefined_target_at_an_endpoint(reference_inputs):
     assert str(caught.value) == "chi_exact_hz is undefined at l_j_henry = 1e-08"
 
 
-def test_tune_refuses_an_undefined_target_at_a_bisection_step(reference_inputs, monkeypatch):
-    spec = TuneSpec("l_j_henry", "chi_exact_hz", -1.43e6, (8e-9, 14e-9))
+def test_tune_refuses_an_undefined_target_at_an_interpolated_step(reference_inputs, monkeypatch):
+    spec = TuneSpec("l_j_henry", "chi_exact_hz", -1.43e6, (11e-9, 13e-9))
     calls = []
+    values = []
 
     def oracle(exact, f_r, g_01):
         calls.append(g_01)
         result = coupled_spectrum_oracle(exact, f_r, g_01)
         return replace(result, chi_exact_hz=math.nan) if len(calls) == 4 else result
 
+    def recording_derive(design, **kwargs):
+        values.append(design.l_j_henry)
+        return derive(design, **kwargs)
+
     monkeypatch.setattr(studio, "coupled_spectrum_oracle", oracle)
+    monkeypatch.setattr(studio, "derive", recording_derive)
     with warnings.catch_warnings(), pytest.raises(ConvergenceError) as caught:
         warnings.simplefilter("ignore", DispersiveValidityWarning)
         tune(reference_inputs, spec)
-    # the endpoints, then 11 nH, then the NaN at the second bisection step
-    assert len(calls) == 4
-    assert str(caught.value) == "chi_exact_hz is undefined at l_j_henry = 1.25e-08"
+    # the endpoints, the secant step, then the NaN at the second interior step,
+    # which interpolates: it is the midpoint of neither bracket it could halve
+    assert len(calls) == len(values) == 4
+    assert values[3] not in (0.5 * (values[2] + 11e-9), 0.5 * (values[2] + 13e-9))
+    assert str(caught.value) == f"chi_exact_hz is undefined at l_j_henry = {values[3]!r}"
 
 
 def test_closed_form_sweep_skips_the_unconverged_exact_solve(reference_inputs):
@@ -530,7 +618,7 @@ def test_tune_gives_up_after_the_iteration_cap(reference_inputs, monkeypatch, tm
     ])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: bisection did not reach f_01_hz")
+    assert err.startswith("numerical failure: tune did not reach f_01_hz")
     assert err.count("\n") == 1
 
 

@@ -144,22 +144,32 @@ def test_sweep_falls_back_to_derive_when_the_batch_misses_a_bit(reference_inputs
 
 
 def test_no_stacked_solve_exceeds_the_byte_budget(reference_inputs, monkeypatch):
-    # E_j/E_c near 1e13: every point solves the capped 401-state charge basis
+    # E_j/E_c near 1e13: every point solves the capped 401-state charge basis,
+    # as an even and an odd parity block of 201 states each
     sizes = []
+    single = []
     eigvalsh = np.linalg.eigvalsh
+    spectrum = studio.exact_transmon_spectrum
 
     def counting(matrices):
         sizes.append((matrices.ndim, matrices.nbytes))
         return eigvalsh(matrices)
 
+    def counted_spectrum(*args):
+        single.append(args)
+        return spectrum(*args)
+
     design = replace(reference_inputs, c_s_farad=5.0e16)
     spec = SweepSpec("c_s_farad", 5.0e16, 5.36e16, 101, ("f_01_exact_hz", "q_ext"))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(studio, "exact_transmon_spectrum", counted_spectrum)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
         rows = sweep(design, spec).rows
     stacked = [nbytes for ndim, nbytes in sizes if ndim == 3]
-    assert sum(stacked) == 101 * 401**2 * 8  # every row solved once, in stacks
+    # every row solved once, in stacks, and the first row once more by derive's check
+    assert len(single) == 1
+    assert sum(stacked) == (101 + len(single)) * 2 * 201**2 * 8
     assert max(stacked) <= studio._STACK_BYTES
     monkeypatch.undo()
     with warnings.catch_warnings():

@@ -17,7 +17,23 @@ Record a tree (it is imported from PYTHONPATH), then compare two records:
 
 ``--compare`` prints every field that differs and exits 1 if any does. It
 compares the printed warnings, not every one raised, so a repeat that the
-CLI would not print is no difference.
+CLI would not print is no difference. Two declared classes of difference
+are counted apart and do not fail ``--compare``:
+
+- ``TUNE_ROOT``: a record of an exit-0 ``tune`` also holds the report's
+  ``tuned`` block. Two such records of one parameter, each of whose
+  achieved values meets the target to the tune's ``rel_tol``, and that
+  differ only in the report, the summary line, the ``tuned`` block and the
+  printed warnings of the steps: a root finder that steps elsewhere lands
+  elsewhere inside the tolerance. The tolerance is on the target
+  quantity, so where it is flat in the parameter (f_01 in ``c_g_farad``)
+  two such roots can lie 1e-4 apart, relative, in the parameter.
+- ``ROUNDING``: a record of an exit-0 ``derive`` or ``sweep`` also holds
+  the text it wrote. Two such records whose texts differ only in numbers
+  one unit apart in the ninth significant digit, or in ``chi_exact_hz``
+  values that are both below ``NOISE_HZ``: the rounding of an exact level
+  that moved in its last bits, and the rounding noise of a dispersive
+  shift that vanishes.
 
 Designs: four in five have the five sweepable fields drawn +-40 % around
 qubit_v1; the rest set one to three fields to 10^U(-300, 300). One in 50
@@ -42,6 +58,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 import tempfile
 import warnings
@@ -63,6 +80,14 @@ SILENT = (DeprecationWarning, PendingDeprecationWarning, ImportWarning, Resource
 NESTING_BOUND = 100
 # design index modulo 50 -> depth of its geometry
 NESTED = {17: 600, 18: NESTING_BOUND, 19: NESTING_BOUND + 1}
+# the declared class of two tunes that both meet the target to the tune's tolerance
+TUNE_ROOT = "tune root within rel_tol"
+# fields in which two records of one TUNE_ROOT pair may differ
+TUNE_ROOT_FIELDS = frozenset(("files", "stdout", "tuned", "printed_warnings"))
+# the declared class of reports and sweep CSVs apart only by the rounding of the exact solve
+ROUNDING = "last-digit rounding"
+# a |chi_exact_hz| below this is rounding noise: levels near 1e10 Hz round to 1e-6 Hz
+NOISE_HZ = 1e-5
 TARGETS = {
     "f_01_hz": (3.5e9, 5.5e9),
     "g_01_hz": (2e7, 8e7),
@@ -178,13 +203,73 @@ def run(designs: int, seed: int) -> Iterator[dict[str, Any]]:
                     if argv[0] == "s21" and index % 50 == 29:
                         out.mkdir()
                     argv += ["--out", str(out)]
-                yield {"design": index, "command": argv[0], **_run_one(cli.main, argv, tmp)}
+                record = {"design": index, "command": argv[0], **_run_one(cli.main, argv, tmp)}
+                if record["exit"] == 0 and argv[0] in ("derive", "sweep"):
+                    record["text"] = (tmp / "out").read_text(encoding="utf-8")
+                elif record["exit"] == 0 and argv[0] == "tune":
+                    report = json.loads((tmp / "out").read_text(encoding="utf-8"))
+                    record["tuned"] = report["tuned"]
+                yield record
 
 
-def compare(first: list[dict[str, Any]], second: list[dict[str, Any]]) -> list[str]:
+def declared(a: dict[str, Any], b: dict[str, Any]) -> str | None:
+    """The declared class of the differences between two records of one call, if any."""
+    if a["exit"] != 0 or b["exit"] != 0:
+        return None
+    differing = {key for key in a.keys() | b.keys() if a.get(key) != b.get(key)} - {"warnings"}
+    if "text" in a and "text" in b:
+        if differing <= {"files", "text"} and _rounding_apart(a["text"], b["text"]):
+            return ROUNDING
+        return None
+    tuned_a, tuned_b = a.get("tuned"), b.get("tuned")
+    if not (tuned_a and tuned_b) or tuned_a["parameter"] != tuned_b["parameter"]:
+        return None
+    argv = a["argv"]
+    rel_tol = float(argv[argv.index("--tol") + 1]) if "--tol" in argv else 1e-6
+    if max(tuned_a["relative_error"], tuned_b["relative_error"]) > rel_tol:
+        return None
+    return TUNE_ROOT if differing <= TUNE_ROOT_FIELDS else None
+
+
+def _rounding_apart(first: str, second: str) -> bool:
+    """Whether a report or sweep CSV differs from another only by ``ROUNDING``."""
+    lines_a, lines_b = first.splitlines(), second.splitlines()
+    if len(lines_a) != len(lines_b):
+        return False
+    header = lines_a[0].split(",")  # a sweep CSV's column names
+    for line_a, line_b in zip(lines_a, lines_b):
+        cells_a, cells_b = line_a.split(","), line_b.split(",")
+        if len(cells_a) != len(cells_b):
+            return False
+        key = re.match(r'\s*"(\w+)": ', line_a)  # a report line's key
+        for i, (cell_a, cell_b) in enumerate(zip(cells_a, cells_b)):
+            if cell_a == cell_b:
+                continue
+            name = key.group(1) if key else header[i] if i < len(header) else ""
+            try:
+                x, y = (float(cell.rsplit(" ", 1)[-1]) for cell in (cell_a, cell_b))
+            except ValueError:
+                return False
+            scale = max(abs(x), abs(y))
+            if not math.isfinite(scale) or x == y:
+                return False
+            if name == "chi_exact_hz" and scale < NOISE_HZ:
+                continue
+            if abs(x - y) > 1.01 * 10.0 ** (math.floor(math.log10(scale)) - 8):
+                return False
+    return True
+
+
+def compare(
+    first: list[dict[str, Any]],
+    second: list[dict[str, Any]],
+    classes: collections.Counter | None = None,
+) -> list[str]:
     """Every field that differs between two runs, one line each.
 
     Warnings count as the CLI prints them (``printed_warnings``), not as raised.
+    A pair of records in a declared class gives no line; ``classes``, when
+    given, counts such pairs by class.
     """
     differences = []
     if len(first) != len(second):
@@ -193,6 +278,11 @@ def compare(first: list[dict[str, Any]], second: list[dict[str, Any]]) -> list[s
         where = f"design {a['design']} {a['command']}"
         if (a["design"], a["command"]) != (b["design"], b["command"]):
             differences.append(f"{where}: paired with design {b['design']} {b['command']}")
+            continue
+        kind = declared(a, b)
+        if kind is not None:
+            if classes is not None and a != b:
+                classes[kind] += 1
             continue
         for key in sorted((a.keys() | b.keys()) - {"warnings"}):
             if a.get(key) != b.get(key):
@@ -221,11 +311,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         first, second = (_read(path) for path in args.compare)
-        differences = compare(first, second)
+        classes: collections.Counter = collections.Counter()
+        differences = compare(first, second, classes)
         for line in differences:
             print(line)
         print(f"{args.compare[0]}: {summary(first)}")
         print(f"{args.compare[1]}: {summary(second)}")
+        for kind, count in sorted(classes.items()):
+            print(f"declared class {kind!r}: {count} differing records")
         print(f"{len(differences)} differences")
         return 1 if differences else 0
     if not args.out:
