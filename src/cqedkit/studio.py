@@ -302,9 +302,30 @@ def load_reference_design() -> DesignInputs:
 
 
 def input_digest(inputs: DesignInputs) -> str:
-    """SHA-256 of the canonical serialization of a design."""
-    canonical = json.dumps(design_to_dict(inputs), sort_keys=True, separators=(",", ":"))
+    """SHA-256 of the canonical serialization of a design: compact JSON with
+    sorted keys. A ``geometry`` dict whose keys do not compare, such as
+    ``{3: 1.5, "a": 1}``, has its keys ordered by the strings json writes."""
+    data = design_to_dict(inputs)
+    try:
+        canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    except TypeError:  # the keys did not sort, or json cannot encode a value
+        canonical = json.dumps(_sorted_keys(data), separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _sorted_keys(obj: Any) -> Any:
+    """``obj`` with each dict's keys in ``sort_keys`` order, or where they do
+    not compare, in the order of the strings json writes for them (then by
+    type, for ``3`` and ``"3"``)."""
+    if isinstance(obj, dict):
+        try:
+            keys = sorted(obj)
+        except TypeError:
+            keys = sorted(obj, key=lambda key: (json.loads(_json_key(key)), type(key).__name__))
+        return {key: _sorted_keys(obj[key]) for key in keys}
+    if isinstance(obj, (list, tuple)):
+        return [_sorted_keys(value) for value in obj]
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -940,35 +961,50 @@ REFERENCE_TARGETS: tuple[tuple[str, float, float], ...] = (
 REFERENCE_RATIO_BOUNDS = ("ej_ec_ratio", 78.0, 80.0)
 
 
-def summary_checks(derived: DerivedParameters) -> list[dict[str, Any]]:
-    """Side-by-side comparison of derived quantities with the reference targets."""
-    rows: list[dict[str, Any]] = []
+def _summary_values(derived: DerivedParameters) -> list[tuple[float, bool]]:
+    """``(value, within_tol)`` of each row of the report's ``summary``, which
+    sets derived quantities side by side with the reference targets:
+    ``REFERENCE_TARGETS``, then ``REFERENCE_RATIO_BOUNDS``."""
+    pairs: list[tuple[float, bool]] = []
     for name, expected, rel_tol in REFERENCE_TARGETS:
         value = QUANTITIES[name](derived)
         compare = abs(value) if name == "chi_total_hz" else value
         target = abs(expected) if name == "chi_total_hz" else expected
         ok = math.isfinite(value) and abs(compare - target) <= rel_tol * abs(target)
-        rows.append(
-            {
-                "quantity": name,
-                "value": value,
-                "reference": expected,
-                "rel_tol": rel_tol,
-                "within_tol": ok,
-            }
-        )
+        pairs.append((value, bool(ok)))
     name, lo, hi = REFERENCE_RATIO_BOUNDS
     ratio = QUANTITIES[name](derived)
-    rows.append(
-        {
-            "quantity": name,
-            "value": ratio,
-            "reference": [lo, hi],
-            "rel_tol": None,
-            "within_tol": lo <= ratio <= hi,
-        }
-    )
-    return rows
+    pairs.append((ratio, bool(lo <= ratio <= hi)))
+    return pairs
+
+
+def _refuse_partial(derived: DerivedParameters) -> None:
+    coupling = derived.coupling
+    if derived.transmon_exact is None or (
+        derived.chi_exact_hz is None and _oracle_applies(coupling.g_01_hz, coupling.detuning_0_hz)
+    ):
+        stage = "dressed-state oracle" if derived.transmon_exact else "exact diagonalization"
+        raise DomainError(f"cannot report a partial derivation: the {stage} stage did not run")
+
+
+# the values a report computes from a record's fields, listed after them;
+# bool() makes NumPy's bool of a np.float64 input a JSON constant
+
+
+def _lumped_values(lumped: LumpedCircuit) -> dict[str, Any]:
+    return {
+        "ej_ec_ratio": lumped.ej_ec_ratio,
+        "in_transmon_regime": bool(lumped.in_transmon_regime),
+    }
+
+
+def _coupling_values(coupling: CouplingParameters) -> dict[str, Any]:
+    return {
+        "t1_unbounded": math.isinf(coupling.t1_purcell_seconds),
+        "abs_chi_exceeds_kappa": bool(abs(coupling.chi_total_hz) > coupling.kappa_hz),
+        "readable": bool(coupling.readable),
+        "chi_kappa_ratio": coupling.chi_kappa_ratio,
+    }
 
 
 def _report_tree(derived: DerivedParameters) -> dict[str, Any]:
@@ -976,20 +1012,13 @@ def _report_tree(derived: DerivedParameters) -> dict[str, Any]:
 
     Each record's block lists its fields in declaration order, then the
     values derived from them. A partial record from
-    ``derive(..., quantities=...)`` is refused.
+    ``derive(..., quantities=...)`` is refused. This is the one statement of
+    the report's shape: ``render_report`` writes its template from it.
     """
-    coupling = derived.coupling
-    if derived.transmon_exact is None or (
-        derived.chi_exact_hz is None and _oracle_applies(coupling.g_01_hz, coupling.detuning_0_hz)
-    ):
-        stage = "dressed-state oracle" if derived.transmon_exact else "exact diagonalization"
-        raise DomainError(f"cannot report a partial derivation: the {stage} stage did not run")
-    lumped = {
-        **vars(derived.lumped),
-        "ej_ec_ratio": derived.lumped.ej_ec_ratio,
-        "in_transmon_regime": derived.lumped.in_transmon_regime,
-    }
+    _refuse_partial(derived)
+    lumped = {**vars(derived.lumped), **_lumped_values(derived.lumped)}
     inputs = lumped.pop("inputs")
+    name, lo, hi = REFERENCE_RATIO_BOUNDS
     return {
         "provenance": {
             "tool": TOOL_NAME,
@@ -1000,32 +1029,46 @@ def _report_tree(derived: DerivedParameters) -> dict[str, Any]:
         "lumped": lumped,
         "transmon_perturbative": {**vars(derived.transmon_perturbative)},
         "transmon_exact": {**vars(derived.transmon_exact)},
-        "coupling": {
-            **vars(coupling),
-            "t1_unbounded": math.isinf(coupling.t1_purcell_seconds),
-            "abs_chi_exceeds_kappa": abs(coupling.chi_total_hz) > coupling.kappa_hz,
-            "readable": coupling.readable,
-            "chi_kappa_ratio": coupling.chi_kappa_ratio,
-        },
+        "coupling": {**vars(derived.coupling), **_coupling_values(derived.coupling)},
         "oracle": {
             "chi_exact_hz": derived.chi_exact_hz,
             "valid": derived.chi_exact_hz is not None,
         },
-        "summary": summary_checks(derived),
+        "summary": [
+            {
+                "quantity": quantity,
+                "value": value,
+                "reference": reference,
+                "rel_tol": rel_tol,
+                "within_tol": ok,
+            }
+            for (quantity, reference, rel_tol), (value, ok) in zip(
+                (*REFERENCE_TARGETS, (name, [lo, hi], None)), _summary_values(derived)
+            )
+        ],
     }
 
 
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
+def _json_key(key: Any) -> str:
+    """A dict key as json writes it; json itself coerces a non-string key."""
+    # json.dumps({key: None}) is "{", the key as json writes it, ": null}";
+    # one key at a time, so that two keys that coerce alike stay two
+    return _quote(key) if type(key) is str else json.dumps({key: None})[1:-7]
+
+
 def _json(obj: Any, pad: str) -> str:
     """``json.dumps(obj, indent=2)`` at indent ``pad``, with every float
     written at 9 significant digits and a non-finite float as null.
 
-    One pass with the C string encoder: ``json.dumps`` with ``indent``
-    runs CPython's pure-Python encoder instead. A non-string key, and a
-    leaf that is not a plain float, str, int, bool or None, is coerced by
-    ``json`` itself.
+    It writes what the report template leaves open: the ``geometry`` and
+    ``tuned`` blocks and any leaf that is not a plain float, and the template
+    itself, once per shape. One pass with the C string encoder:
+    ``json.dumps`` with ``indent`` runs CPython's pure-Python encoder
+    instead. A non-string key, and a leaf that is not a plain float, str,
+    int, bool or None, is coerced by ``json`` itself.
     """
     kind = type(obj)
     if kind is float:
@@ -1040,12 +1083,8 @@ def _json(obj: Any, pad: str) -> str:
         if not obj:
             return "{}"
         inner = pad + "  "
-        # json.dumps({key: None}) is "{", the key as json writes it, ": null}";
-        # one key at a time, so that two keys that coerce alike stay two lines
         items = ",\n".join([
-            f"{inner}{_quote(key) if type(key) is str else json.dumps({key: None})[1:-7]}: "
-            f"{_json(value, inner)}"
-            for key, value in obj.items()
+            f"{inner}{_json_key(key)}: {_json(value, inner)}" for key, value in obj.items()
         ])
         return f"{{\n{items}\n{pad}}}"
     if isinstance(obj, (list, tuple)):
@@ -1057,8 +1096,76 @@ def _json(obj: Any, pad: str) -> str:
     return _json(json.loads(json.dumps(obj)), pad)
 
 
+# report leaves that are the same in every report, by key: the template
+# writes them in. Every other leaf, and the whole geometry, is a slot.
+_CONSTANT_KEYS = frozenset(("tool", "version", "quantity", "reference", "rel_tol"))
+_SLOT = "\0"
+_TEMPLATES: dict[int, str] = {}  # by the number of exact levels, the only shape that varies
+
+
+def _slots(obj: Any, key: str = "") -> Any:
+    if key in _CONSTANT_KEYS:
+        return obj
+    if isinstance(obj, dict) and key != "geometry":
+        return {k: _slots(value, k) for k, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_slots(value, key) for value in obj]
+    return _SLOT
+
+
+def _report_body(derived: DerivedParameters) -> str:
+    """The report after its opening ``{\\n``: the leaves gathered from the
+    records in the template's order, each written as ``_json`` writes it."""
+    _refuse_partial(derived)
+    lumped, coupling, chi_exact = derived.lumped, derived.coupling, derived.chi_exact_hz
+    *lumped_fields, inputs = vars(lumped).values()
+    *input_fields, geometry = vars(inputs).values()
+    levels, *exact_fields = vars(derived.transmon_exact).values()
+    template = _TEMPLATES.get(len(levels))
+    if template is None:
+        text = _json(_slots(_report_tree(derived)), "")
+        template = text[2:].replace("%", "%%").replace(_quote(_SLOT), "%s") + "\n"
+        _TEMPLATES[len(levels)] = template
+    leaves = [
+        *lumped_fields,
+        *_lumped_values(lumped).values(),
+        *vars(derived.transmon_perturbative).values(),
+        *levels,
+        *exact_fields,
+        *vars(coupling).values(),
+        *_coupling_values(coupling).values(),
+        chi_exact,
+        chi_exact is not None,
+    ]
+    for pair in _summary_values(derived):
+        leaves += pair
+    return template % (
+        _quote(input_digest(inputs)),
+        *_leaf_texts(input_fields),
+        _json(geometry, "    "),
+        *_leaf_texts(leaves),
+    )
+
+
+def _leaf_texts(leaves: list[Any]) -> list[str]:
+    """Each leaf as ``_json`` writes it, with the float branch inline."""
+    isfinite = math.isfinite
+    return [
+        repr(float(f"{x:.9g}")) if type(x) is float and isfinite(x) else _json(x, "")
+        for x in leaves
+    ]
+
+
 def render_report(derived: DerivedParameters) -> str:
-    return _json(_report_tree(derived), "") + "\n"
+    """The JSON report of a full derivation: the bytes of
+    ``json.dumps(_report_tree(derived), indent=2)`` with every float rounded
+    to 9 significant digits and a non-finite float as null.
+
+    A template per shape, built once from ``_report_tree``, holds every key,
+    constant and indent; each report fills its slots with leaves gathered
+    straight from the records, and only ``geometry`` goes through ``_json``.
+    """
+    return "{\n" + _report_body(derived)
 
 
 def render_tune_report(result: TuneResult) -> str:
@@ -1075,7 +1182,7 @@ def render_tune_report(result: TuneResult) -> str:
         "relative_error": achieved_err,
         "iterations": result.iterations,
     }
-    return _json({"tuned": tuned, **_report_tree(result.derived)}, "") + "\n"
+    return '{\n  "tuned": ' + _json(tuned, "  ") + ",\n" + _report_body(result.derived)
 
 
 def sweep_csv_lines(result: SweepResult) -> list[str]:

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import json
 import linecache
@@ -978,6 +979,144 @@ def test_report_rejects_values_json_cannot_encode(reference_derived, geometry):
         json.dumps(geometry, indent=2)
     with pytest.raises(TypeError, match=f"^{re.escape(str(expected.value))}$"):
         _json(geometry, "")
+
+
+# --- the report template against the tree it is written from -----------------
+
+
+def _tune_reference_bytes(result):
+    tuned = {
+        "parameter": result.parameter,
+        "parameter_value": result.parameter_value,
+        "target_quantity": result.target_quantity,
+        "target_value": result.target_value,
+        "achieved_value": result.achieved_value,
+        "relative_error": abs(result.achieved_value - result.target_value)
+        / abs(result.target_value),
+        "iterations": result.iterations,
+    }
+    tree = {"tuned": tuned, **_report_tree(result.derived)}
+    return _reference_bytes(tree)
+
+
+def _assert_template_bytes(derived):
+    assert render_report(derived) == _reference_bytes(_report_tree(derived))
+    tuned = studio.TuneResult("l_j_henry", 11e-9, "f_01_hz", 4.55e9, 4.5500001e9, 3, derived)
+    assert render_tune_report(tuned) == _tune_reference_bytes(tuned)
+
+
+_PERCENT_GEOMETRY = {
+    "%": "%",
+    "%s": "100%s",
+    "%%": "%%d",
+    "%(x)s": {"%(y)s": ["%", "%%s", "%(z)d"]},
+}
+_TEMPLATE_CASES = {
+    # an int C_s and C_g give an int c_sigma_farad leaf
+    "int": dict(c_s_farad=1, c_g_farad=1, z_0_ohm=50, r_load_ohm=25),
+    "numpy": dict(
+        c_s_farad=np.float64(98.19e-15),
+        c_g_farad=np.float64(4.4e-15),
+        l_j_henry=np.float64(11e-9),
+        z_0_ohm=np.float64(50.0),
+    ),
+    "percent": dict(geometry=_PERCENT_GEOMETRY),
+    "empty_geometry": dict(geometry={}),
+    "t1_unbounded": dict(c_g_farad=0.0),
+    "oracle_skipped": dict(c_g_farad=13.2e-15),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TEMPLATE_CASES))
+def test_template_matches_rounded_json_dumps(reference_inputs, case):
+    derived = _quiet_derive(replace(reference_inputs, **_TEMPLATE_CASES[case]))
+    _assert_template_bytes(derived)
+    kind = {
+        "int": type(derived.lumped.c_sigma_farad) is int,
+        "numpy": type(derived.lumped.inputs.z_0_ohm) is np.float64,
+        "t1_unbounded": math.isinf(derived.coupling.t1_purcell_seconds),
+        "oracle_skipped": derived.chi_exact_hz is None,
+    }
+    assert kind.get(case, True)
+
+
+def test_template_escapes_percent_in_its_constants(reference_derived, monkeypatch):
+    monkeypatch.setattr(studio, "_TEMPLATES", {})
+    monkeypatch.setattr(studio, "TOOL_NAME", "cqed%kit %s %% %(x)s")
+    _assert_template_bytes(reference_derived)
+
+
+def test_template_cache_holds_one_entry_per_shape(reference_inputs, monkeypatch):
+    monkeypatch.setattr(studio, "_TEMPLATES", {})
+    rng = random.Random(21)
+    shapes = set()
+    for i in range(300):
+        inputs = replace(reference_inputs, l_j_henry=11e-9 * rng.uniform(0.97, 1.03))
+        derived = _quiet_derive(inputs, quantities=("f_01_exact_hz", "chi_exact_hz"))
+        exact = derived.transmon_exact
+        # a TransmonSpectrum from the API may hold any number of levels
+        levels = exact.levels_hz[: 1 + i % 8]
+        derived = replace(derived, transmon_exact=replace(exact, levels_hz=levels))
+        shapes.add(len(levels))
+        if i % 10 == 0:
+            _assert_template_bytes(derived)
+        else:
+            render_report(derived)
+    assert sorted(studio._TEMPLATES) == sorted(shapes) == list(range(1, 9))
+
+
+def test_template_leaves_no_stale_slot(reference_inputs):
+    designs = {
+        "reference": reference_inputs,
+        "oracle_skipped": replace(reference_inputs, c_g_farad=13.2e-15),
+        "t1_unbounded": replace(reference_inputs, c_g_farad=0.0),
+    }
+    derived = {name: _quiet_derive(inputs) for name, inputs in designs.items()}
+    assert derived["oracle_skipped"].chi_exact_hz is None
+    assert math.isinf(derived["t1_unbounded"].coupling.t1_purcell_seconds)
+    expected = {name: _reference_bytes(_report_tree(d)) for name, d in derived.items()}
+    assert len(set(expected.values())) == 3
+    order = ("reference", "oracle_skipped", "reference", "t1_unbounded", "reference")
+    for name in order + order[::-1]:
+        assert render_report(derived[name]) == expected[name]
+
+
+@pytest.mark.parametrize("geometry", _GEOMETRIES, ids=range(len(_GEOMETRIES)))
+def test_digest_of_sortable_keys_is_json_sort_keys(reference_inputs, geometry):
+    inputs = replace(reference_inputs, geometry=geometry)
+    text = json.dumps(design_to_dict(inputs), sort_keys=True, separators=(",", ":"))
+    assert input_digest(inputs) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "geometry, reordered, as_strings",
+    [
+        ({3: 1.5, "a": 1}, {"a": 1, 3: 1.5}, {"3": 1.5, "a": 1}),
+        (
+            {"x": {1: 2, "y": 3}, "z": {10: 0, 9: 1}},
+            {"z": {9: 1, 10: 0}, "x": {"y": 3, 1: 2}},
+            # a dict whose keys sort keeps json's order: 9 before 10
+            {"x": {"1": 2, "y": 3}, "z": {"9": 1, "10": 0}},
+        ),
+    ],
+    ids=["top", "nested"],
+)
+def test_mixed_key_geometry_is_digested_and_reported(
+    reference_derived, geometry, reordered, as_strings
+):
+    inputs = replace(reference_derived.lumped.inputs, geometry=geometry)
+    derived = replace(reference_derived, lumped=replace(reference_derived.lumped, inputs=inputs))
+    digest = input_digest(inputs)
+    assert digest == input_digest(replace(inputs, geometry=reordered))
+    # ordered by the strings json writes for the keys, as written in as_strings
+    data = {**design_to_dict(inputs), "geometry": as_strings}
+    canonical = json.dumps({key: data[key] for key in sorted(data)}, separators=(",", ":"))
+    assert digest == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    # the geometry block is json.dumps(indent=2)'s coercion of the keys
+    _assert_template_bytes(derived)
+    report = json.loads(render_report(derived))
+    assert report["inputs"]["geometry"] == json.loads(json.dumps(geometry))
+    assert report["provenance"]["input_sha256"] == digest
 
 
 _JSON_LEAVES = st.one_of(
