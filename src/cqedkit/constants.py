@@ -1,13 +1,23 @@
-"""Physical constants and the unit conventions used everywhere else.
+"""Physical constants, the unit conventions used everywhere else, and the
+helpers through which one closed form serves a float and a column.
 
 Conventions: all quantities are SI floats. Frequencies are linear (Hz,
 i.e. omega/2pi); angular values exist only transiently inside formulas.
 Energies are quoted as frequency equivalents (E/h, in Hz).
+
+Each closed-form stage function takes Python floats or NumPy columns (1-d,
+or of one row; a float input beside them is checked as a float), a column
+call being made under ``np.errstate(all="ignore")``. On a column it raises
+and warns of nothing, and each row where the float call would raise is NaN
+in every output.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Any
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -20,11 +30,63 @@ REDUCED_PLANCK = PLANCK / TWO_PI
 FLUX_QUANTUM = PLANCK / (2.0 * ELEMENTARY_CHARGE)  # Wb
 
 
-def junction_inductance_to_critical_current(l_j_henry: float) -> float:
+def _is_false(test: Any) -> bool:
+    """A failed float test, Python's or NumPy's bool; a column's test, the mask
+    of the rows that pass, never is. A check reads ``if (ok := ...) is not
+    True and _is_false(ok): raise ...``: a float that passes makes no call."""
+    return type(test) is not np.ndarray and not test
+
+
+def _select(ok: Any, value: Any, other: Any = math.nan) -> Any:
+    """``value`` where ``ok``, else ``other``: on floats, or row by row."""
+    return np.where(ok, value, other) if type(ok) is np.ndarray else value if ok else other
+
+
+def _sqrt(x: Any) -> Any:
+    return np.sqrt(x) if type(x) is np.ndarray else math.sqrt(x)  # both round correctly
+
+
+def _power(base: Any, exponent: float) -> Any:
+    """Python's float ``**``; on a column the C library's ``pow`` of each element,
+    as Python's ``**`` takes, and NaN where that raises ``OverflowError``.
+    NumPy's ``power`` rounds differently (``x**2`` on 1 draw in 1,200,
+    ``x**0.25`` on 5 %). A NumPy scalar keeps its own power."""
+    if type(base) is not np.ndarray:
+        return base**exponent
+    power = np.float_power(base, exponent)
+    if math.isfinite(power.sum()):
+        return power
+    return np.where(np.isinf(power) & np.isfinite(base), math.nan, power)
+
+
+class _IntPower(int):
+    """An exponent that NumPy hands a column's power to (``_power``). A float
+    base takes float.__pow__, and an int base its exact integer power."""
+
+    __array_ufunc__ = None  # NumPy defers ``column ** self`` to __rpow__
+
+    def __rpow__(self, base: Any) -> Any:
+        return _power(base, int(self))
+
+
+class _FloatPower(float):
+    """An exponent that NumPy hands a column's power to (``_power``); a float
+    base takes float.__pow__."""
+
+    def __array_ufunc__(self, ufunc: Any, method: str, *inputs: Any, **kwargs: Any) -> Any:
+        if ufunc is not np.power or inputs[1] is not self or kwargs:
+            return NotImplemented
+        return _power(inputs[0], float(self))
+
+
+_SQUARE, _QUARTER = _IntPower(2), _FloatPower(0.25)
+
+
+def junction_inductance_to_critical_current(l_j_henry: Any) -> Any:
     """L_j (H) -> critical current (A), I_c = Phi_0 / (2 pi L_j)."""
-    if not l_j_henry > 0.0:
+    if (ok := l_j_henry > 0.0) is not True and _is_false(ok):
         raise DomainError(f"junction inductance must be positive, got {l_j_henry}")
-    return FLUX_QUANTUM / (TWO_PI * l_j_henry)
+    return _select(ok, FLUX_QUANTUM / (TWO_PI * l_j_henry))
 
 
 def critical_current_to_junction_inductance(i_c_ampere: float) -> float:
@@ -34,12 +96,13 @@ def critical_current_to_junction_inductance(i_c_ampere: float) -> float:
     return FLUX_QUANTUM / (TWO_PI * i_c_ampere)
 
 
-def junction_inductance_to_ej(l_j_henry: float) -> float:
+def junction_inductance_to_ej(l_j_henry: Any) -> Any:
     """L_j (H) -> Josephson energy as a frequency (Hz), (Phi_0/2pi)^2 / (L_j h)."""
-    if not l_j_henry > 0.0:
+    if (ok := l_j_henry > 0.0) is not True and _is_false(ok):
         raise DomainError(f"junction inductance must be positive, got {l_j_henry}")
     phi0_over_2pi = FLUX_QUANTUM / TWO_PI
-    return phi0_over_2pi**2 / (l_j_henry * PLANCK)
+    e_j = phi0_over_2pi**2 / (denominator := l_j_henry * PLANCK)
+    return e_j if ok is True else _select(ok & (denominator != 0.0), e_j)
 
 
 def ej_to_junction_inductance(e_j_hz: float) -> float:

@@ -13,7 +13,9 @@ resonator-mediated relaxation bound T1 = (Delta/g)^2 Q / omega_r.
 The oracle diagonalizes the multilevel qubit coupled to the resonator
 mode, in the blocks of conserved excitation number that chi needs, and
 extracts the exact qubit-state-dependent pull of the resonator, for
-comparison with the second-order formula.
+comparison with the second-order formula. The chain's stage functions
+take floats or columns (``constants``); the oracle takes floats, and the
+sweep batch stacks its keys (``studio._batched_oracle``).
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
-from .constants import ELEMENTARY_CHARGE, REDUCED_PLANCK, TWO_PI
+from .constants import ELEMENTARY_CHARGE, REDUCED_PLANCK, TWO_PI, _QUARTER, _SQUARE
+from .constants import _is_false, _select, _sqrt
 from .errors import (
     ConvergenceError,
     DispersiveValidityWarning,
@@ -85,55 +89,75 @@ class CoupledSpectrum:
     chi_exact_hz: float
 
 
-def zero_point_voltage(f_r_hz: float, c_r_farad: float) -> float:
+def zero_point_voltage(f_r_hz: Any, c_r_farad: Any) -> Any:
     """Resonator zero-point voltage, sqrt(hbar omega_r / 2 C_r)."""
-    if not f_r_hz > 0.0:
+    if (ok := f_r_hz > 0.0) is not True and _is_false(ok):
         raise DomainError(f"resonator frequency must be positive, got {f_r_hz}")
-    if not c_r_farad > 0.0:
+    if (ok := ok & (c_r_farad > 0.0)) is not True and _is_false(ok):
         raise DomainError(f"resonator capacitance must be positive, got {c_r_farad}")
-    return math.sqrt(REDUCED_PLANCK * TWO_PI * f_r_hz / (2.0 * c_r_farad))
+    v_rms = _sqrt(REDUCED_PLANCK * TWO_PI * f_r_hz / (2.0 * c_r_farad))
+    return v_rms if ok is True else _select(ok, v_rms)
 
 
-def coupling_strength(
-    beta: float, v_rms_volt: float, e_j_hz: float, e_c_hz: float
-) -> float:
+def coupling_strength(beta: Any, v_rms_volt: Any, e_j_hz: Any, e_c_hz: Any) -> Any:
     """Charge coupling g_01 as a linear frequency (Hz)."""
-    if not 0.0 <= beta < 1.0:
+    if (ok := (0.0 <= beta) & (beta < 1.0)) is not True and _is_false(ok):
         raise DomainError(f"capacitance divider beta must be in [0, 1), got {beta}")
-    if not v_rms_volt >= 0.0:
+    if (ok := ok & (v_rms_volt >= 0.0)) is not True and _is_false(ok):
         raise DomainError(f"zero-point voltage must be non-negative, got {v_rms_volt}")
-    if not e_j_hz > 0.0 or not e_c_hz > 0.0:
+    if (ok := ok & (e_j_hz > 0.0) & (e_c_hz > 0.0)) is not True and _is_false(ok):
         raise DomainError(f"energies must be positive, got E_j={e_j_hz}, E_c={e_c_hz}")
-    angular = (
-        (2.0 * beta * ELEMENTARY_CHARGE * v_rms_volt / REDUCED_PLANCK)
-        * (e_j_hz / (32.0 * e_c_hz)) ** 0.25
-    )
-    return angular / TWO_PI
+    angular = (2.0 * beta * ELEMENTARY_CHARGE * v_rms_volt / REDUCED_PLANCK) * (
+        e_j_hz / (32.0 * e_c_hz)
+    ) ** _QUARTER
+    g_01 = angular / TWO_PI
+    return g_01 if ok is True else _select(ok, g_01)
 
 
 def dispersive_shift(
-    g_01_hz: float, f_01_hz: float, f_12_hz: float, f_r_hz: float
-) -> tuple[float, float, float]:
+    g_01_hz: Any, f_01_hz: Any, f_12_hz: Any, f_r_hz: Any
+) -> tuple[Any, Any, Any]:
     """Second-order dispersive shifts (chi_01, chi_12, chi_total).
 
     Uses g_12 = sqrt(2) g_01 for the 1->2 transition. Warns when either
     detuning is within 10 g_01 of resonance; returns zeros for g_01 = 0.
     """
-    if g_01_hz < 0.0:
+    # g_01 not negative; a NaN passes, and gives NaN
+    if (ok := (g_01_hz >= 0.0) | (g_01_hz != g_01_hz)) is not True and _is_false(ok):
         raise DomainError(f"coupling strength must be non-negative, got {g_01_hz}")
-    if f_01_hz == f_r_hz or f_12_hz == f_r_hz:
+    if (ok := ok & (f_01_hz != f_r_hz) & (f_12_hz != f_r_hz)) is not True and _is_false(ok):
         raise DomainError(
             "qubit transition degenerate with the resonator; dispersive shift undefined"
         )
-    if g_01_hz == 0.0:
+    if ok is not True:  # a column: every shift holds g_01, so a row it drops is NaN in each
+        g_01_hz = _select(ok, g_01_hz)
+    if (coupled := g_01_hz != 0.0) is not True and _is_false(coupled):
         return 0.0, 0.0, 0.0
-    delta_01 = f_01_hz - f_r_hz
-    delta_12 = f_12_hz - f_r_hz
-    if min(abs(delta_01), abs(delta_12)) < _MIN_DISPERSIVE_RATIO * g_01_hz:
-        warn_dispersive(min(abs(delta_01), abs(delta_12)), stacklevel=2)
-    chi_01 = g_01_hz**2 / delta_01
-    chi_12 = 2.0 * g_01_hz**2 / delta_12
-    return chi_01, chi_12, chi_01 - chi_12 / 2.0
+    _near_resonance(g_01_hz, f_01_hz, f_12_hz, f_r_hz)
+    g_squared = g_01_hz**_SQUARE
+    chi_01 = g_squared / (f_01_hz - f_r_hz)
+    chi_12 = 2.0 * g_squared / (f_12_hz - f_r_hz)
+    chi = chi_01, chi_12, chi_01 - chi_12 / 2.0
+    if coupled is not True:  # a column: 0 where g_01 = 0
+        return tuple(_select(coupled, value, 0.0) for value in chi)
+    return chi
+
+
+def _near_resonance(g_01_hz: Any, f_01_hz: Any, f_12_hz: Any, f_r_hz: Any) -> Any:
+    """min(|f_01 - f_r|, |f_12 - f_r|) where it is within 10 g_01, else NaN: the
+    detuning a ``DispersiveValidityWarning`` names. A float call raises the
+    warning for ``dispersive_shift``'s caller; ``sweep`` warns a column's rows."""
+    a, b = abs(f_01_hz - f_r_hz), abs(f_12_hz - f_r_hz)
+    near = _select(b < a, b, a)  # min(a, b)
+    within = near < _MIN_DISPERSIVE_RATIO * g_01_hz
+    if type(within) is not np.ndarray and within:
+        warn_dispersive(near, stacklevel=3)
+    return _select(within, near)
+
+
+def _labels_ambiguous(g_01_hz: Any, detuning_hz: Any) -> Any:
+    """Where dressed labels may be ambiguous: |detuning| within 5 g_01 of a coupled qubit."""
+    return (g_01_hz > 0.0) & (abs(detuning_hz) <= ORACLE_MIN_RATIO * g_01_hz)
 
 
 def warn_dispersive(detuning_hz: float, stacklevel: int) -> None:
@@ -157,20 +181,27 @@ def warn_ambiguous_labels(abs_detuning_hz: float, stacklevel: int) -> None:
 
 
 def norton_equivalent(
-    c_k_farad: float, r_load_ohm: float, omega_rad_per_s: float
-) -> tuple[float, float]:
+    c_k_farad: Any, r_load_ohm: Any, omega_rad_per_s: Any
+) -> tuple[Any, Any]:
     """Parallel (R*, C*) equivalent of the series C_k -> R_load branch at omega."""
-    if not c_k_farad > 0.0 or not r_load_ohm > 0.0 or not omega_rad_per_s > 0.0:
+    ok = (c_k_farad > 0.0) & (r_load_ohm > 0.0) & (omega_rad_per_s > 0.0)
+    if ok is not True and _is_false(ok):
         raise DomainError("coupler capacitance, load and frequency must be positive")
-    x = (omega_rad_per_s * c_k_farad * r_load_ohm) ** 2
-    r_star = (1.0 + x) / (omega_rad_per_s**2 * c_k_farad**2 * r_load_ohm)
+    x = (omega_rad_per_s * c_k_farad * r_load_ohm) ** _SQUARE
+    omega_squared = omega_rad_per_s**_SQUARE
+    c_k_squared = c_k_farad**_SQUARE
+    denominator = omega_squared * c_k_squared * r_load_ohm
+    r_star = (1.0 + x) / denominator
     c_star = c_k_farad / (1.0 + x)
+    if ok is not True:  # a column: NaN also where a power overflows (NaN) or the divisor is 0
+        ok = ok & (omega_squared == omega_squared) & (c_k_squared == c_k_squared)
+        r_star, c_star = _select(ok & (denominator != 0.0), (r_star, c_star))
     return r_star, c_star
 
 
 def external_quality_factor(
-    c_r_farad: float, l_r_henry: float, c_k_farad: float, r_load_ohm: float
-) -> tuple[float, float, float]:
+    c_r_farad: Any, l_r_henry: Any, c_k_farad: Any, r_load_ohm: Any
+) -> tuple[Any, Any, Any]:
     """Feedline-limited quality factor of the coupled resonator.
 
     The series coupler/load branch is folded into its Norton equivalent
@@ -178,38 +209,65 @@ def external_quality_factor(
     omega* = 1 / sqrt(L_r (C_r + C*)). Returns (Q_ext, kappa, f_loaded)
     with kappa = f_loaded / Q_ext.
     """
-    if not c_r_farad > 0.0 or not l_r_henry > 0.0:
+    if (ok := (c_r_farad > 0.0) & (l_r_henry > 0.0)) is not True and _is_false(ok):
         raise DomainError("resonator C and L must be positive")
-    omega = 1.0 / math.sqrt(l_r_henry * c_r_farad)
-    for _ in range(100):
-        _, c_star = norton_equivalent(c_k_farad, r_load_ohm, omega)
-        omega_prev, omega = omega, 1.0 / math.sqrt(l_r_henry * (c_r_farad + c_star))
-        if abs(omega - omega_prev) <= 1e-15 * omega_prev:
-            break
+    omega = 1.0 / _sqrt(l_r_henry * c_r_farad)
+    if np.ndarray in (type(omega), type(c_k_farad), type(r_load_ohm)):
+        omega = _loaded_resonance(omega, c_r_farad, l_r_henry, c_k_farad, r_load_ohm)
     else:
-        raise ConvergenceError("loaded resonance iteration did not converge")
+        for _ in range(100):
+            _, c_star = norton_equivalent(c_k_farad, r_load_ohm, omega)
+            omega_prev, omega = omega, 1.0 / math.sqrt(l_r_henry * (c_r_farad + c_star))
+            if abs(omega - omega_prev) <= 1e-15 * omega_prev:
+                break
+        else:
+            raise ConvergenceError("loaded resonance iteration did not converge")
     r_star, c_star = norton_equivalent(c_k_farad, r_load_ohm, omega)
     q_ext = omega * r_star * (c_r_farad + c_star)
     f_loaded = omega / TWO_PI
-    return q_ext, f_loaded / q_ext, f_loaded
+    kappa = f_loaded / q_ext
+    if type(omega) is np.ndarray:  # a column: NaN also where C* is (refused) or Q_ext is 0
+        ok = ok & (c_star == c_star) & (q_ext != 0.0)
+        q_ext, kappa, f_loaded = _select(ok, (q_ext, kappa, f_loaded))
+    return q_ext, kappa, f_loaded
 
 
-def purcell_t1(
-    detuning_0_hz: float, g_01_hz: float, quality_factor: float, f_r_hz: float
-) -> float:
+def _loaded_resonance(omega: Any, c_r: Any, l_r: Any, c_k: Any, r_load: Any) -> np.ndarray:
+    """The loaded-resonance iteration on columns: the rows step together, each
+    keeping the step where its own test passes; a step that is not finite is
+    one where the float iteration raises, and a row that raises is NaN."""
+    omega = np.broadcast_to(omega, np.broadcast(omega, c_r, l_r, c_k, r_load).shape)
+    result = np.full(omega.shape, math.nan)
+    pending = np.isfinite(omega)  # an infinite omega: 1 / sqrt(0) raised
+    for _ in range(100):
+        _, c_star = norton_equivalent(c_k, r_load, omega)
+        new = 1.0 / np.sqrt(l_r * (c_r + c_star))
+        done = pending & (np.abs(new - omega) <= 1e-15 * omega)
+        result[done] = new[done]
+        pending &= ~done & np.isfinite(new)
+        if not pending.any():
+            break
+        omega = new
+    return result
+
+
+def purcell_t1(detuning_0_hz: Any, g_01_hz: Any, quality_factor: Any, f_r_hz: Any) -> Any:
     """Resonator-mediated relaxation bound, (Delta/g)^2 Q / omega_r.
 
     Returns ``math.inf`` for a decoupled qubit (g_01 = 0).
     """
-    if g_01_hz < 0.0:
+    if (ok := (g_01_hz >= 0.0) | (g_01_hz != g_01_hz)) is not True and _is_false(ok):
         raise DomainError(f"coupling strength must be non-negative, got {g_01_hz}")
-    if not quality_factor > 0.0:
+    if (ok := ok & (quality_factor > 0.0)) is not True and _is_false(ok):
         raise DomainError(f"quality factor must be positive, got {quality_factor}")
-    if not f_r_hz > 0.0:
+    if (ok := ok & (f_r_hz > 0.0)) is not True and _is_false(ok):
         raise DomainError(f"resonator frequency must be positive, got {f_r_hz}")
-    if g_01_hz == 0.0:
+    if ok is not True:  # a column: a row it drops is NaN
+        g_01_hz = _select(ok, g_01_hz)
+    if (coupled := g_01_hz != 0.0) is not True and _is_false(coupled):
         return math.inf
-    return (detuning_0_hz / g_01_hz) ** 2 * quality_factor / (TWO_PI * f_r_hz)
+    t1 = (detuning_0_hz / g_01_hz) ** _SQUARE * quality_factor / (TWO_PI * f_r_hz)
+    return t1 if coupled is True else _select(coupled, t1, math.inf)
 
 
 def coupled_spectrum_oracle(
@@ -239,7 +297,7 @@ def coupled_spectrum_oracle(
         )
 
     detuning = transmon.f_01_exact_hz - f_r_hz
-    if g_01_hz > 0.0 and abs(detuning) <= ORACLE_MIN_RATIO * g_01_hz:
+    if _labels_ambiguous(g_01_hz, detuning):
         warn_ambiguous_labels(abs(detuning), stacklevel=2)
 
     diag = [transmon.levels_hz[j] + m * f_r_hz for j, m in BLOCK_STATES]

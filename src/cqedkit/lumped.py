@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .constants import ELEMENTARY_CHARGE, PLANCK, TWO_PI, junction_inductance_to_ej
+from .constants import ELEMENTARY_CHARGE, PLANCK, TWO_PI, _SQUARE, _is_false, _select
+from .constants import junction_inductance_to_ej
 from .errors import DomainError
 
 TRANSMON_REGIME_MIN_RATIO = 50.0
@@ -119,34 +120,40 @@ class LumpedCircuit:
         return self.ej_ec_ratio > TRANSMON_REGIME_MIN_RATIO
 
 
-def quarter_wave_equivalents(f_r_hz: float, z_0_ohm: float) -> tuple[float, float]:
+def quarter_wave_equivalents(f_r_hz: Any, z_0_ohm: Any) -> tuple[Any, Any]:
     """Parallel LC equivalent of a quarter-wave line resonator.
 
     C_r = pi / (4 omega_r Z_0) and L_r = 1 / (C_r omega_r^2), so the LC
     pair resonates at f_r by construction.
     """
-    if not f_r_hz > 0.0:
+    if (ok := f_r_hz > 0.0) is not True and _is_false(ok):
         raise DomainError(f"resonator frequency must be positive, got {f_r_hz}")
-    if not z_0_ohm > 0.0:
+    if (ok := ok & (z_0_ohm > 0.0)) is not True and _is_false(ok):
         raise DomainError(f"line impedance must be positive, got {z_0_ohm}")
     omega_r = TWO_PI * f_r_hz
-    c_r = math.pi / (4.0 * omega_r * z_0_ohm)
-    l_r = 1.0 / (c_r * omega_r**2)
+    c_r = math.pi / (quotient := 4.0 * omega_r * z_0_ohm)
+    l_r = 1.0 / (product := c_r * (omega_r_squared := omega_r**_SQUARE))
+    if ok is not True:  # a column: NaN also where a divisor is 0 or the power overflows (NaN)
+        ok = ok & (quotient != 0.0) & (product != 0.0) & (omega_r_squared == omega_r_squared)
+        c_r, l_r = _select(ok, (c_r, l_r))
     return c_r, l_r
 
 
-def charging_energy(c_s_farad: float, c_g_farad: float = 0.0) -> float:
+def charging_energy(c_s_farad: Any, c_g_farad: Any = 0.0) -> Any:
     """Charging energy as a frequency, e^2 / (2 C_sigma h) with C_sigma = C_s + C_g."""
-    if not c_s_farad > 0.0:
+    if (ok := c_s_farad > 0.0) is not True and _is_false(ok):
         raise DomainError(f"shunt capacitance must be positive, got {c_s_farad}")
-    if c_g_farad < 0.0:
+    # C_g not negative; a NaN passes, and gives a NaN E_c
+    if (ok := ok & ((c_g_farad >= 0.0) | (c_g_farad != c_g_farad))) is not True and _is_false(ok):
         raise DomainError(f"coupling capacitance must be non-negative, got {c_g_farad}")
     c_sigma = c_s_farad + c_g_farad
-    return ELEMENTARY_CHARGE**2 / (2.0 * c_sigma * PLANCK)
+    e_c = ELEMENTARY_CHARGE**2 / (denominator := 2.0 * c_sigma * PLANCK)
+    return e_c if ok is True else _select(ok & (denominator != 0.0), e_c)
 
 
 def build_lumped_circuit(inputs: DesignInputs) -> LumpedCircuit:
-    """Assemble the full lumped circuit for one design."""
+    """Assemble the full lumped circuit for one design (or, from the sweep
+    batch, for a namespace of its fields as columns)."""
     c_r, l_r = quarter_wave_equivalents(inputs.f_r_target_hertz, inputs.z_0_ohm)
     e_c = charging_energy(inputs.c_s_farad, inputs.c_g_farad)
     e_j = junction_inductance_to_ej(inputs.l_j_henry)

@@ -22,9 +22,11 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
+from .constants import _is_false, _select, _sqrt
 from .errors import ConvergenceWarning, DomainError
 
 _MIN_CHARGE_CUTOFF = 10
@@ -52,13 +54,15 @@ class TransmonSpectrum:
     anharmonicity_exact_hz: float
 
 
-def perturbative_levels(e_j_hz: float, e_c_hz: float) -> PerturbativeTransmon:
+def perturbative_levels(e_j_hz: Any, e_c_hz: Any) -> PerturbativeTransmon:
     """Transition frequencies in the weakly-anharmonic approximation."""
-    if not e_j_hz > 0.0:
+    if (ok := e_j_hz > 0.0) is not True and _is_false(ok):
         raise DomainError(f"Josephson energy must be positive, got {e_j_hz}")
-    if not e_c_hz > 0.0:
+    if (ok := ok & (e_c_hz > 0.0)) is not True and _is_false(ok):
         raise DomainError(f"charging energy must be positive, got {e_c_hz}")
-    f_01 = math.sqrt(8.0 * e_j_hz * e_c_hz) - e_c_hz
+    if ok is not True:  # a column: every level holds E_c, so a row it drops is NaN in each
+        e_c_hz = _select(ok, e_c_hz)
+    f_01 = _sqrt(8.0 * e_j_hz * e_c_hz) - e_c_hz
     return PerturbativeTransmon(
         f_01_hz=f_01,
         f_12_hz=f_01 - e_c_hz,

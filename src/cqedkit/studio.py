@@ -16,25 +16,20 @@ from dataclasses import dataclass, fields, replace
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable, Collection, Mapping
 
 import numpy as np
 
 from . import __version__
-from .constants import (
-    ELEMENTARY_CHARGE,
-    FLUX_QUANTUM,
-    PLANCK,
-    REDUCED_PLANCK,
-    TWO_PI,
-    junction_inductance_to_critical_current,
-)
+from .constants import _is_false, _select, junction_inductance_to_critical_current
 from .coupling import (
-    _MIN_DISPERSIVE_RATIO,
     BLOCK_LADDER,
     BLOCK_STATES,
     ORACLE_MIN_RATIO,
     CouplingParameters,
+    _labels_ambiguous,
+    _near_resonance,
     coupled_spectrum_oracle,
     coupling_strength,
     dispersive_shift,
@@ -364,18 +359,30 @@ def derive(
         for name in quantities:
             _check_quantity(name)
     oracle = "chi_exact_hz" in quantities
-    if solved is None:
-        solved = {}
+    exact = oracle or "f_01_exact_hz" in quantities or "anharmonicity_exact_hz" in quantities
+    return _derivation(inputs, exact, oracle, {} if solved is None else solved)[0]
+
+
+def _derivation(
+    inputs: Any, exact_stage: bool, oracle_stage: bool, solved: dict[tuple[Any, ...], Any]
+) -> tuple[DerivedParameters, Any]:
+    """``derive``'s stages, on a design or on a namespace of its fields as
+    columns (the sweep batch; no eigen stage). Also the rows that pass
+    ``derive``'s own checks: True on floats, where a failure raises."""
     f_r = inputs.f_r_target_hertz
     try:
         stage = "lumped extraction"
         lumped = build_lumped_circuit(inputs)
-        _require_finite("E_j/E_c", lumped.ej_ec_ratio)
+        # an overflowed E_j/E_c or g would leave null fields in a report, and
+        # an overflowed Q_ext a kappa of 0, which 2|chi|/kappa divides by
+        ratio = lumped.ej_ec_ratio
+        if (ok := abs(ratio) < math.inf) is not True and _is_false(ok):
+            raise FloatingPointError(f"E_j/E_c is {ratio}")
         stage = "perturbative levels"
         pert = perturbative_levels(lumped.e_j_hz, lumped.e_c_hz)
         stage = "exact diagonalization"
         exact = None
-        if oracle or "f_01_exact_hz" in quantities or "anharmonicity_exact_hz" in quantities:
+        if exact_stage:
             # two entries; the oracle's keys have four, so the stages never share one
             key: tuple[float, ...] = (lumped.e_j_hz, lumped.e_c_hz)
             if key not in solved:
@@ -384,11 +391,13 @@ def derive(
         stage = "zero-point voltage"
         v_rms = zero_point_voltage(f_r, lumped.c_r_farad)
         stage = "coupling strength"
-        if lumped.beta > 0.0:
+        g_01 = 0.0
+        if (coupled := lumped.beta > 0.0) is True or not _is_false(coupled):
             g_01 = coupling_strength(lumped.beta, v_rms, lumped.e_j_hz, lumped.e_c_hz)
-            _require_finite("g_01", g_01)
-        else:
-            g_01 = 0.0
+            if coupled is not True:  # a column: 0 where C_g = 0
+                g_01 = _select(coupled, g_01, 0.0)
+        if (ok := ok & (abs(g_01) < math.inf)) is not True and _is_false(ok):
+            raise FloatingPointError(f"g_01 is {g_01}")
         detuning = pert.f_01_hz - f_r
         stage = "dispersive shift"
         chi_01, chi_12, chi_total = dispersive_shift(g_01, pert.f_01_hz, pert.f_12_hz, f_r)
@@ -396,14 +405,15 @@ def derive(
         q_ext, kappa, f_loaded = external_quality_factor(
             lumped.c_r_farad, lumped.l_r_henry, inputs.c_k_farad, inputs.r_load_ohm
         )
-        _require_finite("Q_ext", q_ext)
-        if kappa == 0.0:
+        if (ok := ok & (abs(q_ext) < math.inf)) is not True and _is_false(ok):
+            raise FloatingPointError(f"Q_ext is {q_ext}")
+        if (ok := ok & (kappa != 0.0)) is not True and _is_false(ok):
             raise FloatingPointError(f"kappa underflows to 0 at f_loaded = {f_loaded:.3g} Hz")
         stage = "relaxation estimate"
         t1 = purcell_t1(detuning, g_01, q_ext, f_r)
         stage = "dressed-state oracle"
         chi_exact: float | None = None
-        if oracle and _oracle_applies(g_01, detuning):
+        if oracle_stage and _oracle_applies(g_01, detuning):
             key = (lumped.e_j_hz, lumped.e_c_hz, f_r, g_01)
             if key not in solved:
                 solved[key] = coupled_spectrum_oracle(exact, f_r, g_01).chi_exact_hz
@@ -422,24 +432,20 @@ def derive(
         f_r_loaded_hz=f_loaded,
         t1_purcell_seconds=t1,
     )
-    return DerivedParameters(
+    derived = DerivedParameters(
         lumped=lumped,
         transmon_perturbative=pert,
         transmon_exact=exact,
         coupling=coupling,
         chi_exact_hz=chi_exact,
     )
+    return derived, ok
 
 
-def _oracle_applies(g_01: float, detuning: float) -> bool:
-    return g_01 == 0.0 or abs(detuning) > ORACLE_MIN_RATIO * g_01
-
-
-def _require_finite(name: str, value: float) -> None:
-    # an overflowed E_j/E_c or g would leave null fields in a report, and
-    # an overflowed Q_ext a kappa of 0, which 2|chi|/kappa divides by
-    if not math.isfinite(value):
-        raise FloatingPointError(f"{name} is {value}")
+def _oracle_applies(g_01: Any, detuning: Any) -> Any:
+    """Where derive runs the oracle, for floats or columns: a decoupled qubit, or
+    a closed-form detuning more than 5 g_01 from the resonator."""
+    return (g_01 == 0.0) | (abs(detuning) > ORACLE_MIN_RATIO * g_01)
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +492,16 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
 def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Evaluate the derivation chain on a parameter grid, in grid order.
 
-    The grid is evaluated as one batch (``_sweep_batch``), and each row is
-    bit for bit what ``derive`` gives for its point, with the same warnings
-    in the same order. Only the stages ``spec.outputs`` need run, each eigen
-    stage once per distinct input. A row whose derivation fails is marked
-    ``error`` and the sweep goes on. ``workers`` is checked (>= 1) and
-    otherwise ignored; it stays only for callers that pass ``workers=1``,
-    such as the benchmark workloads.
+    The grid is evaluated as one batch (``_sweep_batch``): ``derive``'s own
+    stage functions, called on columns. Each row is bit for bit what
+    ``derive`` gives for its point, with the same warnings in the same
+    order, raised here one row at a time. A row the batch marks (a NaN in
+    its closed forms, or one of derive's checks failed) is derived on its
+    own, and so is the first row it gives, as a check. Only the stages
+    ``spec.outputs`` need run, each eigen stage once per distinct input. A
+    row whose derivation fails is marked ``error`` and the sweep goes on.
+    ``workers`` is checked (>= 1) and otherwise ignored; it stays only for
+    callers that pass ``workers=1``, such as the benchmark workloads.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
@@ -556,28 +565,7 @@ def _same_bits(row: SweepRow, outputs: Mapping[str, float]) -> bool:
 # 401-state cap the two parity blocks of a key are 0.65 MB, and 101 of them
 # would be 65 MB
 _STACK_BYTES = 4 * 2**20
-_E_SQUARED = ELEMENTARY_CHARGE**2
-_PHI_SQUARED = (FLUX_QUANTUM / TWO_PI) ** 2
 _EXACT_QUANTITIES = frozenset(("f_01_exact_hz", "anharmonicity_exact_hz", "chi_exact_hz"))
-
-
-def _pow(column: np.ndarray, exponent: float) -> np.ndarray:
-    """Python's float ``**`` on each element, inf where it overflows.
-
-    NumPy's power rounds differently (``x**2`` on about 1 draw in 1,200,
-    ``x**0.25`` on 5 %), and the batch must give derive's bits.
-    """
-    values = column.tolist()
-    try:
-        return np.array([v**exponent for v in values])
-    except OverflowError:
-        powers = []
-        for v in values:
-            try:
-                powers.append(v**exponent)
-            except OverflowError:
-                powers.append(math.inf)
-        return np.array(powers)
 
 
 def _sweep_batch(
@@ -588,24 +576,19 @@ def _sweep_batch(
     dict[tuple[float, ...], tuple[TransmonSpectrum, int]],
     dict[tuple[float, ...], tuple[float, float | None]],
 ]:
-    """The sweep's grid as one NumPy pass, each row along the leading axis.
+    """The sweep's grid as one pass: ``derive``'s stages (``_derivation``) on
+    the design's fields as columns, an input that does not vary as a float;
+    the exact solve once per distinct (E_j, E_c), through the parity
+    kernel ``exact_transmon_spectrum`` uses; the oracle once per distinct
+    (E_j, E_c, f_r, g_01), stacked into one ``eigh``. It raises no warning.
 
-    It repeats derive's arithmetic operation for operation, so that every
-    value has derive's bits: the closed-form chain as columns (an input that
-    does not vary is a column of one), with ``**`` taken by Python on each
-    element; the exact solve once per distinct (E_j, E_c), through the
-    parity kernel ``exact_transmon_spectrum`` uses, one call per charge
-    cutoff; the oracle once per distinct (E_j, E_c, f_r, g_01), stacked into
-    one ``eigh``. It raises no warning.
-
-    Returns, per row, its outputs, or None for a row the batch does not vouch
-    for: an input that is not a Python float or is out of range, a stage's
-    ``DomainError`` condition, a value that is not finite, an iteration
-    that does not converge or a failed labeling; ``sweep`` derives those
-    one at a time. Per row also the keys of the eigen stages it ran and
-    the detuning its ``DispersiveValidityWarning`` names (None if none);
-    per spectrum key the spectrum and the cutoff the rule needs; per oracle
-    key chi_exact and the |detuning| of the oracle's warning (None if none).
+    Returns, per row, its outputs, or None for a row ``sweep`` must derive:
+    an input that is not a Python float, a NaN in its closed forms (where a
+    stage would raise), a failed check of derive's or a failed labeling. Per
+    row also the keys of the eigen stages it ran and the detuning its
+    ``DispersiveValidityWarning`` names (None if none); per spectrum key the
+    spectrum and the cutoff the rule needs; per oracle key chi_exact and the
+    |detuning| of the oracle's warning (None if none).
     """
     n = len(values)
     others = {
@@ -616,123 +599,34 @@ def _sweep_batch(
     if any(type(v) is not float for v in others.values()):
         # an int mixes with another int by exact integer arithmetic in derive
         return [None] * n, [], {}, {}
-    x = {name: np.array([v]) for name, v in others.items()}
-    swept = x[spec.parameter] = np.array([v if type(v) is float else math.nan for v in values])
-    c_s, c_g, c_k, l_j, f_r = (x[name] for name in SWEEPABLE_PARAMETERS)
-    r_load = x["r_load_ohm"]
-    with np.errstate(all="ignore"):
-        # each quotient, power and root is checked: where derive's float
-        # arithmetic raises, NumPy gives an inf or a NaN
-        checked = [swept]
-        ok = (swept >= 0.0) if spec.parameter == "c_g_farad" else (swept > 0.0)
-        # lumped extraction
-        omega_r = TWO_PI * f_r
-        c_r = math.pi / (4.0 * omega_r * x["z_0_ohm"])
-        omega_r_squared = _pow(omega_r, 2)
-        l_r = 1.0 / (c_r * omega_r_squared)
-        c_sigma = c_s + c_g
-        e_c = _E_SQUARED / (2.0 * c_sigma * PLANCK)
-        e_j = _PHI_SQUARED / (l_j * PLANCK)
-        beta = c_g / (c_g + c_s)
-        ratio = e_j / e_c
-        i_c = FLUX_QUANTUM / (TWO_PI * l_j)
-        checked += [c_r, omega_r_squared, l_r, e_c, e_j, ratio, i_c]
-        ok = ok & (e_j > 0.0) & (e_c > 0.0) & (c_r > 0.0) & (beta < 1.0)
-        # perturbative levels
-        f_01 = np.sqrt(8.0 * e_j * e_c) - e_c
-        f_12 = f_01 - e_c
-        # zero-point voltage and coupling strength
-        v_rms = np.sqrt(REDUCED_PLANCK * TWO_PI * f_r / (2.0 * c_r))
-        base = e_j / (32.0 * e_c)
-        # a negative base, on a row already refused, would give a complex power
-        quarter = _pow(np.where(base >= 0.0, base, math.nan), 0.25)
-        coupled = beta > 0.0
-        g_01 = np.where(
-            coupled,
-            2.0 * beta * ELEMENTARY_CHARGE * v_rms / REDUCED_PLANCK * quarter / TWO_PI,
-            0.0,
-        )
-        checked += [f_01, v_rms, g_01]
-        # dispersive shift
-        detuning = f_01 - f_r
-        delta_12 = f_12 - f_r
-        ok = ok & (detuning != 0.0) & (delta_12 != 0.0)
-        g_squared = _pow(g_01, 2)
-        chi_01 = np.where(coupled, g_squared / detuning, 0.0)
-        chi_12 = np.where(coupled, 2.0 * g_squared / delta_12, 0.0)
-        chi_total = np.where(coupled, chi_01 - chi_12 / 2.0, 0.0)
-        near = np.minimum(np.abs(detuning), np.abs(delta_12))
-        warns = coupled & (near < _MIN_DISPERSIVE_RATIO * g_01)
-        checked += [g_squared, chi_01, chi_12, chi_total]
-        # quality factor: each row iterates until its own test passes
-        shape = np.broadcast_shapes(c_r.shape, l_r.shape, c_k.shape)
-        c_r_q, l_r_q, c_k_q, r_q = (np.broadcast_to(a, shape) for a in (c_r, l_r, c_k, r_load))
-        c_k_squared = _pow(c_k_q, 2)
-        omega = 1.0 / np.sqrt(l_r_q * c_r_q)
-        settled = np.zeros(shape, dtype=bool)
-        active = np.flatnonzero(np.isfinite(omega) & np.isfinite(c_k_squared))
-        for _ in range(100):
-            if not active.size:
-                break
-            w = omega[active]
-            ck = c_k_q[active]
-            norton = _pow(w * ck * r_q[active], 2)
-            new = 1.0 / np.sqrt(l_r_q[active] * (c_r_q[active] + ck / (1.0 + norton)))
-            # the Norton resistance derive also takes at each step divides
-            # by w**2 c_k**2 R; far from 0 and from overflow it cannot raise
-            sound = (
-                np.isfinite(norton) & np.isfinite(new)
-                & (w < 1e150) & (w * w * c_k_squared[active] * r_q[active] > 1e-300)
-            )
-            omega[active] = new
-            done = sound & (np.abs(new - w) <= 1e-15 * w)
-            settled[active[done]] = True
-            active = active[sound & ~done]
-        norton = _pow(omega * c_k_q * r_q, 2)
-        omega_squared = _pow(omega, 2)
-        r_star = (1.0 + norton) / (omega_squared * c_k_squared * r_q)
-        q_ext = omega * r_star * (c_r_q + c_k_q / (1.0 + norton))
-        f_loaded = omega / TWO_PI
-        kappa = f_loaded / q_ext
-        checked += [norton, omega_squared, r_star, q_ext, kappa]
-        ok = ok & settled & (kappa != 0.0) & (q_ext > 0.0)
-        # relaxation estimate
-        t1_coupled = _pow(detuning / g_01, 2) * q_ext / (TWO_PI * f_r)
-        t1 = np.where(coupled, t1_coupled, math.inf)
-        checked += [np.where(coupled, t1_coupled, 0.0)]
-        columns = {
-            "i_c_ampere": i_c,
-            "e_j_hz": e_j,
-            "e_c_hz": e_c,
-            "ej_ec_ratio": ratio,
-            "c_r_farad": c_r,
-            "l_r_henry": l_r,
-            "c_sigma_farad": c_sigma,
-            "beta": beta,
-            "f_01_hz": f_01,
-            "f_12_hz": f_12,
-            "anharmonicity_hz": -e_c,
-            "v_rms_volt": v_rms,
-            "g_01_hz": g_01,
-            "detuning_hz": detuning,
-            "abs_detuning_hz": np.abs(detuning),
-            "chi_01_hz": chi_01,
-            "chi_12_hz": chi_12,
-            "chi_total_hz": chi_total,
-            "q_ext": q_ext,
-            "kappa_hz": kappa,
-            "f_r_loaded_hz": f_loaded,
-            "t1_seconds": t1,
-        }
-        for column in checked:
-            ok &= np.isfinite(column)
-        applies = (g_01 == 0.0) | (np.abs(detuning) > ORACLE_MIN_RATIO * g_01)
-    ej, ec, fr, g, near_list, warned, applies = (
-        np.broadcast_to(a, (n,)).tolist() for a in (e_j, e_c, f_r, g_01, near, warns, applies)
-    )
-    good = ok.tolist()
-
+    swept = np.array([v if type(v) is float else math.nan for v in values])
+    design = {**others, spec.parameter: swept}
+    # C_g as a column makes g_01 one, so dispersive_shift, the stage that warns, takes columns
+    design["c_g_farad"] = np.atleast_1d(design["c_g_farad"])
     exact = _EXACT_QUANTITIES.intersection(spec.outputs)
+    with np.errstate(all="ignore"):
+        try:
+            derived, ok = _derivation(SimpleNamespace(**design), False, False, {})
+        except (ValueError, ArithmeticError, RuntimeError):  # a float stage: every row raises
+            return [None] * n, [], {}, {}
+        lumped, pert, coupling = derived.lumped, derived.transmon_perturbative, derived.coupling
+        for record in (lumped, pert, coupling):
+            for value in vars(record).values():
+                if type(value) in (float, np.ndarray):  # not the lumped circuit's inputs
+                    ok = ok & (value == value)
+        f_r = design["f_r_target_hertz"]
+        near = _near_resonance(coupling.g_01_hz, pert.f_01_hz, pert.f_12_hz, f_r)
+        applies = _oracle_applies(coupling.g_01_hz, coupling.detuning_0_hz)
+        by_name = {
+            name: np.broadcast_to(QUANTITIES[name](derived), (n,)).tolist()
+            for name in spec.outputs
+            if name not in exact
+        }
+    ej, ec, fr, g, near_list, applies, good = (
+        np.broadcast_to(a, (n,)).tolist()
+        for a in (lumped.e_j_hz, lumped.e_c_hz, f_r, coupling.g_01_hz, near, applies, ok)
+    )
+
     spectra: dict[tuple[float, ...], tuple[TransmonSpectrum, int]] = {}
     spectrum_keys: list[tuple[float, float] | None] = [None] * n
     if exact:
@@ -754,22 +648,17 @@ def _sweep_batch(
                 else:
                     chi_exact[i] = chi
 
-    lists = []
-    for name in spec.outputs:
-        if name == "chi_exact_hz":
-            lists.append(chi_exact)
-        elif name in exact:  # f_01_exact_hz and anharmonicity_exact_hz name the fields
-            lists.append([
-                getattr(spectra[k][0], name) if k is not None else math.nan for k in spectrum_keys
-            ])
-        else:
-            lists.append(np.broadcast_to(columns[name], (n,)).tolist())
+    by_name["chi_exact_hz"] = chi_exact
+    for name in exact - {"chi_exact_hz"}:  # f_01_exact_hz, anharmonicity_exact_hz: the fields
+        by_name[name] = [
+            getattr(spectra[k][0], name) if k is not None else math.nan for k in spectrum_keys
+        ]
     outputs: list[dict[str, float] | None] = [
         dict(zip(spec.outputs, row)) if good[i] else None
-        for i, row in enumerate(zip(*lists))
+        for i, row in enumerate(zip(*(by_name[name] for name in spec.outputs)))
     ]
     stages = [
-        (spectrum_keys[i], near_list[i] if warned[i] else None, oracle_keys[i])
+        (spectrum_keys[i], near_list[i] if near_list[i] == near_list[i] else None, oracle_keys[i])
         for i in range(n)
     ]
     return outputs, stages, spectra, oracles
@@ -832,9 +721,9 @@ def _batched_oracle(
     ).tolist()
     oracles: dict[tuple[float, ...], tuple[float | None, float | None]] = {}
     for key, chi_exact, ok in zip(keys, chi, labeled.tolist()):
-        detuning = abs(spectra[key[:2]][0].f_01_exact_hz - key[2])
-        ambiguous = key[3] > 0.0 and detuning <= ORACLE_MIN_RATIO * key[3]
-        oracles[key] = (chi_exact if ok else None, detuning if ambiguous else None)
+        detuning = spectra[key[:2]][0].f_01_exact_hz - key[2]
+        ambiguous = _labels_ambiguous(key[3], detuning)
+        oracles[key] = (chi_exact if ok else None, abs(detuning) if ambiguous else None)
     return oracles
 
 
