@@ -9,7 +9,8 @@ Each closed-form stage function takes Python floats or NumPy columns (1-d,
 or of one row; a float input beside them is checked as a float), a column
 call being made under ``np.errstate(all="ignore")``. On a column it raises
 and warns of nothing, and each row where the float call would raise is NaN
-in every output.
+in every output. A power of a value that can be a column is a ``_power``
+call, never ``**``, which would take NumPy's rounding on a column.
 """
 
 from __future__ import annotations
@@ -47,39 +48,16 @@ def _sqrt(x: Any) -> Any:
 
 
 def _power(base: Any, exponent: float) -> Any:
-    """Python's float ``**``; on a column the C library's ``pow`` of each element,
-    as Python's ``**`` takes, and NaN where that raises ``OverflowError``.
-    NumPy's ``power`` rounds differently (``x**2`` on 1 draw in 1,200,
-    ``x**0.25`` on 5 %). A NumPy scalar keeps its own power."""
+    """``base ** exponent``, a column's rows rounded as Python's float ``**`` rounds:
+    the C library's ``pow``, and NaN where that raises ``OverflowError``. ``**``
+    on a column takes NumPy's ``power``, which rounds differently (``x**2`` on 1
+    draw in 1,200, ``x**0.25`` on 5 %). An int or a NumPy scalar keeps its own."""
     if type(base) is not np.ndarray:
         return base**exponent
     power = np.float_power(base, exponent)
     if math.isfinite(power.sum()):
         return power
     return np.where(np.isinf(power) & np.isfinite(base), math.nan, power)
-
-
-class _IntPower(int):
-    """An exponent that NumPy hands a column's power to (``_power``). A float
-    base takes float.__pow__, and an int base its exact integer power."""
-
-    __array_ufunc__ = None  # NumPy defers ``column ** self`` to __rpow__
-
-    def __rpow__(self, base: Any) -> Any:
-        return _power(base, int(self))
-
-
-class _FloatPower(float):
-    """An exponent that NumPy hands a column's power to (``_power``); a float
-    base takes float.__pow__."""
-
-    def __array_ufunc__(self, ufunc: Any, method: str, *inputs: Any, **kwargs: Any) -> Any:
-        if ufunc is not np.power or inputs[1] is not self or kwargs:
-            return NotImplemented
-        return _power(inputs[0], float(self))
-
-
-_SQUARE, _QUARTER = _IntPower(2), _FloatPower(0.25)
 
 
 def junction_inductance_to_critical_current(l_j_henry: Any) -> Any:

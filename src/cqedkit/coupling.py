@@ -15,7 +15,7 @@ mode, in the blocks of conserved excitation number that chi needs, and
 extracts the exact qubit-state-dependent pull of the resonator, for
 comparison with the second-order formula. The chain's stage functions
 take floats or columns (``constants``); the oracle takes floats, and the
-sweep batch stacks its keys (``studio._batched_oracle``).
+sweep batch stacks its keys (``_batched_oracle``).
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Mapping
 
 import numpy as np
 
-from .constants import ELEMENTARY_CHARGE, REDUCED_PLANCK, TWO_PI, _QUARTER, _SQUARE
-from .constants import _is_false, _select, _sqrt
+from .constants import ELEMENTARY_CHARGE, REDUCED_PLANCK, TWO_PI
+from .constants import _is_false, _power, _select, _sqrt
 from .errors import (
     ConvergenceError,
     DispersiveValidityWarning,
@@ -107,9 +107,9 @@ def coupling_strength(beta: Any, v_rms_volt: Any, e_j_hz: Any, e_c_hz: Any) -> A
         raise DomainError(f"zero-point voltage must be non-negative, got {v_rms_volt}")
     if (ok := ok & (e_j_hz > 0.0) & (e_c_hz > 0.0)) is not True and _is_false(ok):
         raise DomainError(f"energies must be positive, got E_j={e_j_hz}, E_c={e_c_hz}")
-    angular = (2.0 * beta * ELEMENTARY_CHARGE * v_rms_volt / REDUCED_PLANCK) * (
-        e_j_hz / (32.0 * e_c_hz)
-    ) ** _QUARTER
+    angular = (2.0 * beta * ELEMENTARY_CHARGE * v_rms_volt / REDUCED_PLANCK) * _power(
+        e_j_hz / (32.0 * e_c_hz), 0.25
+    )
     g_01 = angular / TWO_PI
     return g_01 if ok is True else _select(ok, g_01)
 
@@ -134,7 +134,7 @@ def dispersive_shift(
     if (coupled := g_01_hz != 0.0) is not True and _is_false(coupled):
         return 0.0, 0.0, 0.0
     _near_resonance(g_01_hz, f_01_hz, f_12_hz, f_r_hz)
-    g_squared = g_01_hz**_SQUARE
+    g_squared = _power(g_01_hz, 2)
     chi_01 = g_squared / (f_01_hz - f_r_hz)
     chi_12 = 2.0 * g_squared / (f_12_hz - f_r_hz)
     chi = chi_01, chi_12, chi_01 - chi_12 / 2.0
@@ -158,6 +158,12 @@ def _near_resonance(g_01_hz: Any, f_01_hz: Any, f_12_hz: Any, f_r_hz: Any) -> An
 def _labels_ambiguous(g_01_hz: Any, detuning_hz: Any) -> Any:
     """Where dressed labels may be ambiguous: |detuning| within 5 g_01 of a coupled qubit."""
     return (g_01_hz > 0.0) & (abs(detuning_hz) <= ORACLE_MIN_RATIO * g_01_hz)
+
+
+def _oracle_applies(g_01_hz: Any, detuning_hz: Any) -> Any:
+    """Where derive runs the oracle, for floats or columns: a decoupled qubit, or
+    a closed-form detuning more than 5 g_01 from the resonator."""
+    return (g_01_hz == 0.0) | (abs(detuning_hz) > ORACLE_MIN_RATIO * g_01_hz)
 
 
 def warn_dispersive(detuning_hz: float, stacklevel: int) -> None:
@@ -184,19 +190,26 @@ def norton_equivalent(
     c_k_farad: Any, r_load_ohm: Any, omega_rad_per_s: Any
 ) -> tuple[Any, Any]:
     """Parallel (R*, C*) equivalent of the series C_k -> R_load branch at omega."""
-    ok = (c_k_farad > 0.0) & (r_load_ohm > 0.0) & (omega_rad_per_s > 0.0)
-    if ok is not True and _is_false(ok):
-        raise DomainError("coupler capacitance, load and frequency must be positive")
-    x = (omega_rad_per_s * c_k_farad * r_load_ohm) ** _SQUARE
-    omega_squared = omega_rad_per_s**_SQUARE
-    c_k_squared = c_k_farad**_SQUARE
+    c_star, x, ok = _norton_capacitance(c_k_farad, r_load_ohm, omega_rad_per_s)
+    omega_squared = _power(omega_rad_per_s, 2)
+    c_k_squared = _power(c_k_farad, 2)
     denominator = omega_squared * c_k_squared * r_load_ohm
     r_star = (1.0 + x) / denominator
-    c_star = c_k_farad / (1.0 + x)
     if ok is not True:  # a column: NaN also where a power overflows (NaN) or the divisor is 0
         ok = ok & (omega_squared == omega_squared) & (c_k_squared == c_k_squared)
         r_star, c_star = _select(ok & (denominator != 0.0), (r_star, c_star))
     return r_star, c_star
+
+
+def _norton_capacitance(c_k_farad: Any, r_load_ohm: Any, omega: Any) -> tuple[Any, Any, Any]:
+    """C* = C_k / (1 + x), x = (omega C_k R_load)^2, NaN where a column's row fails the
+    check; with x and the rows that pass. The loaded-resonance loops need C* alone."""
+    ok = (c_k_farad > 0.0) & (r_load_ohm > 0.0) & (omega > 0.0)
+    if ok is not True and _is_false(ok):
+        raise DomainError("coupler capacitance, load and frequency must be positive")
+    x = _power(omega * c_k_farad * r_load_ohm, 2)
+    c_star = c_k_farad / (1.0 + x)
+    return c_star if ok is True else _select(ok, c_star), x, ok
 
 
 def external_quality_factor(
@@ -216,7 +229,7 @@ def external_quality_factor(
         omega = _loaded_resonance(omega, c_r_farad, l_r_henry, c_k_farad, r_load_ohm)
     else:
         for _ in range(100):
-            _, c_star = norton_equivalent(c_k_farad, r_load_ohm, omega)
+            c_star = _norton_capacitance(c_k_farad, r_load_ohm, omega)[0]
             omega_prev, omega = omega, 1.0 / math.sqrt(l_r_henry * (c_r_farad + c_star))
             if abs(omega - omega_prev) <= 1e-15 * omega_prev:
                 break
@@ -240,7 +253,7 @@ def _loaded_resonance(omega: Any, c_r: Any, l_r: Any, c_k: Any, r_load: Any) -> 
     result = np.full(omega.shape, math.nan)
     pending = np.isfinite(omega)  # an infinite omega: 1 / sqrt(0) raised
     for _ in range(100):
-        _, c_star = norton_equivalent(c_k, r_load, omega)
+        c_star = _norton_capacitance(c_k, r_load, omega)[0]
         new = 1.0 / np.sqrt(l_r * (c_r + c_star))
         done = pending & (np.abs(new - omega) <= 1e-15 * omega)
         result[done] = new[done]
@@ -266,7 +279,7 @@ def purcell_t1(detuning_0_hz: Any, g_01_hz: Any, quality_factor: Any, f_r_hz: An
         g_01_hz = _select(ok, g_01_hz)
     if (coupled := g_01_hz != 0.0) is not True and _is_false(coupled):
         return math.inf
-    t1 = (detuning_0_hz / g_01_hz) ** _SQUARE * quality_factor / (TWO_PI * f_r_hz)
+    t1 = _power(detuning_0_hz / g_01_hz, 2) * quality_factor / (TWO_PI * f_r_hz)
     return t1 if coupled is True else _select(coupled, t1, math.inf)
 
 
@@ -322,3 +335,43 @@ def coupled_spectrum_oracle(
         (dressed[(1, 1)] - dressed[(1, 0)]) - (dressed[(0, 1)] - dressed[(0, 0)])
     ) / 2.0
     return CoupledSpectrum(dressed_energies_hz=dressed, chi_exact_hz=chi_exact)
+
+
+def _batched_oracle(
+    keys: Mapping[tuple[float, ...], None],
+    spectra: Mapping[tuple[float, ...], tuple[TransmonSpectrum, int]],
+) -> dict[tuple[float, ...], tuple[float | None, float | None]]:
+    """``coupled_spectrum_oracle`` of each (E_j, E_c, f_r, g_01) in one ``eigh``: chi_exact
+    (None where the labeling fails) and the |detuning| its warning names (None if none)."""
+    if not keys:
+        return {}
+    levels = np.array([spectra[key[:2]][0].levels_hz[:3] for key in keys])
+    f_r = np.array([key[2] for key in keys])
+    g_01 = np.array([key[3] for key in keys])
+    size = len(BLOCK_STATES)
+    matrices = np.zeros((len(keys), size * size))
+    matrices[:, :: size + 1] = levels[:, [j for j, _ in BLOCK_STATES]] + np.array(
+        [float(m) for _, m in BLOCK_STATES]
+    ) * f_r[:, None]
+    matrices[:, 1 :: size + 1] = matrices[:, size :: size + 1] = g_01[:, None] * np.array(
+        BLOCK_LADDER
+    )
+    energies, vectors = np.linalg.eigh(matrices.reshape(-1, size, size))
+    weights = vectors**2
+    bare = weights.argmax(axis=1)
+    dominant = np.take_along_axis(weights, bare[:, None, :], axis=1)[:, 0, :] > 0.5
+    dressed = {}
+    labeled = np.ones(len(keys), dtype=bool)
+    for label in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        match = dominant & (bare == BLOCK_STATES.index(label))
+        labeled &= match.any(axis=1)
+        dressed[label] = np.take_along_axis(energies, match.argmax(axis=1)[:, None], axis=1)[:, 0]
+    chi = np.where(
+        g_01 == 0.0, 0.0, ((dressed[1, 1] - dressed[1, 0]) - (dressed[0, 1] - dressed[0, 0])) / 2.0
+    ).tolist()
+    oracles: dict[tuple[float, ...], tuple[float | None, float | None]] = {}
+    for key, chi_exact, ok in zip(keys, chi, labeled.tolist()):
+        detuning = spectra[key[:2]][0].f_01_exact_hz - key[2]
+        ambiguous = _labels_ambiguous(key[3], detuning)
+        oracles[key] = (chi_exact if ok else None, abs(detuning) if ambiguous else None)
+    return oracles

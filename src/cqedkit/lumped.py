@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .constants import ELEMENTARY_CHARGE, PLANCK, TWO_PI, _SQUARE, _is_false, _select
+from .constants import ELEMENTARY_CHARGE, PLANCK, TWO_PI, _is_false, _power, _select
 from .constants import junction_inductance_to_ej
 from .errors import DomainError
 
@@ -132,7 +132,7 @@ def quarter_wave_equivalents(f_r_hz: Any, z_0_ohm: Any) -> tuple[Any, Any]:
         raise DomainError(f"line impedance must be positive, got {z_0_ohm}")
     omega_r = TWO_PI * f_r_hz
     c_r = math.pi / (quotient := 4.0 * omega_r * z_0_ohm)
-    l_r = 1.0 / (product := c_r * (omega_r_squared := omega_r**_SQUARE))
+    l_r = 1.0 / (product := c_r * (omega_r_squared := _power(omega_r, 2)))
     if ok is not True:  # a column: NaN also where a divisor is 0 or the power overflows (NaN)
         ok = ok & (quotient != 0.0) & (product != 0.0) & (omega_r_squared == omega_r_squared)
         c_r, l_r = _select(ok, (c_r, l_r))

@@ -12,8 +12,9 @@ n -> -n and splits into an even block, |0> and (|n> + |-n>)/sqrt(2) for
 n = 1..N, whose first coupling is sqrt(2) (-E_j / 2), and an odd block,
 (|n> - |-n>)/sqrt(2) for n = 1..N (Koch et al., PRA 76, 042319 (2007)).
 ``_parity_levels`` solves both blocks of many (E_j, E_c) rows in one
-``eigvalsh`` call, so a single spectrum and a sweep's stack take the same
-path and give the same bits; any other n_g takes the dense matrix.
+``eigvalsh`` call, so a single spectrum and a sweep's stack
+(``_batched_spectra``) take the same path and give the same bits; any
+other n_g takes the dense matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -32,6 +33,10 @@ from .errors import ConvergenceWarning, DomainError
 _MIN_CHARGE_CUTOFF = 10
 _MAX_CHARGE_CUTOFF = 200  # 401 states; bounds the size of an automatic solve
 _N_LEVELS = 8  # ground-referenced levels kept, as the report lists them
+# bytes of matrices one stacked eigensolve may receive: at the charge basis's
+# 401-state cap the two parity blocks of a key are 0.65 MB, and 101 of them
+# would be 65 MB
+_STACK_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -193,3 +198,26 @@ def exact_transmon_spectrum(
         levels = np.linalg.eigvalsh(hamiltonian)[:_N_LEVELS]
         levels = levels - levels[0]
     return _spectrum(levels.tolist(), n_g, charge_cutoff)
+
+
+def _batched_spectra(
+    keys: Mapping[tuple[float, float], None],
+) -> dict[tuple[float, ...], tuple[TransmonSpectrum, int]]:
+    """``exact_transmon_spectrum`` at n_g = 0 of each (E_j, E_c), through its own kernel,
+    one call per cutoff and byte budget; with each spectrum, the cutoff the rule needs."""
+    groups: dict[int, list[tuple[tuple[float, float], int]]] = {}
+    for key in keys:
+        needed = needed_charge_cutoff(key[0] / key[1])
+        groups.setdefault(min(needed, _MAX_CHARGE_CUTOFF), []).append((key, needed))
+    spectra: dict[tuple[float, ...], tuple[TransmonSpectrum, int]] = {}
+    for cutoff, group in groups.items():
+        # two blocks of (cutoff + 1)^2 doubles per key
+        per_call = max(1, _STACK_BYTES // (2 * (cutoff + 1) ** 2 * 8))
+        for start in range(0, len(group), per_call):
+            chunk = group[start : start + per_call]
+            levels = _parity_levels(
+                np.array([key[0] for key, _ in chunk]), np.array([key[1] for key, _ in chunk]), cutoff
+            )
+            for (key, needed), row in zip(chunk, levels.tolist()):
+                spectra[key] = (_spectrum(row, 0.0, cutoff), needed)
+    return spectra

@@ -24,12 +24,10 @@ import numpy as np
 from . import __version__
 from .constants import _is_false, _select, junction_inductance_to_critical_current
 from .coupling import (
-    BLOCK_LADDER,
-    BLOCK_STATES,
-    ORACLE_MIN_RATIO,
     CouplingParameters,
-    _labels_ambiguous,
+    _batched_oracle,
     _near_resonance,
+    _oracle_applies,
     coupled_spectrum_oracle,
     coupling_strength,
     dispersive_shift,
@@ -47,13 +45,10 @@ from .errors import (
 )
 from .lumped import DesignInputs, LumpedCircuit, build_lumped_circuit
 from .spectrum import (
-    _MAX_CHARGE_CUTOFF,
     PerturbativeTransmon,
     TransmonSpectrum,
-    _parity_levels,
-    _spectrum,
+    _batched_spectra,
     exact_transmon_spectrum,
-    needed_charge_cutoff,
     perturbative_levels,
     warn_unconverged,
 )
@@ -245,6 +240,8 @@ QUANTITIES: dict[str, Callable[[DerivedParameters], float]] = {
     "f_r_loaded_hz": lambda d: d.coupling.f_r_loaded_hz,
     "t1_seconds": lambda d: d.coupling.t1_purcell_seconds,
 }
+# the quantities that need the exact diagonalization; chi_exact_hz also the oracle
+_EXACT_QUANTITIES = frozenset(("f_01_exact_hz", "anharmonicity_exact_hz", "chi_exact_hz"))
 
 
 def _check_quantity(name: str) -> None:
@@ -358,8 +355,8 @@ def derive(
     else:
         for name in quantities:
             _check_quantity(name)
+    exact = not _EXACT_QUANTITIES.isdisjoint(quantities)
     oracle = "chi_exact_hz" in quantities
-    exact = oracle or "f_01_exact_hz" in quantities or "anharmonicity_exact_hz" in quantities
     return _derivation(inputs, exact, oracle, {} if solved is None else solved)[0]
 
 
@@ -440,12 +437,6 @@ def _derivation(
         chi_exact_hz=chi_exact,
     )
     return derived, ok
-
-
-def _oracle_applies(g_01: Any, detuning: Any) -> Any:
-    """Where derive runs the oracle, for floats or columns: a decoupled qubit, or
-    a closed-form detuning more than 5 g_01 from the resonator."""
-    return (g_01 == 0.0) | (abs(detuning) > ORACLE_MIN_RATIO * g_01)
 
 
 # ---------------------------------------------------------------------------
@@ -561,13 +552,6 @@ def _same_bits(row: SweepRow, outputs: Mapping[str, float]) -> bool:
     ]
 
 
-# bytes of matrices one stacked eigensolve may receive: at the charge basis's
-# 401-state cap the two parity blocks of a key are 0.65 MB, and 101 of them
-# would be 65 MB
-_STACK_BYTES = 4 * 2**20
-_EXACT_QUANTITIES = frozenset(("f_01_exact_hz", "anharmonicity_exact_hz", "chi_exact_hz"))
-
-
 def _sweep_batch(
     inputs: DesignInputs, spec: SweepSpec, values: list[float]
 ) -> tuple[
@@ -662,69 +646,6 @@ def _sweep_batch(
         for i in range(n)
     ]
     return outputs, stages, spectra, oracles
-
-
-def _batched_spectra(
-    keys: Mapping[tuple[float, float], None],
-) -> dict[tuple[float, ...], tuple[TransmonSpectrum, int]]:
-    """``exact_transmon_spectrum`` at n_g = 0 of each (E_j, E_c), through its own kernel,
-    one call per cutoff and byte budget; with each spectrum, the cutoff the rule needs."""
-    groups: dict[int, list[tuple[tuple[float, float], int]]] = {}
-    for key in keys:
-        needed = needed_charge_cutoff(key[0] / key[1])
-        groups.setdefault(min(needed, _MAX_CHARGE_CUTOFF), []).append((key, needed))
-    spectra: dict[tuple[float, ...], tuple[TransmonSpectrum, int]] = {}
-    for cutoff, group in groups.items():
-        # two blocks of (cutoff + 1)^2 doubles per key
-        per_call = max(1, _STACK_BYTES // (2 * (cutoff + 1) ** 2 * 8))
-        for start in range(0, len(group), per_call):
-            chunk = group[start : start + per_call]
-            levels = _parity_levels(
-                np.array([key[0] for key, _ in chunk]), np.array([key[1] for key, _ in chunk]), cutoff
-            )
-            for (key, needed), row in zip(chunk, levels.tolist()):
-                spectra[key] = (_spectrum(row, 0.0, cutoff), needed)
-    return spectra
-
-
-def _batched_oracle(
-    keys: Mapping[tuple[float, ...], None],
-    spectra: Mapping[tuple[float, ...], tuple[TransmonSpectrum, int]],
-) -> dict[tuple[float, ...], tuple[float | None, float | None]]:
-    """``coupled_spectrum_oracle`` of each (E_j, E_c, f_r, g_01) in one ``eigh``: chi_exact
-    (None where the labeling fails) and the |detuning| its warning names (None if none)."""
-    if not keys:
-        return {}
-    levels = np.array([spectra[key[:2]][0].levels_hz[:3] for key in keys])
-    f_r = np.array([key[2] for key in keys])
-    g_01 = np.array([key[3] for key in keys])
-    size = len(BLOCK_STATES)
-    matrices = np.zeros((len(keys), size * size))
-    matrices[:, :: size + 1] = levels[:, [j for j, _ in BLOCK_STATES]] + np.array(
-        [float(m) for _, m in BLOCK_STATES]
-    ) * f_r[:, None]
-    matrices[:, 1 :: size + 1] = matrices[:, size :: size + 1] = g_01[:, None] * np.array(
-        BLOCK_LADDER
-    )
-    energies, vectors = np.linalg.eigh(matrices.reshape(-1, size, size))
-    weights = vectors**2
-    bare = weights.argmax(axis=1)
-    dominant = np.take_along_axis(weights, bare[:, None, :], axis=1)[:, 0, :] > 0.5
-    dressed = {}
-    labeled = np.ones(len(keys), dtype=bool)
-    for label in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        match = dominant & (bare == BLOCK_STATES.index(label))
-        labeled &= match.any(axis=1)
-        dressed[label] = np.take_along_axis(energies, match.argmax(axis=1)[:, None], axis=1)[:, 0]
-    chi = np.where(
-        g_01 == 0.0, 0.0, ((dressed[1, 1] - dressed[1, 0]) - (dressed[0, 1] - dressed[0, 0])) / 2.0
-    ).tolist()
-    oracles: dict[tuple[float, ...], tuple[float | None, float | None]] = {}
-    for key, chi_exact, ok in zip(keys, chi, labeled.tolist()):
-        detuning = spectra[key[:2]][0].f_01_exact_hz - key[2]
-        ambiguous = _labels_ambiguous(key[3], detuning)
-        oracles[key] = (chi_exact if ok else None, abs(detuning) if ambiguous else None)
-    return oracles
 
 
 TUNE_MAX_ITERATIONS = 200  # interior steps before tune gives up

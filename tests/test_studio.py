@@ -863,9 +863,9 @@ def test_derive_reports_a_loaded_resonance_that_does_not_converge(reference_inpu
     factors = itertools.cycle((1.0, 2.0))
 
     def oscillating(c_k_farad, r_load_ohm, omega):
-        return 1.0, c_k_farad * next(factors)
+        return c_k_farad * next(factors), 1.0, True
 
-    monkeypatch.setattr("cqedkit.coupling.norton_equivalent", oscillating)
+    monkeypatch.setattr("cqedkit.coupling._norton_capacitance", oscillating)
     with pytest.raises(
         ConvergenceError, match="^quality factor: loaded resonance iteration did not converge$"
     ):
@@ -1040,6 +1040,77 @@ def test_template_matches_rounded_json_dumps(reference_inputs, case):
     assert kind.get(case, True)
 
 
+# every QUANTITIES value of the int and NumPy-scalar designs above, as its type and
+# float.hex: Python's and NumPy's own scalar powers serve these inputs, which the CLI
+# cannot build, since JSON gives floats
+_SCALAR_INPUT_PINS = {
+    "int": {
+        "i_c_ampere": "float 0x1.00fff905e5e68p-25",
+        "e_j_hz": "float 0x1.baddda1bf1d13p+33",
+        "e_c_hz": "float 0x1.44fa806009daap-17",
+        "ej_ec_ratio": "float 0x1.5cdd9d089e4d3p+50",
+        "c_r_farad": "float 0x1.18e9c439aa937p-41",
+        "l_r_henry": "float 0x1.15f421db2c27fp-29",
+        "c_sigma_farad": "int 0x1.0000000000000p+1",
+        "beta": "float 0x1.0000000000000p-1",
+        "f_01_hz": "float 0x1.0c416ef6f2621p+10",
+        "f_12_hz": "float 0x1.0c416ece53120p+10",
+        "anharmonicity_hz": "float -0x1.44fa806009daap-17",
+        "f_01_exact_hz": "float 0x1.4c58a4dfa8000p+20",
+        "anharmonicity_exact_hz": "float 0x1.bb15448df0000p+19",
+        "v_rms_volt": "float 0x1.e993997a71a4ep-20",
+        "g_01_hz": "float 0x1.0e3051eeae626p+40",
+        "detuning_hz": "float -0x1.2a9e844efa442p+32",
+        "abs_detuning_hz": "float 0x1.2a9e844efa442p+32",
+        "chi_01_hz": "float -0x1.e8ee1bb295923p+47",
+        "chi_12_hz": "float -0x1.e8ee1bb295912p+48",
+        "chi_total_hz": "float -0x1.1000000000000p-1",
+        "chi_exact_hz": "float nan",
+        "q_ext": "float 0x1.11a01f973a8ebp+13",
+        "kappa_hz": "float 0x1.15006bc803fd3p+19",
+        "f_r_loaded_hz": "float 0x1.2812b56258eccp+32",
+        "t1_seconds": "float 0x1.6cd44ecf4cb53p-38",
+    },
+    "numpy": {
+        "i_c_ampere": "float64 0x1.00fff905e5e68p-25",
+        "e_j_hz": "float64 0x1.baddda1bf1d13p+33",
+        "e_c_hz": "float64 0x1.6821639bd7815p+27",
+        "ej_ec_ratio": "float64 0x1.3ad0352cbf940p+6",
+        "c_r_farad": "float64 0x1.18e9c439aa937p-41",
+        "l_r_henry": "float64 0x1.15f421db2c27fp-29",
+        "c_sigma_farad": "float64 0x1.ce063797a43cap-44",
+        "beta": "float64 0x1.5f591c12aa558p-5",
+        "f_01_hz": "float64 0x1.0f2323ea734a7p+32",
+        "f_12_hz": "float64 0x1.03e218cd948e6p+32",
+        "anharmonicity_hz": "float64 -0x1.6821639bd7815p+27",
+        "f_01_exact_hz": "float 0x1.0ea2331d56706p+32",
+        "anharmonicity_exact_hz": "float -0x1.8ffc51fa6a900p+27",
+        "v_rms_volt": "float 0x1.e993997a71a4ep-20",
+        "g_01_hz": "float64 0x1.696bd2624c9dap+25",
+        "detuning_hz": "float64 -0x1.b7b64958cb590p+28",
+        "abs_detuning_hz": "float64 0x1.b7b64958cb590p+28",
+        "chi_01_hz": "float64 -0x1.2911ecb33a5f6p+22",
+        "chi_12_hz": "float64 -0x1.a585f4935b764p+22",
+        "chi_total_hz": "float64 -0x1.593bc9a632910p+20",
+        "chi_exact_hz": "float -0x1.5dc6922b6e000p+20",
+        "q_ext": "float64 0x1.11a9631ba86c4p+12",
+        "kappa_hz": "float64 0x1.14f7203afe42dp+20",
+        "f_r_loaded_hz": "float 0x1.2812cbbcadd5ap+32",
+        "t1_seconds": "float64 0x1.ba22ca1809167p-17",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCALAR_INPUT_PINS))
+def test_int_and_numpy_scalar_derives_are_pinned(reference_inputs, case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        derived = _quiet_derive(replace(reference_inputs, **_TEMPLATE_CASES[case]))
+    values = {name: quantity(derived) for name, quantity in QUANTITIES.items()}
+    pinned = {name: f"{type(v).__name__} {float(v).hex()}" for name, v in values.items()}
+    assert pinned == _SCALAR_INPUT_PINS[case]
+
+
 def test_template_escapes_percent_in_its_constants(reference_derived, monkeypatch):
     monkeypatch.setattr(studio, "_TEMPLATES", {})
     monkeypatch.setattr(studio, "TOOL_NAME", "cqed%kit %s %% %(x)s")
@@ -1098,8 +1169,14 @@ def test_digest_of_sortable_keys_is_json_sort_keys(reference_inputs, geometry):
             # a dict whose keys sort keeps json's order: 9 before 10
             {"x": {"1": 2, "y": 3}, "z": {"9": 1, "10": 0}},
         ),
+        (
+            {"pads": [{3: 1.5, "b": 1}, ({2: "x", "a": None},)]},
+            {"pads": [{"b": 1, 3: 1.5}, ({"a": None, 2: "x"},)]},
+            # a list keeps its order, and each dict in it is ordered as one outside it
+            {"pads": [{"3": 1.5, "b": 1}, [{"2": "x", "a": None}]]},
+        ),
     ],
-    ids=["top", "nested"],
+    ids=["top", "nested", "in_list"],
 )
 def test_mixed_key_geometry_is_digested_and_reported(
     reference_derived, geometry, reordered, as_strings

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cqedkit import ConvergenceWarning, DispersiveValidityWarning, SweepSpec, derive, sweep
+from cqedkit import spectrum as spectrum_module
 from cqedkit import studio
 from cqedkit.studio import QUANTITIES, SWEEPABLE_PARAMETERS, SweepRow
 
@@ -170,7 +171,7 @@ def test_no_stacked_solve_exceeds_the_byte_budget(reference_inputs, monkeypatch)
     # every row solved once, in stacks, and the first row once more by derive's check
     assert len(single) == 1
     assert sum(stacked) == (101 + len(single)) * 2 * 201**2 * 8
-    assert max(stacked) <= studio._STACK_BYTES
+    assert max(stacked) <= spectrum_module._STACK_BYTES
     monkeypatch.undo()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
