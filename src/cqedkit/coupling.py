@@ -229,6 +229,8 @@ def external_quality_factor(
         omega = _loaded_resonance(omega, c_r_farad, l_r_henry, c_k_farad, r_load_ohm)
     else:
         for _ in range(100):
+            if omega == 0.0:  # 1 / sqrt(inf): L_r (C_r + C*) overflowed
+                raise OverflowError("loaded resonance overflows: L_r (C_r + C*) is inf")
             c_star = _norton_capacitance(c_k_farad, r_load_ohm, omega)[0]
             omega_prev, omega = omega, 1.0 / math.sqrt(l_r_henry * (c_r_farad + c_star))
             if abs(omega - omega_prev) <= 1e-15 * omega_prev:

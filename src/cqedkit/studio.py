@@ -344,6 +344,12 @@ def derive(
     ``chi_exact_hz``; a stage that did not run leaves ``transmon_exact``
     or ``chi_exact_hz`` None.
 
+    ``inputs`` may also be a namespace of a design's fields as NumPy columns
+    (the sweep batch; an exact quantity is then a ``DomainError``). Nothing
+    raises or warns row by row: each row where the float call would raise
+    is NaN in every float field of ``lumped``, ``transmon_perturbative`` and
+    ``coupling``.
+
     ``solved`` is a dict that a caller keeps over calls on related designs,
     as ``sweep`` and ``tune`` do: it maps the inputs of each eigen stage to
     its result, so a stage whose inputs repeat (the transmon solve in a
@@ -355,17 +361,8 @@ def derive(
     else:
         for name in quantities:
             _check_quantity(name)
-    exact = not _EXACT_QUANTITIES.isdisjoint(quantities)
-    oracle = "chi_exact_hz" in quantities
-    return _derivation(inputs, exact, oracle, {} if solved is None else solved)[0]
-
-
-def _derivation(
-    inputs: Any, exact_stage: bool, oracle_stage: bool, solved: dict[tuple[Any, ...], Any]
-) -> tuple[DerivedParameters, Any]:
-    """``derive``'s stages, on a design or on a namespace of its fields as
-    columns (the sweep batch; no eigen stage). Also the rows that pass
-    ``derive``'s own checks: True on floats, where a failure raises."""
+    if solved is None:
+        solved = {}
     f_r = inputs.f_r_target_hertz
     try:
         stage = "lumped extraction"
@@ -379,7 +376,9 @@ def _derivation(
         pert = perturbative_levels(lumped.e_j_hz, lumped.e_c_hz)
         stage = "exact diagonalization"
         exact = None
-        if exact_stage:
+        if not _EXACT_QUANTITIES.isdisjoint(quantities):
+            if type(ok) is np.ndarray:
+                raise DomainError("columns take only closed-form quantities")
             # two entries; the oracle's keys have four, so the stages never share one
             key: tuple[float, ...] = (lumped.e_j_hz, lumped.e_c_hz)
             if key not in solved:
@@ -410,7 +409,7 @@ def _derivation(
         t1 = purcell_t1(detuning, g_01, q_ext, f_r)
         stage = "dressed-state oracle"
         chi_exact: float | None = None
-        if oracle_stage and _oracle_applies(g_01, detuning):
+        if "chi_exact_hz" in quantities and _oracle_applies(g_01, detuning):
             key = (lumped.e_j_hz, lumped.e_c_hz, f_r, g_01)
             if key not in solved:
                 solved[key] = coupled_spectrum_oracle(exact, f_r, g_01).chi_exact_hz
@@ -429,14 +428,26 @@ def _derivation(
         f_r_loaded_hz=f_loaded,
         t1_purcell_seconds=t1,
     )
-    derived = DerivedParameters(
+    if type(ok) is np.ndarray:  # columns: a row with a NaN, or a failed check, is NaN throughout
+        records = lumped, pert, coupling
+        floats = [{k: v for k, v in vars(r).items() if k != "inputs"} for r in records]
+        table = np.empty((sum(map(len, floats)), len(ok)))  # a row per float field
+        for row, value in zip(table, [v for values in floats for v in values.values()]):
+            row[...] = value
+        ok = ok & ~np.isnan(table).any(axis=0)
+        if not ok.all():
+            table[:, ~ok] = math.nan
+            rows = iter(table)
+            lumped, pert, coupling = (
+                replace(r, **{k: next(rows) for k in values}) for r, values in zip(records, floats)
+            )
+    return DerivedParameters(
         lumped=lumped,
         transmon_perturbative=pert,
         transmon_exact=exact,
         coupling=coupling,
         chi_exact_hz=chi_exact,
     )
-    return derived, ok
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +494,16 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
 def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Evaluate the derivation chain on a parameter grid, in grid order.
 
-    The grid is evaluated as one batch (``_sweep_batch``): ``derive``'s own
-    stage functions, called on columns. Each row is bit for bit what
-    ``derive`` gives for its point, with the same warnings in the same
-    order, raised here one row at a time. A row the batch marks (a NaN in
-    its closed forms, or one of derive's checks failed) is derived on its
-    own, and so is the first row it gives, as a check. Only the stages
-    ``spec.outputs`` need run, each eigen stage once per distinct input. A
-    row whose derivation fails is marked ``error`` and the sweep goes on.
-    ``workers`` is checked (>= 1) and otherwise ignored; it stays only for
-    callers that pass ``workers=1``, such as the benchmark workloads.
+    The grid is evaluated as one batch (``_sweep_batch``): a ``derive`` of
+    the design's fields as columns. Each row is bit for bit what ``derive``
+    gives for its point, with the same warnings in the same order, raised
+    here one row at a time. A row the batch marks (one that ``derive``
+    would refuse, or a failed labeling) is derived on its own. Only the
+    stages ``spec.outputs`` need run, each eigen stage once per distinct
+    input. A row whose derivation fails is marked ``error`` and the sweep
+    goes on. ``workers`` is checked (>= 1) and otherwise ignored; it stays
+    only for callers that pass ``workers=1``, such as the benchmark
+    workloads.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
@@ -501,18 +512,11 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
     # derive's memo over the rows derive runs, and the keys of every stage
     # run so far, so that each eigen stage warns once per distinct input
     solved: dict[tuple[float, ...], Any] = {}
-    # the first row the batch gives is derived too, as a check of the batch
-    check = next((i for i, row in enumerate(outputs) if row is not None), -1)
     rows: list[SweepRow] = []
-    for i, value in enumerate(values):
-        batched = outputs[i]
-        if batched is None or i == check:
+    for value, batched, (spectrum_key, near, oracle_key) in zip(values, outputs, stages):
+        if batched is None:
             rows.append(_sweep_row(inputs, spec, value, solved))
-            if i == check and not _same_bits(rows[-1], batched):
-                rows += [_sweep_row(inputs, spec, v, solved) for v in values[i + 1 :]]
-                break
             continue
-        spectrum_key, near, oracle_key = stages[i]
         if spectrum_key is not None and spectrum_key not in solved:
             spectrum, needed = spectra[spectrum_key]
             if spectrum.charge_cutoff < needed:
@@ -546,12 +550,6 @@ def _sweep_row(
         )
 
 
-def _same_bits(row: SweepRow, outputs: Mapping[str, float]) -> bool:
-    return row.status == "ok" and [v.hex() for v in row.outputs.values()] == [
-        v.hex() for v in outputs.values()
-    ]
-
-
 def _sweep_batch(
     inputs: DesignInputs, spec: SweepSpec, values: list[float]
 ) -> tuple[
@@ -560,16 +558,16 @@ def _sweep_batch(
     dict[tuple[float, ...], tuple[TransmonSpectrum, int]],
     dict[tuple[float, ...], tuple[float, float | None]],
 ]:
-    """The sweep's grid as one pass: ``derive``'s stages (``_derivation``) on
-    the design's fields as columns, an input that does not vary as a float;
-    the exact solve once per distinct (E_j, E_c), through the parity
+    """The sweep's grid as one pass: one ``derive`` of the design's fields
+    as columns, an input that does not vary as a float, for the closed
+    forms; the exact solve once per distinct (E_j, E_c), through the parity
     kernel ``exact_transmon_spectrum`` uses; the oracle once per distinct
     (E_j, E_c, f_r, g_01), stacked into one ``eigh``. It raises no warning.
 
     Returns, per row, its outputs, or None for a row ``sweep`` must derive:
-    an input that is not a Python float, a NaN in its closed forms (where a
-    stage would raise), a failed check of derive's or a failed labeling. Per
-    row also the keys of the eigen stages it ran and the detuning its
+    an input that is not a Python float, a row that ``derive`` would refuse
+    (NaN in the column ``derive``) or a failed labeling. Per row also the
+    keys of the eigen stages it ran and the detuning its
     ``DispersiveValidityWarning`` names (None if none); per spectrum key the
     spectrum and the cutoff the rule needs; per oracle key chi_exact and the
     |detuning| of the oracle's warning (None if none).
@@ -582,7 +580,7 @@ def _sweep_batch(
     }
     if any(type(v) is not float for v in others.values()):
         # an int mixes with another int by exact integer arithmetic in derive
-        return [None] * n, [], {}, {}
+        return [None] * n, [(None, None, None)] * n, {}, {}
     swept = np.array([v if type(v) is float else math.nan for v in values])
     design = {**others, spec.parameter: swept}
     # C_g as a column makes g_01 one, so dispersive_shift, the stage that warns, takes columns
@@ -590,14 +588,10 @@ def _sweep_batch(
     exact = _EXACT_QUANTITIES.intersection(spec.outputs)
     with np.errstate(all="ignore"):
         try:
-            derived, ok = _derivation(SimpleNamespace(**design), False, False, {})
+            derived = derive(SimpleNamespace(**design), quantities=set(spec.outputs) - exact)
         except (ValueError, ArithmeticError, RuntimeError):  # a float stage: every row raises
-            return [None] * n, [], {}, {}
+            return [None] * n, [(None, None, None)] * n, {}, {}
         lumped, pert, coupling = derived.lumped, derived.transmon_perturbative, derived.coupling
-        for record in (lumped, pert, coupling):
-            for value in vars(record).values():
-                if type(value) in (float, np.ndarray):  # not the lumped circuit's inputs
-                    ok = ok & (value == value)
         f_r = design["f_r_target_hertz"]
         near = _near_resonance(coupling.g_01_hz, pert.f_01_hz, pert.f_12_hz, f_r)
         applies = _oracle_applies(coupling.g_01_hz, coupling.detuning_0_hz)
@@ -606,9 +600,10 @@ def _sweep_batch(
             for name in spec.outputs
             if name not in exact
         }
+        good = lumped.e_j_hz == lumped.e_j_hz  # derive's NaN: a row derive would refuse
     ej, ec, fr, g, near_list, applies, good = (
         np.broadcast_to(a, (n,)).tolist()
-        for a in (lumped.e_j_hz, lumped.e_c_hz, f_r, coupling.g_01_hz, near, applies, ok)
+        for a in (lumped.e_j_hz, lumped.e_c_hz, f_r, coupling.g_01_hz, near, applies, good)
     )
 
     spectra: dict[tuple[float, ...], tuple[TransmonSpectrum, int]] = {}

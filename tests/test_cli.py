@@ -182,6 +182,22 @@ def test_derive_any_design_file_exits_cleanly(fuzz_dir, numbers, junk, encoding)
         assert codes[1] != 2, err.getvalue()
 
 
+def test_derive_of_a_loaded_resonance_that_overflows_is_a_numerical_failure(tmp_path, capsys):
+    # every input is positive, so this is no validation error (exit 1)
+    config = _write_design(
+        tmp_path / "design.json", f_r_target_hertz=9.94e-156, l_j_henry=4.96e-195
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["derive", "--config", config, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: OverflowError: quality factor: "
+        "loaded resonance overflows: L_r (C_r + C*) is inf\n"
+    )
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_usage_error_maps_to_validation_exit(capsys):
     assert main(["derive", "--config"]) == 1
     assert main(["bogus-command"]) == 1

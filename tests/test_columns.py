@@ -1,17 +1,22 @@
-"""Each closed-form stage function takes a float or a NumPy column. On a
-column it gives, row by row, the float call's bits wherever the float call
-returns, and NaN in every output wherever the float call raises."""
+"""Each closed-form stage function, and ``derive`` itself, takes a float or
+a NumPy column. On a column it gives, row by row, the float call's bits
+wherever the float call returns, and NaN in every output wherever the float
+call raises."""
 
 import math
 import random
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cqedkit import (
+    DesignInputs,
+    DomainError,
     charging_energy,
     coupling_strength,
+    derive,
     dispersive_shift,
     external_quality_factor,
     junction_inductance_to_critical_current,
@@ -22,6 +27,7 @@ from cqedkit import (
     quarter_wave_equivalents,
     zero_point_voltage,
 )
+from cqedkit.studio import _EXACT_QUANTITIES, QUANTITIES
 
 ROWS = 3000
 FIELDS = ("c_s_farad", "c_g_farad", "c_k_farad", "l_j_henry", "f_r_target_hertz")
@@ -134,3 +140,51 @@ def test_a_column_call_is_the_float_call_row_by_row(chain, function):
     raised = _assert_columns_match_floats(function, *(chain[name] for name in CALLS[function]))
     # the rows reach the refusals as well as the values
     assert 0 < raised < ROWS
+
+
+DESIGN_FIELDS = (*FIELDS, "z_0_ohm", "r_load_ohm")
+CLOSED_FORMS = tuple(sorted(set(QUANTITIES) - _EXACT_QUANTITIES))
+
+
+@pytest.fixture(scope="module")
+def design_columns(reference_inputs):
+    """The designs as columns of all seven fields, with the edge rows."""
+    x = _designs(reference_inputs)
+    columns = [x.get(name, np.array([50.0])) for name in DESIGN_FIELDS]
+    return dict(zip(DESIGN_FIELDS, _with_edges(columns)))
+
+
+def test_a_column_derive_is_the_float_derive_row_by_row(design_columns):
+    with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        derived = derive(SimpleNamespace(**design_columns), quantities=CLOSED_FORMS)
+        got = {name: QUANTITIES[name](derived).tolist() for name in CLOSED_FORMS}
+    assert caught == []  # a column derive warns of nothing
+    records = (derived.lumped, derived.transmon_perturbative, derived.coupling)
+    fields = [
+        v.tolist() for record in records for v in vars(record).values() if type(v) is np.ndarray
+    ]
+    assert len(fields) == 19  # every float field of the three records is a column
+    raised = 0
+    for i, row in enumerate(zip(*(design_columns[name].tolist() for name in DESIGN_FIELDS))):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                design = DesignInputs(**dict(zip(DESIGN_FIELDS, row)))
+                expected = derive(design, quantities=CLOSED_FORMS)
+        except (ValueError, ArithmeticError, RuntimeError):
+            raised += 1
+            assert all(math.isnan(field[i]) for field in fields), row
+            continue
+        assert [got[name][i].hex() for name in CLOSED_FORMS] == [
+            QUANTITIES[name](expected).hex() for name in CLOSED_FORMS
+        ], row
+    assert 0 < raised < ROWS
+
+
+@pytest.mark.parametrize("quantities", [None, *sorted(_EXACT_QUANTITIES)])
+def test_a_column_derive_refuses_the_exact_quantities(design_columns, quantities):
+    with np.errstate(all="ignore"), pytest.raises(
+        DomainError, match="^exact diagonalization: columns take only closed-form quantities$"
+    ):
+        derive(SimpleNamespace(**design_columns), quantities=quantities and (quantities,))

@@ -125,6 +125,24 @@ def test_quality_factor_scales_with_coupler():
     assert q_half / q_full == pytest.approx(4.0, rel=5e-2)
 
 
+@pytest.mark.parametrize(
+    ("c_r", "l_r", "c_k", "r_load"),
+    [
+        (1e200, 1e200, 8.62e-15, 50.0),  # L_r C_r overflows: omega = 1 / sqrt(inf) = 0
+        (1e-300, 1e300, 1e10, 1e-20),  # omega = 1, then C* ~ C_k and L_r (C_r + C*) overflows
+    ],
+    ids=["before_the_loop", "in_the_loop"],
+)
+def test_quality_factor_refuses_a_loaded_resonance_that_overflows(c_r, l_r, c_k, r_load):
+    # every input is positive, so "must be positive" would name the wrong cause
+    text = r"^loaded resonance overflows: L_r \(C_r \+ C\*\) is inf$"
+    with pytest.raises(OverflowError, match=text):
+        external_quality_factor(c_r, l_r, c_k, r_load)
+    with np.errstate(all="ignore"):
+        column = external_quality_factor(np.array([c_r]), l_r, c_k, r_load)
+    assert all(math.isnan(value[0]) for value in column)
+
+
 def test_norton_equivalent_impedance_oracle():
     # independent route: complex admittance of the series C_k - R branch
     omega = 2.0 * math.pi * 4.967e9

@@ -449,9 +449,7 @@ def test_sweep_runs_only_the_stages_its_outputs_need(
         rows = sweep(reference_inputs, SweepSpec(*_CG_GRID, outputs)).rows
     assert all(row.status == "ok" for row in rows)
     assert stacked == expected
-    # the first row, derived to check the batch, runs the same stages (g = 0
-    # there, so the oracle applies)
-    assert single == {stage: min(count, 1) for stage, count in expected.items()}
+    assert single == {"spectrum": 0, "oracle": 0}
 
 
 @pytest.mark.parametrize(
@@ -473,7 +471,7 @@ def test_sweep_solves_each_eigen_stage_once_per_distinct_input(
         warnings.simplefilter("ignore", DispersiveValidityWarning)
         rows = sweep(reference_inputs, spec).rows
     assert stacked == expected
-    assert single == {"spectrum": 1, "oracle": 1}
+    assert single == {"spectrum": 0, "oracle": 0}
     monkeypatch.undo()
     for row in rows:
         full = _quiet_derive(replace(reference_inputs, **{parameter: row.parameter_value}))
@@ -870,6 +868,14 @@ def test_derive_reports_a_loaded_resonance_that_does_not_converge(reference_inpu
         ConvergenceError, match="^quality factor: loaded resonance iteration did not converge$"
     ):
         _quiet_derive(reference_inputs)
+
+
+def test_derive_reports_a_loaded_resonance_that_overflows(reference_inputs):
+    # every input is positive, but a resonator of 9.94e-156 Hz has L_r C_r above 1e308
+    design = replace(reference_inputs, f_r_target_hertz=9.94e-156, l_j_henry=4.96e-195)
+    text = r"^quality factor: loaded resonance overflows: L_r \(C_r \+ C\*\) is inf$"
+    with pytest.raises(OverflowError, match=text):
+        _quiet_derive(design, quantities=("q_ext",))
 
 
 def test_stage_warnings_point_at_the_calling_line(reference_inputs):

@@ -1,7 +1,6 @@
 """``sweep`` evaluates its grid as one batch; these tests hold it to the
 per-row loop it replaced, bit for bit, warning for warning."""
 
-import math
 import random
 import warnings
 from dataclasses import replace
@@ -119,29 +118,41 @@ def test_sweep_of_a_design_holding_an_int_is_derived_row_by_row(reference_inputs
     assert [row.status for row in rows] == ["ok"] * 5
 
 
-def test_sweep_derives_only_its_first_row_when_the_batch_gives_every_row(
-    reference_inputs, monkeypatch
+@pytest.mark.parametrize("span", ["around", "through_zero"])
+def test_sweep_derives_its_columns_once_and_only_the_rows_they_refuse(
+    reference_inputs, monkeypatch, span
 ):
-    # the benchmark's traced run divides by the derives made under each sweep
+    # the benchmark's traced run divides by the derives made under each sweep;
+    # a batch that fell back to derive row by row would keep every bit, so
+    # only this count shows it
     calls = _count_derives(monkeypatch)
-    spec = SweepSpec("c_k_farad", 6e-15, 10e-15, 101, ("kappa_hz", "chi_exact_hz"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DispersiveValidityWarning)
-        sweep(reference_inputs, spec)
-    assert [design.c_k_farad for design in calls] == [6e-15]
+    row_by_row = []
+    sweep_row = studio._sweep_row
 
+    def counted_row(inputs, spec, value, solved):
+        row_by_row.append(value)
+        return sweep_row(inputs, spec, value, solved)
 
-def test_sweep_falls_back_to_derive_when_the_batch_misses_a_bit(reference_inputs, monkeypatch):
-    batch = studio._sweep_batch
-
-    def off_by_one_ulp(inputs, spec, values):
-        outputs, *rest = batch(inputs, spec, values)
-        outputs[0] = {name: math.nextafter(v, math.inf) for name, v in outputs[0].items()}
-        return outputs, *rest
-
-    monkeypatch.setattr(studio, "_sweep_batch", off_by_one_ulp)
-    spec = SweepSpec("l_j_henry", 9e-9, 13e-9, 41, tuple(sorted(QUANTITIES)))
-    _assert_same_as_per_row(reference_inputs, spec)
+    monkeypatch.setattr(studio, "_sweep_row", counted_row)
+    outputs = ("g_01_hz", "kappa_hz", "chi_exact_hz")
+    for parameter in SWEEPABLE_PARAMETERS:
+        base = getattr(reference_inputs, parameter)
+        lo, hi = (0.98 * base, 1.02 * base) if span == "around" else (-base, base)
+        spec = SweepSpec(parameter, lo, hi, 101, outputs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DispersiveValidityWarning)
+            rows = sweep(reference_inputs, spec).rows
+        swept = getattr(calls[0], parameter)
+        assert type(swept) is np.ndarray, parameter
+        assert swept.tolist() == studio._grid(lo, hi, 101)
+        # the rows the batch leaves to derive are the rows that fail
+        refused = [row.parameter_value for row in rows if row.status == "error"]
+        assert row_by_row == refused
+        assert (len(refused) >= 50) is (span == "through_zero")
+        # those that pass DesignInputs reach derive, each once
+        assert [getattr(design, parameter) for design in calls[1:]] == [v for v in refused if v > 0]
+        calls.clear()
+        row_by_row.clear()
 
 
 def test_no_stacked_solve_exceeds_the_byte_budget(reference_inputs, monkeypatch):
@@ -168,9 +179,9 @@ def test_no_stacked_solve_exceeds_the_byte_budget(reference_inputs, monkeypatch)
         warnings.simplefilter("ignore", ConvergenceWarning)
         rows = sweep(design, spec).rows
     stacked = [nbytes for ndim, nbytes in sizes if ndim == 3]
-    # every row solved once, in stacks, and the first row once more by derive's check
-    assert len(single) == 1
-    assert sum(stacked) == (101 + len(single)) * 2 * 201**2 * 8
+    # every row solved once, in stacks, and none by derive
+    assert single == []
+    assert sum(stacked) == 101 * 2 * 201**2 * 8
     assert max(stacked) <= spectrum_module._STACK_BYTES
     monkeypatch.undo()
     with warnings.catch_warnings():
