@@ -22,6 +22,8 @@ QUBIT_STATES = ("ground", "excited")
 CSV_HEADER = "frequency_hz,re_s21,im_s21,abs_s21"
 _CSV_ROW = "%.6f,%.9f,%.9f,%.9f\n"
 _FLAT_CURVE_DEPTH = 1e-9
+# s21_curve holds about 45 bytes a point, so the largest curve peaks near half a GB
+MAX_S21_POINTS = 10**7
 
 # _csv_body prints a cell as _CSV_ROW does when the rounding of |x| is
 # certified: more than 2^-20 from a tie at 6 (frequency) or 9 (S21) decimals,
@@ -128,6 +130,8 @@ def s21_curve(
         )
     if n_points < 3:
         raise DomainError(f"need at least 3 points, got {n_points}")
+    if n_points > MAX_S21_POINTS:
+        raise DomainError(f"S21 takes at most {MAX_S21_POINTS} points, got {n_points}")
     if not q_internal > 0.0:
         raise DomainError(f"internal quality factor must be positive, got {q_internal}")
     if span_hz < 4.0 * coupling.kappa_hz:

@@ -115,6 +115,11 @@ class EprGapEntry:
     within_expected: bool
 
 
+# a row holds about 0.4 kB with three outputs (2 kB with all 22 closed forms),
+# so the largest sweep of a few outputs peaks near half a GB
+MAX_SWEEP_STEPS = 10**6
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One-parameter grid sweep: ``parameter`` over [lo, hi] in ``steps`` points."""
@@ -135,6 +140,8 @@ class SweepSpec:
             raise DomainError(f"invalid sweep range [{self.lo}, {self.hi}]")
         if self.steps < 2 and not (self.steps == 1 and self.lo == self.hi):
             raise DomainError("sweep needs steps >= 2 (steps = 1 only when lo == hi)")
+        if self.steps > MAX_SWEEP_STEPS:
+            raise DomainError(f"sweep takes at most {MAX_SWEEP_STEPS} steps, got {self.steps}")
 
 
 @dataclass(frozen=True)
@@ -494,42 +501,96 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
 def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Evaluate the derivation chain on a parameter grid, in grid order.
 
-    The grid is evaluated as one batch (``_sweep_batch``): a ``derive`` of
-    the design's fields as columns. Each row is bit for bit what ``derive``
-    gives for its point, with the same warnings in the same order, raised
-    here one row at a time. A row the batch marks (one that ``derive``
-    would refuse, or a failed labeling) is derived on its own. Only the
-    stages ``spec.outputs`` need run, each eigen stage once per distinct
-    input. A row whose derivation fails is marked ``error`` and the sweep
-    goes on. ``workers`` is checked (>= 1) and otherwise ignored; it stays
-    only for callers that pass ``workers=1``, such as the benchmark
-    workloads.
+    The grid is evaluated in one pass: a ``derive`` of the design's fields
+    as columns, an input that does not vary as a float, for the closed
+    forms; the exact solve once per distinct (E_j, E_c), through the parity
+    kernel ``exact_transmon_spectrum`` uses; the oracle once per distinct
+    (E_j, E_c, f_r, g_01), stacked into one ``eigh``. Each row is bit for
+    bit what ``derive`` gives for its point, with the same warnings in the
+    same order, and these point at the line that called ``sweep``. A row
+    the batch marks (one that ``derive`` would refuse, or a failed
+    labeling) is derived on its own, as is every row when an input that
+    does not vary is not a Python float or when the column ``derive``
+    raises; such a row's warnings point at ``derive``'s lines. Only the
+    stages ``spec.outputs`` need run, each eigen stage, and its warning,
+    once per distinct input. A row whose derivation fails is marked
+    ``error`` and the sweep goes on. ``workers`` is checked (>= 1) and
+    otherwise ignored; it stays only for callers that pass ``workers=1``,
+    such as the benchmark workloads.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     values = _grid(spec.lo, spec.hi, spec.steps)
-    outputs, stages, spectra, oracles = _sweep_batch(inputs, spec, values)
+    n = len(values)
     # derive's memo over the rows derive runs, and the keys of every stage
     # run so far, so that each eigen stage warns once per distinct input
     solved: dict[tuple[float, ...], Any] = {}
+    design = {
+        name: getattr(inputs, name)
+        for name in (*SWEEPABLE_PARAMETERS, "z_0_ohm", "r_load_ohm")
+        if name != spec.parameter
+    }
+    exact = _EXACT_QUANTITIES.intersection(spec.outputs)
+    derived = None
+    # an int mixes with another int by exact integer arithmetic in derive
+    if all(type(v) is float for v in design.values()):
+        design[spec.parameter] = np.array([v if type(v) is float else math.nan for v in values])
+        # C_g as a column makes g_01 one, so dispersive_shift, the stage that warns, takes columns
+        design["c_g_farad"] = np.atleast_1d(design["c_g_farad"])
+        with np.errstate(all="ignore"):
+            try:
+                derived = derive(SimpleNamespace(**design), quantities=set(spec.outputs) - exact)
+            except (ValueError, ArithmeticError, RuntimeError):  # a float stage: every row raises
+                pass
+    if derived is None:  # under NumPy's default error state, as a lone derive runs
+        return SweepResult(spec, tuple(_sweep_row(inputs, spec, v, solved) for v in values))
+    lumped, pert, coupling = derived.lumped, derived.transmon_perturbative, derived.coupling
+    f_r = design["f_r_target_hertz"]
+    with np.errstate(all="ignore"):
+        near = _near_resonance(coupling.g_01_hz, pert.f_01_hz, pert.f_12_hz, f_r)
+        applies = _oracle_applies(coupling.g_01_hz, coupling.detuning_0_hz)
+        columns = {
+            name: np.broadcast_to(QUANTITIES[name](derived), (n,)).tolist()
+            for name in spec.outputs
+            if name not in exact
+        }
+    good = lumped.e_j_hz == lumped.e_j_hz  # derive's NaN: a row derive would refuse
+    ej, ec, fr, g, near, applies, good = (
+        np.broadcast_to(a, (n,)).tolist()
+        for a in (lumped.e_j_hz, lumped.e_c_hz, f_r, coupling.g_01_hz, near, applies, good)
+    )
+    spectrum_keys = [(ej[i], ec[i]) if exact and good[i] else None for i in range(n)]
+    oracle_keys = [
+        (*key, fr[i], g[i]) if key is not None and applies[i] and "chi_exact_hz" in exact else None
+        for i, key in enumerate(spectrum_keys)
+    ]
+    spectra = _batched_spectra(dict.fromkeys(k for k in spectrum_keys if k is not None))
+    oracles = _batched_oracle(dict.fromkeys(k for k in oracle_keys if k is not None), spectra)
+    chi_exact = columns["chi_exact_hz"] = [oracles[k][0] if k else math.nan for k in oracle_keys]
+    for name in exact - {"chi_exact_hz"}:  # f_01_exact_hz, anharmonicity_exact_hz: the fields
+        columns[name] = [getattr(spectra[k][0], name) if k else math.nan for k in spectrum_keys]
+    table = zip(*(columns[name] for name in spec.outputs))
     rows: list[SweepRow] = []
-    for value, batched, (spectrum_key, near, oracle_key) in zip(values, outputs, stages):
-        if batched is None:
+    for value, ok, chi, spectrum_key, near_hz, oracle_key, outputs in zip(
+        values, good, chi_exact, spectrum_keys, near, oracle_keys, table
+    ):
+        if not ok or chi is None:  # a row derive would refuse, or a failed labeling
             rows.append(_sweep_row(inputs, spec, value, solved))
             continue
         if spectrum_key is not None and spectrum_key not in solved:
             spectrum, needed = spectra[spectrum_key]
             if spectrum.charge_cutoff < needed:
                 ratio = spectrum_key[0] / spectrum_key[1]
-                warn_unconverged(spectrum.charge_cutoff, ratio, needed, stacklevel=1)
+                warn_unconverged(spectrum.charge_cutoff, ratio, needed, stacklevel=2)
             solved[spectrum_key] = spectrum
-        if near is not None:
-            warn_dispersive(near, stacklevel=1)
+        if near_hz == near_hz:  # NaN where no warning
+            warn_dispersive(near_hz, stacklevel=2)
         if oracle_key is not None and oracle_key not in solved:
             solved[oracle_key], ambiguous = oracles[oracle_key]
             if ambiguous is not None:
-                warn_ambiguous_labels(ambiguous, stacklevel=1)
-        rows.append(SweepRow(parameter_value=value, outputs=batched, status="ok"))
+                warn_ambiguous_labels(ambiguous, stacklevel=2)
+        outputs = dict(zip(spec.outputs, outputs))
+        rows.append(SweepRow(parameter_value=value, outputs=outputs, status="ok"))
     return SweepResult(spec=spec, rows=tuple(rows))
 
 
@@ -548,99 +609,6 @@ def _sweep_row(
             status="error",
             error=f"{type(exc).__name__}: {exc}",
         )
-
-
-def _sweep_batch(
-    inputs: DesignInputs, spec: SweepSpec, values: list[float]
-) -> tuple[
-    list[dict[str, float] | None],
-    list[tuple[Any, Any, Any]],
-    dict[tuple[float, ...], tuple[TransmonSpectrum, int]],
-    dict[tuple[float, ...], tuple[float, float | None]],
-]:
-    """The sweep's grid as one pass: one ``derive`` of the design's fields
-    as columns, an input that does not vary as a float, for the closed
-    forms; the exact solve once per distinct (E_j, E_c), through the parity
-    kernel ``exact_transmon_spectrum`` uses; the oracle once per distinct
-    (E_j, E_c, f_r, g_01), stacked into one ``eigh``. It raises no warning.
-
-    Returns, per row, its outputs, or None for a row ``sweep`` must derive:
-    an input that is not a Python float, a row that ``derive`` would refuse
-    (NaN in the column ``derive``) or a failed labeling. Per row also the
-    keys of the eigen stages it ran and the detuning its
-    ``DispersiveValidityWarning`` names (None if none); per spectrum key the
-    spectrum and the cutoff the rule needs; per oracle key chi_exact and the
-    |detuning| of the oracle's warning (None if none).
-    """
-    n = len(values)
-    others = {
-        name: getattr(inputs, name)
-        for name in (*SWEEPABLE_PARAMETERS, "z_0_ohm", "r_load_ohm")
-        if name != spec.parameter
-    }
-    if any(type(v) is not float for v in others.values()):
-        # an int mixes with another int by exact integer arithmetic in derive
-        return [None] * n, [(None, None, None)] * n, {}, {}
-    swept = np.array([v if type(v) is float else math.nan for v in values])
-    design = {**others, spec.parameter: swept}
-    # C_g as a column makes g_01 one, so dispersive_shift, the stage that warns, takes columns
-    design["c_g_farad"] = np.atleast_1d(design["c_g_farad"])
-    exact = _EXACT_QUANTITIES.intersection(spec.outputs)
-    with np.errstate(all="ignore"):
-        try:
-            derived = derive(SimpleNamespace(**design), quantities=set(spec.outputs) - exact)
-        except (ValueError, ArithmeticError, RuntimeError):  # a float stage: every row raises
-            return [None] * n, [(None, None, None)] * n, {}, {}
-        lumped, pert, coupling = derived.lumped, derived.transmon_perturbative, derived.coupling
-        f_r = design["f_r_target_hertz"]
-        near = _near_resonance(coupling.g_01_hz, pert.f_01_hz, pert.f_12_hz, f_r)
-        applies = _oracle_applies(coupling.g_01_hz, coupling.detuning_0_hz)
-        by_name = {
-            name: np.broadcast_to(QUANTITIES[name](derived), (n,)).tolist()
-            for name in spec.outputs
-            if name not in exact
-        }
-        good = lumped.e_j_hz == lumped.e_j_hz  # derive's NaN: a row derive would refuse
-    ej, ec, fr, g, near_list, applies, good = (
-        np.broadcast_to(a, (n,)).tolist()
-        for a in (lumped.e_j_hz, lumped.e_c_hz, f_r, coupling.g_01_hz, near, applies, good)
-    )
-
-    spectra: dict[tuple[float, ...], tuple[TransmonSpectrum, int]] = {}
-    spectrum_keys: list[tuple[float, float] | None] = [None] * n
-    if exact:
-        spectrum_keys = [(ej[i], ec[i]) if good[i] else None for i in range(n)]
-        spectra = _batched_spectra(dict.fromkeys(k for k in spectrum_keys if k is not None))
-    oracles: dict[tuple[float, ...], tuple[float, float | None]] = {}
-    oracle_keys: list[tuple[float, ...] | None] = [None] * n
-    chi_exact = [math.nan] * n
-    if "chi_exact_hz" in exact:
-        oracle_keys = [
-            (ej[i], ec[i], fr[i], g[i]) if good[i] and applies[i] else None for i in range(n)
-        ]
-        oracles = _batched_oracle(dict.fromkeys(k for k in oracle_keys if k is not None), spectra)
-        for i, key in enumerate(oracle_keys):
-            if key is not None:
-                chi = oracles[key][0]
-                if chi is None:
-                    good[i] = False
-                else:
-                    chi_exact[i] = chi
-
-    by_name["chi_exact_hz"] = chi_exact
-    for name in exact - {"chi_exact_hz"}:  # f_01_exact_hz, anharmonicity_exact_hz: the fields
-        by_name[name] = [
-            getattr(spectra[k][0], name) if k is not None else math.nan for k in spectrum_keys
-        ]
-    outputs: list[dict[str, float] | None] = [
-        dict(zip(spec.outputs, row)) if good[i] else None
-        for i, row in enumerate(zip(*(by_name[name] for name in spec.outputs)))
-    ]
-    stages = [
-        (spectrum_keys[i], near_list[i] if near_list[i] == near_list[i] else None, oracle_keys[i])
-        for i in range(n)
-    ]
-    return outputs, stages, spectra, oracles
 
 
 TUNE_MAX_ITERATIONS = 200  # interior steps before tune gives up

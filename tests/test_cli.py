@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from cqedkit import DispersiveValidityWarning, studio
 from cqedkit.cli import main
 from cqedkit.lumped import MAX_GEOMETRY_DEPTH
-from cqedkit.studio import EXPECTED_EPR_GAPS_PERCENT
+from cqedkit.readout import MAX_S21_POINTS
+from cqedkit.studio import EXPECTED_EPR_GAPS_PERCENT, MAX_SWEEP_STEPS
 
 CONFIG = str(Path(__file__).resolve().parent.parent / "designs" / "qubit_v1.json")
 DATA = Path(__file__).resolve().parent / "data"
@@ -466,6 +467,24 @@ def test_unwritable_out_is_validation_error(tmp_path, capsys, command):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(out) in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, bound, noun",
+    [("s21", "--points", MAX_S21_POINTS, "points"), ("sweep", "--steps", MAX_SWEEP_STEPS, "steps")],
+)
+def test_a_grid_above_its_bound_is_refused_before_anything_is_allocated(
+    tmp_path, capsys, command, flag, bound, noun
+):
+    # without the bound, --points 1e12 ended in a NumPy memory error traceback
+    out = tmp_path / "out.csv"
+    argv = [*_WRITING_COMMANDS[command], "--config", CONFIG, "--out", str(out)]
+    argv[argv.index(flag) + 1] = str(bound + 1)
+    assert _main_without_dispersive_warning(argv) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f" takes at most {bound} {noun}, got {bound + 1}\n")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not any(tmp_path.iterdir())
 
 
 def test_derive_non_utf8_design_file_is_validation_error(tmp_path, capsys):

@@ -18,7 +18,14 @@ from cqedkit import (
     s21_curve,
     write_curve_csv,
 )
-from cqedkit.readout import CSV_HEADER, _CSV_ROW, _csv_body, _fwhm_of_dip, _refined_minimum
+from cqedkit.readout import (
+    CSV_HEADER,
+    MAX_S21_POINTS,
+    _CSV_ROW,
+    _csv_body,
+    _fwhm_of_dip,
+    _refined_minimum,
+)
 
 
 def _coupling(chi_total=-1414076.6030755676, q_ext=4378.586696298506,
@@ -44,6 +51,21 @@ def curves():
     ground = s21_curve(coupling, "ground", 20e6, 4001)
     excited = s21_curve(coupling, "excited", 20e6, 4001)
     return coupling, ground, excited
+
+
+def test_the_point_bound_is_checked_before_the_grid_is_built(monkeypatch):
+    class GridBuilt(Exception):
+        pass
+
+    def no_grid(*args, **kwargs):
+        raise GridBuilt
+
+    # the largest curve passes validation; only the grid it would then build is refused
+    monkeypatch.setattr(np, "linspace", no_grid)
+    with pytest.raises(GridBuilt):
+        s21_curve(_coupling(), "ground", 20e6, MAX_S21_POINTS)
+    with pytest.raises(DomainError, match=f"^S21 takes at most {MAX_S21_POINTS} points"):
+        s21_curve(_coupling(), "ground", 20e6, MAX_S21_POINTS + 1)
 
 
 def test_notch_separation_is_twice_chi(curves):

@@ -47,6 +47,7 @@ from cqedkit.cli import main
 from cqedkit.lumped import MAX_GEOMETRY_CONTAINERS, MAX_GEOMETRY_DEPTH
 from cqedkit.studio import (
     EXPECTED_EPR_GAPS_PERCENT,
+    MAX_SWEEP_STEPS,
     QUANTITIES,
     REFERENCE_TARGETS,
     SWEEPABLE_PARAMETERS,
@@ -228,6 +229,10 @@ def test_sweep_spec_validation():
         SweepSpec("c_g_farad", 2e-15, 1e-15, 3, ("g_01_hz",))
     with pytest.raises(DomainError):
         SweepSpec("c_g_farad", 1e-15, 2e-15, 1, ("g_01_hz",))
+    # the largest sweep is built, not run
+    SweepSpec("c_g_farad", 1e-15, 2e-15, MAX_SWEEP_STEPS, ("g_01_hz",))
+    with pytest.raises(DomainError, match=f"^sweep takes at most {MAX_SWEEP_STEPS} steps"):
+        SweepSpec("c_g_farad", 1e-15, 2e-15, MAX_SWEEP_STEPS + 1, ("g_01_hz",))
 
 
 # --- tuning ------------------------------------------------------------------
@@ -884,6 +889,75 @@ def test_stage_warnings_point_at_the_calling_line(reference_inputs):
         derive(reference_inputs)
     [warning] = [w for w in caught if issubclass(w.category, DispersiveValidityWarning)]
     assert "dispersive_shift(" in linecache.getline(warning.filename, warning.lineno)
+
+
+def _rows_derived_alone(monkeypatch):
+    """Record NumPy's error state in each row ``sweep`` leaves to ``derive``."""
+    states = []
+    sweep_row = studio._sweep_row
+
+    def recorded(*args):
+        states.append(np.geterr())
+        return sweep_row(*args)
+
+    monkeypatch.setattr(studio, "_sweep_row", recorded)
+    return states
+
+
+@pytest.mark.parametrize(
+    "design_of, spec",
+    [
+        # an int input leaves every row to derive
+        (lambda inputs: replace(inputs, z_0_ohm=50), SweepSpec("l_j_henry", 9e-9, 13e-9, 5, ("q_ext",))),
+        # a resonator this fast overflows omega_r^2 in a float stage of the column derive
+        (
+            lambda inputs: replace(inputs, f_r_target_hertz=1e200),
+            SweepSpec("c_k_farad", 1e-15, 2e-15, 5, ("q_ext",)),
+        ),
+    ],
+    ids=["int_input", "columns_raise"],
+)
+def test_rows_derived_alone_run_under_the_default_error_state(
+    reference_inputs, monkeypatch, design_of, spec
+):
+    # a RuntimeWarning in a lone derive must reach the warnings filter, not be ignored
+    states = _rows_derived_alone(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DispersiveValidityWarning)
+        sweep(design_of(reference_inputs), spec)
+    assert states == [np.geterr()] * 5
+
+
+def test_warnings_of_batched_rows_point_at_the_line_that_called_sweep(
+    reference_inputs, monkeypatch
+):
+    # a weaker coupling at a closed-form detuning just past 5 g_01, where the
+    # exact one is within it, and a design whose charge basis is capped
+    weak = replace(reference_inputs, c_g_farad=reference_inputs.c_g_farad / 4)
+    derived = derive(weak, quantities=())
+    f_01, g_01 = derived.transmon_perturbative.f_01_hz, derived.coupling.g_01_hz
+    capped = replace(reference_inputs, c_s_farad=5.0e16)
+    c_k = capped.c_k_farad
+    sweeps = [
+        (weak, SweepSpec("f_r_target_hertz", f_01 - 5.3 * g_01, f_01 - 4.9 * g_01, 101,
+                         ("chi_exact_hz", "f_01_exact_hz"))),
+        (capped, SweepSpec("c_k_farad", 0.99 * c_k, 1.01 * c_k, 101, ("f_01_exact_hz", "q_ext"))),
+    ]
+    states = _rows_derived_alone(monkeypatch)
+    categories = set()
+    for design, spec in sweeps:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sweep(design, spec)
+        assert caught
+        assert {w.filename for w in caught} == {__file__}
+        categories |= {(w.category, str(w.message).split()[0]) for w in caught}
+    assert states == []  # every row batched
+    assert categories == {
+        (ConvergenceWarning, "charge"),
+        (DispersiveValidityWarning, "detuning"),
+        (DispersiveValidityWarning, "|detuning|"),
+    }
 
 
 # --- report bytes against the rounding pass and json.dumps they replaced -----
