@@ -6,9 +6,9 @@ The closed-form chain computes the charge coupling strength
     g_01 = (2 beta e V_rms / hbar) (E_j / 32 E_c)^(1/4),
 
 the second-order dispersive shifts chi_ij = g_ij^2 / (f_ij - f_r) with
-chi = chi_01 - chi_12 / 2, the feedline-loaded quality factor via the
-Norton equivalent of the series C_k / R_load branch, and the
-resonator-mediated relaxation bound T1 = (Delta/g)^2 Q / omega_r.
+chi = chi_01 - chi_12 / 2, the feedline-loaded quality factor via the Norton
+equivalent of the series C_k / R_load branch at the loaded resonance, in
+closed form, and the Purcell bound T1 = (Delta/g)^2 Q / omega_r.
 
 The oracle diagonalizes the multilevel qubit coupled to the resonator
 mode, in the blocks of conserved excitation number that chi needs, and
@@ -29,12 +29,7 @@ import numpy as np
 
 from .constants import ELEMENTARY_CHARGE, REDUCED_PLANCK, TWO_PI
 from .constants import _is_false, _power, _select, _sqrt
-from .errors import (
-    ConvergenceError,
-    DispersiveValidityWarning,
-    DomainError,
-    LabelingError,
-)
+from .errors import DispersiveValidityWarning, DomainError, LabelingError
 from .spectrum import TransmonSpectrum, _tridiagonal_matrix
 
 _MIN_DISPERSIVE_RATIO = 10.0  # |detuning| / g below which the warning fires
@@ -186,11 +181,18 @@ def warn_ambiguous_labels(abs_detuning_hz: float, stacklevel: int) -> None:
     )
 
 
+_COUPLER_NOT_POSITIVE = "coupler capacitance, load and frequency must be positive"
+
+
 def norton_equivalent(
     c_k_farad: Any, r_load_ohm: Any, omega_rad_per_s: Any
 ) -> tuple[Any, Any]:
     """Parallel (R*, C*) equivalent of the series C_k -> R_load branch at omega."""
-    c_star, x, ok = _norton_capacitance(c_k_farad, r_load_ohm, omega_rad_per_s)
+    ok = (c_k_farad > 0.0) & (r_load_ohm > 0.0) & (omega_rad_per_s > 0.0)
+    if ok is not True and _is_false(ok):
+        raise DomainError(_COUPLER_NOT_POSITIVE)
+    x = _power(omega_rad_per_s * c_k_farad * r_load_ohm, 2)
+    c_star = c_k_farad / (1.0 + x)
     omega_squared = _power(omega_rad_per_s, 2)
     c_k_squared = _power(c_k_farad, 2)
     denominator = omega_squared * c_k_squared * r_load_ohm
@@ -201,15 +203,13 @@ def norton_equivalent(
     return r_star, c_star
 
 
-def _norton_capacitance(c_k_farad: Any, r_load_ohm: Any, omega: Any) -> tuple[Any, Any, Any]:
-    """C* = C_k / (1 + x), x = (omega C_k R_load)^2, NaN where a column's row fails the
-    check; with x and the rows that pass. The loaded-resonance loops need C* alone."""
-    ok = (c_k_farad > 0.0) & (r_load_ohm > 0.0) & (omega > 0.0)
-    if ok is not True and _is_false(ok):
-        raise DomainError("coupler capacitance, load and frequency must be positive")
-    x = _power(omega * c_k_farad * r_load_ohm, 2)
-    c_star = c_k_farad / (1.0 + x)
-    return c_star if ok is True else _select(ok, c_star), x, ok
+def _resonance(l_r: Any, c: Any, ok: Any) -> tuple[Any, Any]:
+    """1 / sqrt(L_r C), and ``ok`` less the rows where it is 0 or inf. A float
+    raises: ``OverflowError`` where L_r C is inf, ``ZeroDivisionError`` where 0."""
+    omega = 1.0 / _sqrt(l_r * c)
+    if (ok := ok & (0.0 < omega) & (omega < math.inf)) is not True and _is_false(ok):
+        raise OverflowError("loaded resonance overflows: L_r (C_r + C*) is inf")
+    return omega, ok
 
 
 def external_quality_factor(
@@ -218,25 +218,28 @@ def external_quality_factor(
     """Feedline-limited quality factor of the coupled resonator.
 
     The series coupler/load branch is folded into its Norton equivalent
-    and the working frequency is iterated to the loaded resonance
-    omega* = 1 / sqrt(L_r (C_r + C*)). Returns (Q_ext, kappa, f_loaded)
-    with kappa = f_loaded / Q_ext.
+    C* = C_k / (1 + (omega C_k R_load)^2) at the loaded resonance
+    omega* = 1 / sqrt(L_r (C_r + C*)), so C* is the one positive root of
+    C*^2 + b C* - C_k C_r = 0, b = C_r + (C_k R_load)^2 / L_r - C_k, taken in
+    closed form without cancellation (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 1.8). Returns (Q_ext, kappa, f_loaded) with
+    kappa = f_loaded / Q_ext.
     """
     if (ok := (c_r_farad > 0.0) & (l_r_henry > 0.0)) is not True and _is_false(ok):
         raise DomainError("resonator C and L must be positive")
-    omega = 1.0 / _sqrt(l_r_henry * c_r_farad)
-    if np.ndarray in (type(omega), type(c_k_farad), type(r_load_ohm)):
-        omega = _loaded_resonance(omega, c_r_farad, l_r_henry, c_k_farad, r_load_ohm)
-    else:
-        for _ in range(100):
-            if omega == 0.0:  # 1 / sqrt(inf): L_r (C_r + C*) overflowed
-                raise OverflowError("loaded resonance overflows: L_r (C_r + C*) is inf")
-            c_star = _norton_capacitance(c_k_farad, r_load_ohm, omega)[0]
-            omega_prev, omega = omega, 1.0 / math.sqrt(l_r_henry * (c_r_farad + c_star))
-            if abs(omega - omega_prev) <= 1e-15 * omega_prev:
-                break
-        else:
-            raise ConvergenceError("loaded resonance iteration did not converge")
+    ok = _resonance(l_r_henry, c_r_farad, ok)[1]  # its errors come before the coupler's
+    if (ok := ok & (c_k_farad > 0.0) & (r_load_ohm > 0.0)) is not True and _is_false(ok):
+        raise DomainError(_COUPLER_NOT_POSITIVE)
+    t = c_k_farad * r_load_ohm  # t^2 / L_r, dividing first where t^2 could overflow
+    b = c_r_farad + _select(t > 1.0, t * (t / l_r_henry), t * t / l_r_henry) - c_k_farad
+    d = 2.0 * _sqrt(c_k_farad) * _sqrt(c_r_farad)
+    # h = sqrt(b^2 + d^2) scaled by max(|b|, d), not hypot: math's and NumPy's differ in
+    # the last bit. The roots' product is -C_k C_r; h + |b| >= d > 0 gives the positive one
+    m = _select(d < abs(b), abs(b), d)
+    h = _select(m < math.inf, m * _sqrt((b / m) * (b / m) + (d / m) * (d / m)), m)
+    s = h + abs(b)
+    root = _select(b < 0.0, s / 2.0, 2.0 * c_k_farad * (c_r_farad / s))
+    omega, ok = _resonance(l_r_henry, c_r_farad + root, ok)
     r_star, c_star = norton_equivalent(c_k_farad, r_load_ohm, omega)
     q_ext = omega * r_star * (c_r_farad + c_star)
     f_loaded = omega / TWO_PI
@@ -245,25 +248,6 @@ def external_quality_factor(
         ok = ok & (c_star == c_star) & (q_ext != 0.0)
         q_ext, kappa, f_loaded = _select(ok, (q_ext, kappa, f_loaded))
     return q_ext, kappa, f_loaded
-
-
-def _loaded_resonance(omega: Any, c_r: Any, l_r: Any, c_k: Any, r_load: Any) -> np.ndarray:
-    """The loaded-resonance iteration on columns: the rows step together, each
-    keeping the step where its own test passes; a step that is not finite is
-    one where the float iteration raises, and a row that raises is NaN."""
-    omega = np.broadcast_to(omega, np.broadcast(omega, c_r, l_r, c_k, r_load).shape)
-    result = np.full(omega.shape, math.nan)
-    pending = np.isfinite(omega)  # an infinite omega: 1 / sqrt(0) raised
-    for _ in range(100):
-        c_star = _norton_capacitance(c_k, r_load, omega)[0]
-        new = 1.0 / np.sqrt(l_r * (c_r + c_star))
-        done = pending & (np.abs(new - omega) <= 1e-15 * omega)
-        result[done] = new[done]
-        pending &= ~done & np.isfinite(new)
-        if not pending.any():
-            break
-        omega = new
-    return result
 
 
 def purcell_t1(detuning_0_hz: Any, g_01_hz: Any, quality_factor: Any, f_r_hz: Any) -> Any:

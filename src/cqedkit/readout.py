@@ -22,6 +22,9 @@ QUBIT_STATES = ("ground", "excited")
 CSV_HEADER = "frequency_hz,re_s21,im_s21,abs_s21"
 _CSV_ROW = "%.6f,%.9f,%.9f,%.9f\n"
 _FLAT_CURVE_DEPTH = 1e-9
+# _csv_body holds about 450 bytes a row while it formats, so write_curve_csv formats
+# 2^14 rows (about 7 MB) at a time, whatever the curve's length
+_CSV_CHUNK_ROWS = 2**14
 # s21_curve holds about 45 bytes a point, so the largest curve peaks near half a GB
 MAX_S21_POINTS = 10**7
 
@@ -270,7 +273,11 @@ def write_curve_csv(curve: TransmissionCurve, path: str | Path) -> None:
     # in double precision, as Python's complex holds each sample
     s21 = np.asarray(curve.s21, complex)
     re, im = s21.real, s21.imag
-    # np.hypot gives the complex abs that Python's abs gives per element;
-    # np.abs on the complex array differs from it in the last bit
-    body, _ = _csv_body(np.stack((curve.frequency_hz, re, im, np.hypot(re, im))))
-    Path(path).write_bytes(f"{CSV_HEADER}\n".encode("ascii") + body)
+    with open(path, "wb") as out:
+        out.write(f"{CSV_HEADER}\n".encode("ascii"))
+        for start in range(0, re.shape[0], _CSV_CHUNK_ROWS):
+            rows = slice(start, start + _CSV_CHUNK_ROWS)
+            # np.hypot gives the complex abs that Python's abs gives per element;
+            # np.abs on the complex array differs from it in the last bit
+            columns = (curve.frequency_hz[rows], re[rows], im[rows], np.hypot(re[rows], im[rows]))
+            out.write(_csv_body(np.stack(columns))[0])

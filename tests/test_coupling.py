@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from cqedkit import (
     purcell_t1,
     zero_point_voltage,
 )
+from cqedkit.constants import TWO_PI
 
 E_J_REF = 14860137527.889196
 E_C_REF = 188812060.87005678
@@ -129,9 +131,9 @@ def test_quality_factor_scales_with_coupler():
     ("c_r", "l_r", "c_k", "r_load"),
     [
         (1e200, 1e200, 8.62e-15, 50.0),  # L_r C_r overflows: omega = 1 / sqrt(inf) = 0
-        (1e-300, 1e300, 1e10, 1e-20),  # omega = 1, then C* ~ C_k and L_r (C_r + C*) overflows
+        (1e-300, 1e300, 1e10, 1e-20),  # L_r C_r is 1, but C* ~ C_k and L_r (C_r + C*) overflows
     ],
-    ids=["before_the_loop", "in_the_loop"],
+    ids=["l_r_c_r_is_inf", "c_star_near_c_k"],
 )
 def test_quality_factor_refuses_a_loaded_resonance_that_overflows(c_r, l_r, c_k, r_load):
     # every input is positive, so "must be positive" would name the wrong cause
@@ -141,6 +143,35 @@ def test_quality_factor_refuses_a_loaded_resonance_that_overflows(c_r, l_r, c_k,
     with np.errstate(all="ignore"):
         column = external_quality_factor(np.array([c_r]), l_r, c_k, r_load)
     assert all(math.isnan(value[0]) for value in column)
+
+
+def test_loaded_resonance_is_a_fixed_point():
+    # wherever it returns, omega* = 2 pi f_loaded is a fixed point of
+    # omega -> 1 / sqrt(L_r (C_r + C_k / (1 + (omega C_k R_load)^2))) to 1e-15 relative,
+    # a few ulp, for the float and the column call; 1 to 3 inputs of qubit_v1's branch
+    # are drawn at 10^U(-320, 308)
+    rng = random.Random(8)
+    returned = 0
+    for _ in range(4000):
+        inputs = [C_R_REF, L_R_REF, 8.62e-15, 50.0]
+        for k in rng.sample(range(4), rng.randint(1, 3)):
+            inputs[k] = 10.0 ** rng.uniform(-320.0, 308.0)
+        c_r, l_r, c_k, r_load = inputs
+        try:
+            f_loaded = external_quality_factor(*inputs)[2]
+        except ArithmeticError:
+            f_loaded = None
+        with np.errstate(all="ignore"):
+            column = float(external_quality_factor(*(np.array([x]) for x in inputs))[2][0])
+        for f in (f_loaded, column):
+            if f is None or math.isnan(f):
+                continue
+            returned += 1
+            omega = TWO_PI * f
+            y = omega * c_k * r_load
+            c_star = c_k / (1.0 + y * y)
+            assert abs(1.0 / math.sqrt(l_r * (c_r + c_star)) - omega) <= 1e-15 * omega, inputs
+    assert returned > 2000
 
 
 def test_norton_equivalent_impedance_oracle():

@@ -18,6 +18,7 @@ from cqedkit import (
     s21_curve,
     write_curve_csv,
 )
+from cqedkit import readout
 from cqedkit.readout import (
     CSV_HEADER,
     MAX_S21_POINTS,
@@ -276,6 +277,22 @@ def test_csv_bytes_where_frequency_rows_fall_back(tmp_path):
         assert above.any() and fallback[above].all(), f_loaded
         if f_loaded < 1e13:
             assert 0 < fallback.sum() < fallback.shape[0]
+
+
+def test_csv_written_in_chunks_is_the_csv_written_as_one(tmp_path, monkeypatch):
+    # on a grid across 2^62 / 10^6 Hz, rows 0-999 are formatted in bulk and rows
+    # 1000-2000 left to _CSV_ROW; chunks of 8 rows put a boundary inside each run
+    # and one between them, and leave row 2000 alone in the last chunk
+    curve = s21_curve(_coupling(q_ext=1e5, f_loaded=2.0**62 / 1e6), "ground", 1e9, 2001)
+    re, im = curve.s21.real, curve.s21.imag
+    _, fallback = _csv_body(np.stack((curve.frequency_hz, re, im, np.hypot(re, im))))
+    sides = {(bool(fallback[i - 1]), bool(fallback[i])) for i in range(8, 2001, 8)}
+    assert sides == {(False, False), (False, True), (True, True)}
+    whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
+    write_curve_csv(curve, whole)  # 2001 rows are one chunk
+    monkeypatch.setattr(readout, "_CSV_CHUNK_ROWS", 8)
+    write_curve_csv(curve, chunked)
+    assert chunked.read_bytes() == whole.read_bytes() == _reference_csv(curve).encode("ascii")
 
 
 def test_csv_of_a_single_precision_curve_prints_its_double_values(tmp_path):

@@ -1,6 +1,5 @@
 import collections
 import hashlib
-import itertools
 import json
 import linecache
 import math
@@ -858,21 +857,6 @@ def test_derive_labels_each_stage(reference_inputs, monkeypatch, function, stage
         _quiet_derive(reference_inputs)
     assert type(caught.value) is error
     assert str(caught.value) == f"{stage}: boom"
-
-
-def test_derive_reports_a_loaded_resonance_that_does_not_converge(reference_inputs, monkeypatch):
-    # a Norton capacitance that flips between two values each call keeps the
-    # loaded resonance from settling
-    factors = itertools.cycle((1.0, 2.0))
-
-    def oscillating(c_k_farad, r_load_ohm, omega):
-        return c_k_farad * next(factors), 1.0, True
-
-    monkeypatch.setattr("cqedkit.coupling._norton_capacitance", oscillating)
-    with pytest.raises(
-        ConvergenceError, match="^quality factor: loaded resonance iteration did not converge$"
-    ):
-        _quiet_derive(reference_inputs)
 
 
 def test_derive_reports_a_loaded_resonance_that_overflows(reference_inputs):
