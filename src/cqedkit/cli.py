@@ -134,8 +134,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     result = sweep(load_design(args.config), spec)
     Path(args.out).write_text("\n".join(sweep_csv_lines(result)) + "\n", encoding="utf-8")
-    failed = sum(1 for row in result.rows if row.status != "ok")
-    sys.stdout.write(f"{len(result.rows)} rows ({failed} failed): {args.out}\n")
+    sys.stdout.write(f"{len(result.rows)} rows ({len(result.errors)} failed): {args.out}\n")
     return EXIT_OK
 
 

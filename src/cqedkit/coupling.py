@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -324,22 +324,17 @@ def coupled_spectrum_oracle(
 
 
 def _batched_oracle(
-    keys: Mapping[tuple[float, ...], None],
-    spectra: Mapping[tuple[float, ...], tuple[TransmonSpectrum, int]],
-) -> dict[tuple[float, ...], tuple[float | None, float | None]]:
-    """``coupled_spectrum_oracle`` of each (E_j, E_c, f_r, g_01) in one ``eigh``: chi_exact
-    (None where the labeling fails) and the |detuning| its warning names (None if none)."""
-    if not keys:
-        return {}
-    levels = np.array([spectra[key[:2]][0].levels_hz[:3] for key in keys])
-    f_r = np.array([key[2] for key in keys])
-    g_01 = np.array([key[3] for key in keys])
+    levels_hz: np.ndarray, f_r_hz: np.ndarray, g_01_hz: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``coupled_spectrum_oracle`` of each row of transmon levels (rows x at least 3), f_r
+    and g_01 in one ``eigh``: chi_exact (NaN where the labeling fails) and the |detuning|
+    its warning names (NaN where none)."""
     size = len(BLOCK_STATES)
-    matrices = np.zeros((len(keys), size * size))
-    matrices[:, :: size + 1] = levels[:, [j for j, _ in BLOCK_STATES]] + np.array(
+    matrices = np.zeros((len(f_r_hz), size * size))
+    matrices[:, :: size + 1] = levels_hz[:, [j for j, _ in BLOCK_STATES]] + np.array(
         [float(m) for _, m in BLOCK_STATES]
-    ) * f_r[:, None]
-    matrices[:, 1 :: size + 1] = matrices[:, size :: size + 1] = g_01[:, None] * np.array(
+    ) * f_r_hz[:, None]
+    matrices[:, 1 :: size + 1] = matrices[:, size :: size + 1] = g_01_hz[:, None] * np.array(
         BLOCK_LADDER
     )
     energies, vectors = np.linalg.eigh(matrices.reshape(-1, size, size))
@@ -347,17 +342,13 @@ def _batched_oracle(
     bare = weights.argmax(axis=1)
     dominant = np.take_along_axis(weights, bare[:, None, :], axis=1)[:, 0, :] > 0.5
     dressed = {}
-    labeled = np.ones(len(keys), dtype=bool)
+    labeled = np.ones(len(f_r_hz), dtype=bool)
     for label in ((0, 0), (0, 1), (1, 0), (1, 1)):
         match = dominant & (bare == BLOCK_STATES.index(label))
         labeled &= match.any(axis=1)
         dressed[label] = np.take_along_axis(energies, match.argmax(axis=1)[:, None], axis=1)[:, 0]
-    chi = np.where(
-        g_01 == 0.0, 0.0, ((dressed[1, 1] - dressed[1, 0]) - (dressed[0, 1] - dressed[0, 0])) / 2.0
-    ).tolist()
-    oracles: dict[tuple[float, ...], tuple[float | None, float | None]] = {}
-    for key, chi_exact, ok in zip(keys, chi, labeled.tolist()):
-        detuning = spectra[key[:2]][0].f_01_exact_hz - key[2]
-        ambiguous = _labels_ambiguous(key[3], detuning)
-        oracles[key] = (chi_exact if ok else None, abs(detuning) if ambiguous else None)
-    return oracles
+    pulls = (dressed[1, 1] - dressed[1, 0]) - (dressed[0, 1] - dressed[0, 0])
+    chi = np.where(g_01_hz == 0.0, 0.0, pulls / 2.0)
+    detuning = levels_hz[:, 1] - f_r_hz
+    ambiguous = _labels_ambiguous(g_01_hz, detuning)
+    return np.where(labeled, chi, math.nan), np.where(ambiguous, abs(detuning), math.nan)

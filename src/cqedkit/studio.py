@@ -12,12 +12,13 @@ import hashlib
 import json
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from types import SimpleNamespace
-from typing import Any, Callable, Collection, Mapping
+from types import MappingProxyType, SimpleNamespace
+from typing import Any, Callable, Collection, Iterator, Mapping
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .spectrum import (
     PerturbativeTransmon,
     TransmonSpectrum,
     _batched_spectra,
+    _spectrum,
     exact_transmon_spectrum,
     perturbative_levels,
     warn_unconverged,
@@ -115,9 +117,10 @@ class EprGapEntry:
     within_expected: bool
 
 
-# a row holds about 0.4 kB with three outputs (2 kB with all 22 closed forms),
-# so the largest sweep of a few outputs peaks near half a GB
+# a sweep holds 8 bytes a value, the grid's and each output's: 184 MB for all 22
+# closed forms at the bound, and the sweep that builds them peaks near 330 MB
 MAX_SWEEP_STEPS = 10**6
+_SWEEP_CSV_CHUNK_ROWS = 2**14  # rows of cells sweep_csv_lines holds as Python floats at once
 
 
 @dataclass(frozen=True)
@@ -152,10 +155,90 @@ class SweepRow:
     error: str = ""
 
 
+class SweepRows(Sequence[SweepRow]):
+    """A sweep's rows, a read-only view of its columns: ``rows[i]`` builds row i's
+    ``SweepRow`` (Python floats; an error row has no outputs) when it is asked for.
+
+    ``values`` is the grid, ``columns`` one float64 array per output in the order
+    the spec lists them, NaN in a failed row's slot, and ``errors`` each failed
+    row's ``"Type: message"`` by row index; none of them can be written. Two
+    views are equal when their columns hold the same bits and their errors the
+    same texts; a NaN slot is equal only to a NaN at the same place.
+    """
+
+    __slots__ = ("values", "columns", "errors")
+
+    def __init__(
+        self, values: np.ndarray, columns: Mapping[str, np.ndarray], errors: Mapping[int, str]
+    ) -> None:
+        for column in (values, *columns.values()):
+            column.flags.writeable = False
+        self.values = values
+        self.columns = MappingProxyType(dict(columns))
+        self.errors = MappingProxyType(dict(errors))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index: Any) -> Any:
+        picked = range(len(self))[index]  # an index or a slice, as a tuple takes it
+        return tuple(map(self._row, picked)) if type(picked) is range else self._row(picked)
+
+    def __iter__(self) -> Iterator[SweepRow]:
+        return map(self._row, range(len(self)))
+
+    def _row(self, i: int) -> SweepRow:
+        value = float(self.values[i])
+        if i in self.errors:
+            return SweepRow(value, {}, status="error", error=self.errors[i])
+        outputs = {name: float(column[i]) for name, column in self.columns.items()}
+        return SweepRow(value, outputs, status="ok")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SweepRows):
+            return NotImplemented
+        mine = (self.values, *self.columns.values())
+        theirs = (other.values, *other.columns.values())
+        return (
+            list(self.columns) == list(other.columns)
+            and self.errors == other.errors
+            and all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(mine, theirs))
+        )
+
+    def __repr__(self) -> str:
+        return f"SweepRows({len(self)} rows, {len(self.errors)} failed)"
+
+
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep as columns: ``rows`` is a ``SweepRows`` view of the grid ``values``,
+    one float64 array per output (``columns``) and the failed rows' ``errors``.
+    Given rows as ``SweepRow`` records instead, it takes them into columns."""
+
     spec: SweepSpec
-    rows: tuple[SweepRow, ...]
+    rows: SweepRows
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.rows, SweepRows):
+            records = tuple(self.rows)
+            columns = {name: np.full(len(records), math.nan) for name in self.spec.outputs}
+            errors: dict[int, str] = {}
+            for i, row in enumerate(records):
+                _fill(columns, errors, i, row)
+            values = np.array([row.parameter_value for row in records], dtype=float)
+            object.__setattr__(self, "rows", SweepRows(values, columns, errors))
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.rows.values
+
+    @property
+    def columns(self) -> Mapping[str, np.ndarray]:
+        return self.rows.columns
+
+    @property
+    def errors(self) -> Mapping[int, str]:
+        return self.rows.errors
 
 
 @dataclass(frozen=True)
@@ -499,31 +582,40 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
 
 
 def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Evaluate the derivation chain on a parameter grid, in grid order.
+    """Evaluate the derivation chain on a parameter grid, as columns.
 
     The grid is evaluated in one pass: a ``derive`` of the design's fields
     as columns, an input that does not vary as a float, for the closed
     forms; the exact solve once per distinct (E_j, E_c), through the parity
     kernel ``exact_transmon_spectrum`` uses; the oracle once per distinct
-    (E_j, E_c, f_r, g_01), stacked into one ``eigh``. Each row is bit for
-    bit what ``derive`` gives for its point, with the same warnings in the
-    same order, and these point at the line that called ``sweep``. A row
+    (E_j, E_c, f_r, g_01), stacked into one ``eigh``, each on the arrays of
+    the distinct keys. Each row is bit for bit what ``derive`` gives for its
+    point, with the same warnings in the same order, and these point at the
+    line that called ``sweep``: a Python loop visits, in grid order, only
+    the rows that warn or that are derived on their own. A row
     the batch marks (one that ``derive`` would refuse, or a failed
     labeling) is derived on its own, as is every row when an input that
     does not vary is not a Python float or when the column ``derive``
     raises; such a row's warnings point at ``derive``'s lines. Only the
     stages ``spec.outputs`` need run, each eigen stage, and its warning,
-    once per distinct input. A row whose derivation fails is marked
-    ``error`` and the sweep goes on. ``workers`` is checked (>= 1) and
-    otherwise ignored; it stays only for callers that pass ``workers=1``,
-    such as the benchmark workloads.
+    once per distinct input. A row whose derivation fails is NaN in every
+    column, its text is in ``errors``, and the sweep goes on. The result
+    holds 8 bytes a value, taking the column ``derive``'s arrays as they
+    are; ``rows`` builds a row's record when it is asked for, and a
+    ``TransmonSpectrum`` is built only for ``derive``'s memo, before a row
+    derived on its own. ``workers`` is checked (>= 1) and otherwise
+    ignored; it stays only for callers that pass ``workers=1``, such as the
+    benchmark workloads.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
-    values = _grid(spec.lo, spec.hi, spec.steps)
-    n = len(values)
-    # derive's memo over the rows derive runs, and the keys of every stage
-    # run so far, so that each eigen stage warns once per distinct input
+    grid = _grid(spec.lo, spec.hi, spec.steps)
+    n = len(grid)
+    values = np.array(grid, dtype=float)  # the grid's floats; steps = 1 may hold lo's int
+    columns: dict[str, np.ndarray] = {}
+    errors: dict[int, str] = {}
+    # derive's memo over the rows derive runs, holding the eigen stages the
+    # batch ran on earlier rows when such a row is derived
     solved: dict[tuple[float, ...], Any] = {}
     design = {
         name: getattr(inputs, name)
@@ -534,7 +626,7 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
     derived = None
     # an int mixes with another int by exact integer arithmetic in derive
     if all(type(v) is float for v in design.values()):
-        design[spec.parameter] = np.array([v if type(v) is float else math.nan for v in values])
+        design[spec.parameter] = values if type(grid[0]) is float else np.array([math.nan])
         # C_g as a column makes g_01 one, so dispersive_shift, the stage that warns, takes columns
         design["c_g_farad"] = np.atleast_1d(design["c_g_farad"])
         with np.errstate(all="ignore"):
@@ -543,55 +635,113 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
             except (ValueError, ArithmeticError, RuntimeError):  # a float stage: every row raises
                 pass
     if derived is None:  # under NumPy's default error state, as a lone derive runs
-        return SweepResult(spec, tuple(_sweep_row(inputs, spec, v, solved) for v in values))
+        columns = {name: np.full(n, math.nan) for name in spec.outputs}
+        for i, value in enumerate(grid):
+            _fill(columns, errors, i, _sweep_row(inputs, spec, value, solved))
+        return SweepResult(spec, SweepRows(values, columns, errors))
     lumped, pert, coupling = derived.lumped, derived.transmon_perturbative, derived.coupling
     f_r = design["f_r_target_hertz"]
     with np.errstate(all="ignore"):
+        for name in spec.outputs:
+            value = math.nan if name in exact else QUANTITIES[name](derived)
+            columns[name] = _column(value, n, [values, *columns.values()])
         near = _near_resonance(coupling.g_01_hz, pert.f_01_hz, pert.f_12_hz, f_r)
         applies = _oracle_applies(coupling.g_01_hz, coupling.detuning_0_hz)
-        columns = {
-            name: np.broadcast_to(QUANTITIES[name](derived), (n,)).tolist()
-            for name in spec.outputs
-            if name not in exact
-        }
-    good = lumped.e_j_hz == lumped.e_j_hz  # derive's NaN: a row derive would refuse
-    ej, ec, fr, g, near, applies, good = (
-        np.broadcast_to(a, (n,)).tolist()
-        for a in (lumped.e_j_hz, lumped.e_c_hz, f_r, coupling.g_01_hz, near, applies, good)
+    ej, ec, f_r, g, near, applies = (
+        a if type(a) is np.ndarray and a.shape == (n,) else np.full(n, a)
+        for a in (lumped.e_j_hz, lumped.e_c_hz, f_r, coupling.g_01_hz, near, applies)
     )
-    spectrum_keys = [(ej[i], ec[i]) if exact and good[i] else None for i in range(n)]
-    oracle_keys = [
-        (*key, fr[i], g[i]) if key is not None and applies[i] and "chi_exact_hz" in exact else None
-        for i, key in enumerate(spectrum_keys)
-    ]
-    spectra = _batched_spectra(dict.fromkeys(k for k in spectrum_keys if k is not None))
-    oracles = _batched_oracle(dict.fromkeys(k for k in oracle_keys if k is not None), spectra)
-    chi_exact = columns["chi_exact_hz"] = [oracles[k][0] if k else math.nan for k in oracle_keys]
-    for name in exact - {"chi_exact_hz"}:  # f_01_exact_hz, anharmonicity_exact_hz: the fields
-        columns[name] = [getattr(spectra[k][0], name) if k else math.nan for k in spectrum_keys]
-    table = zip(*(columns[name] for name in spec.outputs))
-    rows: list[SweepRow] = []
-    for value, ok, chi, spectrum_key, near_hz, oracle_key, outputs in zip(
-        values, good, chi_exact, spectrum_keys, near, oracle_keys, table
-    ):
-        if not ok or chi is None:  # a row derive would refuse, or a failed labeling
-            rows.append(_sweep_row(inputs, spec, value, solved))
+    lone = ej != ej  # derive's NaN: a row derive would refuse
+    # the eigen stages the batch runs, each at the first row that asks for it: by
+    # row, the index of a stage that warns there, and in stages every one as (row,
+    # 0 for a spectrum or 1 for an oracle, index), for solved before a lone row
+    unconverged: dict[int, int] = {}
+    ambiguous_at: dict[int, int] = {}
+    stages: list[tuple[int, int, int]] = []
+    if exact:
+        good = np.flatnonzero(~lone)
+        first, spectrum_of = _distinct(ej[good], ec[good])
+        spectrum_rows = good[first]
+        levels, cutoff, needed = _batched_spectra(ej[spectrum_rows], ec[spectrum_rows])
+        if "f_01_exact_hz" in exact:
+            columns["f_01_exact_hz"][good] = levels[spectrum_of, 1]
+        if "anharmonicity_exact_hz" in exact:
+            anharmonicity = levels[:, 2] - 2.0 * levels[:, 1]
+            columns["anharmonicity_exact_hz"][good] = anharmonicity[spectrum_of]
+        short = np.flatnonzero(cutoff < needed)
+        unconverged = dict(zip(spectrum_rows[short].tolist(), short.tolist()))
+        stages = [(row, 0, k) for k, row in enumerate(spectrum_rows.tolist())]
+        if "chi_exact_hz" in exact:
+            asked = applies[good]
+            asks = good[asked]
+            first, oracle_of = _distinct(spectrum_of[asked], f_r[asks], g[asks])
+            oracle_rows = asks[first]
+            chi, ambiguous = _batched_oracle(
+                levels[spectrum_of[asked][first]], f_r[oracle_rows], g[oracle_rows]
+            )
+            columns["chi_exact_hz"][asks] = chi[oracle_of]
+            lone[asks[np.isnan(chi)[oracle_of]]] = True  # a failed labeling
+            warns = np.flatnonzero(ambiguous == ambiguous)
+            ambiguous_at = dict(zip(oracle_rows[warns].tolist(), warns.tolist()))
+            labeled = np.flatnonzero(chi == chi)
+            stages += zip(oracle_rows[labeled].tolist(), [1] * len(labeled), labeled.tolist())
+    visit = lone | (near == near)
+    visit[[*unconverged, *ambiguous_at]] = True
+    visit = np.flatnonzero(visit)
+    stages.sort()
+    ran = 0  # the stages before the row visited, that solved holds for a lone row
+    for i, alone, near_hz in zip(visit.tolist(), lone[visit].tolist(), near[visit].tolist()):
+        if alone:
+            while ran < len(stages) and stages[ran][0] < i:
+                row, kind, k = stages[ran]
+                ran += 1
+                if kind == 0:
+                    key = (float(ej[row]), float(ec[row]))
+                    solved.setdefault(key, _spectrum(levels[k].tolist(), 0.0, int(cutoff[k])))
+                else:
+                    key = (float(ej[row]), float(ec[row]), float(f_r[row]), float(g[row]))
+                    solved.setdefault(key, float(chi[k]))
+            _fill(columns, errors, i, _sweep_row(inputs, spec, grid[i], solved))
             continue
-        if spectrum_key is not None and spectrum_key not in solved:
-            spectrum, needed = spectra[spectrum_key]
-            if spectrum.charge_cutoff < needed:
-                ratio = spectrum_key[0] / spectrum_key[1]
-                warn_unconverged(spectrum.charge_cutoff, ratio, needed, stacklevel=2)
-            solved[spectrum_key] = spectrum
+        k = unconverged.get(i)
+        if k is not None and (key := (float(ej[i]), float(ec[i]))) not in solved:
+            warn_unconverged(int(cutoff[k]), key[0] / key[1], int(needed[k]), stacklevel=2)
         if near_hz == near_hz:  # NaN where no warning
             warn_dispersive(near_hz, stacklevel=2)
-        if oracle_key is not None and oracle_key not in solved:
-            solved[oracle_key], ambiguous = oracles[oracle_key]
-            if ambiguous is not None:
-                warn_ambiguous_labels(ambiguous, stacklevel=2)
-        outputs = dict(zip(spec.outputs, outputs))
-        rows.append(SweepRow(parameter_value=value, outputs=outputs, status="ok"))
-    return SweepResult(spec=spec, rows=tuple(rows))
+        k = ambiguous_at.get(i)
+        if k is not None and (float(ej[i]), float(ec[i]), float(f_r[i]), float(g[i])) not in solved:
+            warn_ambiguous_labels(float(ambiguous[k]), stacklevel=2)
+    return SweepResult(spec, SweepRows(values, columns, errors))
+
+
+def _column(value: Any, n: int, taken: Collection[np.ndarray]) -> np.ndarray:
+    """``value`` as a float64 column of ``n`` rows that no other column shares: a
+    column the column ``derive`` made is taken as it is, not copied."""
+    if (
+        type(value) is np.ndarray
+        and value.shape == (n,)
+        and value.dtype == np.float64
+        and value.flags.writeable
+        and all(value is not column for column in taken)
+    ):
+        return value
+    column = np.empty(n)
+    column[...] = value
+    return column
+
+
+def _distinct(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct tuple of the columns' rows, as ``==`` tells
+    floats apart, and each row's index into those first rows."""
+    order = np.lexsort(columns)  # stable: a run of equal tuples starts at its first row
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for column in columns:
+        ordered = column[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    index = np.empty(len(order), dtype=int)
+    index[order] = np.cumsum(new) - 1
+    return order[new], index
 
 
 def _sweep_row(
@@ -609,6 +759,19 @@ def _sweep_row(
             status="error",
             error=f"{type(exc).__name__}: {exc}",
         )
+
+
+def _fill(
+    columns: dict[str, np.ndarray], errors: dict[int, str], i: int, row: SweepRow
+) -> None:
+    """Write ``row`` into slot ``i`` of the columns, or its error text, with NaN slots."""
+    if row.status == "ok":
+        for name, value in row.outputs.items():
+            columns[name][i] = value
+    else:
+        errors[i] = row.error
+        for column in columns.values():
+            column[i] = math.nan
 
 
 TUNE_MAX_ITERATIONS = 200  # interior steps before tune gives up
@@ -959,15 +1122,19 @@ def render_tune_report(result: TuneResult) -> str:
 
 
 def sweep_csv_lines(result: SweepResult) -> list[str]:
-    """Render a sweep as CSV lines (ascending parameter order)."""
-    header = [result.spec.parameter, *result.spec.outputs, "status", "error"]
-    lines = [",".join(header)]
-    for row in result.rows:
-        cells = [f"{row.parameter_value:.9g}"]
-        for name in result.spec.outputs:
-            value = row.outputs.get(name)
-            cells.append("" if value is None else f"{value:.9g}")
-        cells.append(row.status)
-        cells.append('"%s"' % row.error.replace('"', "'") if row.error else "")
-        lines.append(",".join(cells))
+    """Render a sweep as CSV lines (ascending parameter order), from its columns,
+    ``_SWEEP_CSV_CHUNK_ROWS`` rows of them at a time."""
+    spec, rows = result.spec, result.rows
+    lines = [",".join([spec.parameter, *spec.outputs, "status", "error"])]
+    ok = ",".join(["%.9g"] * (1 + len(spec.outputs))) + ",ok,"
+    failed = "%.9g" + "," * len(spec.outputs) + ",error,%s"
+    columns = [rows.values, *(rows.columns[name] for name in spec.outputs)]
+    for start in range(0, len(rows), _SWEEP_CSV_CHUNK_ROWS):
+        chunk = np.stack([column[start : start + _SWEEP_CSV_CHUNK_ROWS] for column in columns], 1)
+        for i, cells in enumerate(chunk.tolist(), start):
+            error = rows.errors.get(i)
+            if error is None:
+                lines.append(ok % tuple(cells))
+            else:
+                lines.append(failed % (cells[0], '"%s"' % error.replace('"', "'") if error else ""))
     return lines

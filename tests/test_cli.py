@@ -269,6 +269,22 @@ def test_sweep_marks_overflowing_rows_and_continues(tmp_path):
     assert all("OverflowError: quality factor: " in row[3] for row in rows[1:])
 
 
+def test_sweep_counts_failed_rows_without_building_a_row(tmp_path, capsys, monkeypatch):
+    # the count and the CSV come from the columns and the error texts
+    def refuse(self, i):
+        raise AssertionError(f"row {i} built")
+
+    monkeypatch.setattr(studio.SweepRows, "_row", refuse)
+    out = tmp_path / "sweep.csv"
+    code = main([
+        "sweep", "--config", CONFIG, "--param", "c_k_farad",
+        "--from", "1e-15", "--to", "1e200", "--steps", "3",
+        "--emit", "q_ext", "--out", str(out),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out == f"3 rows (2 failed): {out}\n"
+
+
 def test_sweep_has_no_workers_option(tmp_path, capsys):
     code = main([
         "sweep", "--config", CONFIG, "--param", "c_g_farad",
