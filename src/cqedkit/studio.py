@@ -422,9 +422,11 @@ def derive(
 ) -> DerivedParameters:
     """Run the derivation chain for one design.
 
-    Stages: lumped extraction -> transmon levels (closed form and exact
-    diagonalization) -> coupling/readout figures -> dressed-state oracle.
-    The oracle is skipped (chi_exact_hz = None) when the closed-form
+    Stages: lumped extraction -> closed-form transmon levels ->
+    coupling/readout figures -> exact diagonalization -> dressed-state
+    oracle. The eigen stages come last, so a design that a closed form
+    refuses raises before either runs, and neither solves nor warns for
+    it. The oracle is skipped (chi_exact_hz = None) when the closed-form
     detuning is within 5 g_01 of the resonator, too close to degeneracy for
     dressed states to be labeled.
 
@@ -441,10 +443,10 @@ def derive(
     ``coupling``.
 
     ``solved`` is a dict that a caller keeps over calls on related designs,
-    as ``sweep`` and ``tune`` do: it maps the inputs of each eigen stage to
-    its result, so a stage whose inputs repeat (the transmon solve in a
-    sweep of ``c_k_farad`` or ``f_r_target_hertz``) runs, and warns, only
-    once.
+    as ``tune`` and a sweep derived row by row do: it maps the inputs of
+    each eigen stage to its result, so a stage whose inputs repeat (the
+    transmon solve in a sweep of ``c_k_farad`` or ``f_r_target_hertz``)
+    runs, and warns, only once.
     """
     if quantities is None:
         quantities = QUANTITIES
@@ -464,16 +466,6 @@ def derive(
             raise FloatingPointError(f"E_j/E_c is {ratio}")
         stage = "perturbative levels"
         pert = perturbative_levels(lumped.e_j_hz, lumped.e_c_hz)
-        stage = "exact diagonalization"
-        exact = None
-        if not _EXACT_QUANTITIES.isdisjoint(quantities):
-            if type(ok) is np.ndarray:
-                raise DomainError("columns take only closed-form quantities")
-            # two entries; the oracle's keys have four, so the stages never share one
-            key: tuple[float, ...] = (lumped.e_j_hz, lumped.e_c_hz)
-            if key not in solved:
-                solved[key] = exact_transmon_spectrum(*key)
-            exact = solved[key]
         stage = "zero-point voltage"
         v_rms = zero_point_voltage(f_r, lumped.c_r_farad)
         stage = "coupling strength"
@@ -497,6 +489,16 @@ def derive(
             raise FloatingPointError(f"kappa underflows to 0 at f_loaded = {f_loaded:.3g} Hz")
         stage = "relaxation estimate"
         t1 = purcell_t1(detuning, g_01, q_ext, f_r)
+        stage = "exact diagonalization"
+        exact = None
+        if not _EXACT_QUANTITIES.isdisjoint(quantities):
+            if type(ok) is np.ndarray:
+                raise DomainError("columns take only closed-form quantities")
+            # two entries; the oracle's keys have four, so the stages never share one
+            key: tuple[float, ...] = (lumped.e_j_hz, lumped.e_c_hz)
+            if key not in solved:
+                solved[key] = exact_transmon_spectrum(*key)
+            exact = solved[key]
         stage = "dressed-state oracle"
         chi_exact: float | None = None
         if "chi_exact_hz" in quantities and _oracle_applies(g_01, detuning):
@@ -521,15 +523,13 @@ def derive(
     if type(ok) is np.ndarray:  # columns: a row with a NaN, or a failed check, is NaN throughout
         records = lumped, pert, coupling
         floats = [{k: v for k, v in vars(r).items() if k != "inputs"} for r in records]
-        table = np.empty((sum(map(len, floats)), len(ok)))  # a row per float field
-        for row, value in zip(table, [v for values in floats for v in values.values()]):
-            row[...] = value
-        ok = ok & ~np.isnan(table).any(axis=0)
+        for values in floats:
+            for v in values.values():
+                ok = ok & (v == v)
         if not ok.all():
-            table[:, ~ok] = math.nan
-            rows = iter(table)
             lumped, pert, coupling = (
-                replace(r, **{k: next(rows) for k in values}) for r, values in zip(records, floats)
+                replace(r, **{k: _select(ok, v) for k, v in values.items()})
+                for r, values in zip(records, floats)
             )
     return DerivedParameters(
         lumped=lumped,
@@ -592,20 +592,20 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
     the distinct keys. Each row is bit for bit what ``derive`` gives for its
     point, with the same warnings in the same order, and these point at the
     line that called ``sweep``: a Python loop visits, in grid order, only
-    the rows that warn or that are derived on their own. A row
-    the batch marks (one that ``derive`` would refuse, or a failed
-    labeling) is derived on its own, as is every row when an input that
-    does not vary is not a Python float or when the column ``derive``
-    raises; such a row's warnings point at ``derive``'s lines. Only the
-    stages ``spec.outputs`` need run, each eigen stage, and its warning,
-    once per distinct input. A row whose derivation fails is NaN in every
-    column, its text is in ``errors``, and the sweep goes on. The result
-    holds 8 bytes a value, taking the column ``derive``'s arrays as they
-    are; ``rows`` builds a row's record when it is asked for, and a
-    ``TransmonSpectrum`` is built only for ``derive``'s memo, before a row
-    derived on its own. ``workers`` is checked (>= 1) and otherwise
-    ignored; it stays only for callers that pass ``workers=1``, such as the
-    benchmark workloads.
+    the rows that warn or that are derived on their own. A row the batch
+    marks is derived on its own: one that a closed form refuses, which
+    ``derive`` does before any eigen stage, and a failed labeling, which
+    is given the transmon solve when an earlier row ran it. So is every
+    row when the grid or an input that does not vary is not a Python
+    float, or when the column ``derive`` raises; such a row's warnings
+    point at ``derive``'s lines. Only the stages ``spec.outputs`` need run,
+    each eigen stage, and its warning, once per distinct input. A row whose
+    derivation fails is NaN in every column, its text is in ``errors``, and
+    the sweep goes on. The result holds 8 bytes a value, taking the column
+    ``derive``'s arrays as they are; ``rows`` builds a row's record when it
+    is asked for. ``workers`` is checked (>= 1) and otherwise ignored; it
+    stays only for callers that pass ``workers=1``, such as the benchmark
+    workloads.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
@@ -614,9 +614,6 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
     values = np.array(grid, dtype=float)  # the grid's floats; steps = 1 may hold lo's int
     columns: dict[str, np.ndarray] = {}
     errors: dict[int, str] = {}
-    # derive's memo over the rows derive runs, holding the eigen stages the
-    # batch ran on earlier rows when such a row is derived
-    solved: dict[tuple[float, ...], Any] = {}
     design = {
         name: getattr(inputs, name)
         for name in (*SWEEPABLE_PARAMETERS, "z_0_ohm", "r_load_ohm")
@@ -624,9 +621,10 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
     }
     exact = _EXACT_QUANTITIES.intersection(spec.outputs)
     derived = None
-    # an int mixes with another int by exact integer arithmetic in derive
-    if all(type(v) is float for v in design.values()):
-        design[spec.parameter] = values if type(grid[0]) is float else np.array([math.nan])
+    # an int mixes with another int by exact integer arithmetic in derive, and a
+    # NumPy scalar rounds as its own type; the grid's points share grid[0]'s type
+    if all(type(v) is float for v in (grid[0], *design.values())):
+        design[spec.parameter] = values
         # C_g as a column makes g_01 one, so dispersive_shift, the stage that warns, takes columns
         design["c_g_farad"] = np.atleast_1d(design["c_g_farad"])
         with np.errstate(all="ignore"):
@@ -636,6 +634,7 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
                 pass
     if derived is None:  # under NumPy's default error state, as a lone derive runs
         columns = {name: np.full(n, math.nan) for name in spec.outputs}
+        solved: dict[tuple[float, ...], Any] = {}  # derive's memo over the rows
         for i, value in enumerate(grid):
             _fill(columns, errors, i, _sweep_row(inputs, spec, value, solved))
         return SweepResult(spec, SweepRows(values, columns, errors))
@@ -651,13 +650,12 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
         a if type(a) is np.ndarray and a.shape == (n,) else np.full(n, a)
         for a in (lumped.e_j_hz, lumped.e_c_hz, f_r, coupling.g_01_hz, near, applies)
     )
-    lone = ej != ej  # derive's NaN: a row derive would refuse
-    # the eigen stages the batch runs, each at the first row that asks for it: by
-    # row, the index of a stage that warns there, and in stages every one as (row,
-    # 0 for a spectrum or 1 for an oracle, index), for solved before a lone row
+    lone = ej != ej  # derive's NaN: a row that a closed form refuses, before any eigen stage
+    # by row, the index of an eigen stage the batch runs first there and that warns,
+    # and of the transmon solve that an earlier row ran for a failed labeling
     unconverged: dict[int, int] = {}
     ambiguous_at: dict[int, int] = {}
-    stages: list[tuple[int, int, int]] = []
+    seeded: dict[int, int] = {}
     if exact:
         good = np.flatnonzero(~lone)
         first, spectrum_of = _distinct(ej[good], ec[good])
@@ -670,7 +668,6 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
             columns["anharmonicity_exact_hz"][good] = anharmonicity[spectrum_of]
         short = np.flatnonzero(cutoff < needed)
         unconverged = dict(zip(spectrum_rows[short].tolist(), short.tolist()))
-        stages = [(row, 0, k) for k, row in enumerate(spectrum_rows.tolist())]
         if "chi_exact_hz" in exact:
             asked = applies[good]
             asks = good[asked]
@@ -680,36 +677,28 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
                 levels[spectrum_of[asked][first]], f_r[oracle_rows], g[oracle_rows]
             )
             columns["chi_exact_hz"][asks] = chi[oracle_of]
-            lone[asks[np.isnan(chi)[oracle_of]]] = True  # a failed labeling
+            failed = np.isnan(chi)[oracle_of]  # a failed labeling
+            lone[asks[failed]] = True
+            rows, keys = asks[failed], spectrum_of[asked][failed]
+            earlier = spectrum_rows[keys] < rows
+            seeded = dict(zip(rows[earlier].tolist(), keys[earlier].tolist()))
             warns = np.flatnonzero(ambiguous == ambiguous)
             ambiguous_at = dict(zip(oracle_rows[warns].tolist(), warns.tolist()))
-            labeled = np.flatnonzero(chi == chi)
-            stages += zip(oracle_rows[labeled].tolist(), [1] * len(labeled), labeled.tolist())
     visit = lone | (near == near)
     visit[[*unconverged, *ambiguous_at]] = True
     visit = np.flatnonzero(visit)
-    stages.sort()
-    ran = 0  # the stages before the row visited, that solved holds for a lone row
     for i, alone, near_hz in zip(visit.tolist(), lone[visit].tolist(), near[visit].tolist()):
         if alone:
-            while ran < len(stages) and stages[ran][0] < i:
-                row, kind, k = stages[ran]
-                ran += 1
-                if kind == 0:
-                    key = (float(ej[row]), float(ec[row]))
-                    solved.setdefault(key, _spectrum(levels[k].tolist(), 0.0, int(cutoff[k])))
-                else:
-                    key = (float(ej[row]), float(ec[row]), float(f_r[row]), float(g[row]))
-                    solved.setdefault(key, float(chi[k]))
+            k = seeded.get(i)
+            key = float(ej[i]), float(ec[i])
+            solved = {} if k is None else {key: _spectrum(levels[k].tolist(), 0.0, int(cutoff[k]))}
             _fill(columns, errors, i, _sweep_row(inputs, spec, grid[i], solved))
             continue
-        k = unconverged.get(i)
-        if k is not None and (key := (float(ej[i]), float(ec[i]))) not in solved:
-            warn_unconverged(int(cutoff[k]), key[0] / key[1], int(needed[k]), stacklevel=2)
         if near_hz == near_hz:  # NaN where no warning
             warn_dispersive(near_hz, stacklevel=2)
-        k = ambiguous_at.get(i)
-        if k is not None and (float(ej[i]), float(ec[i]), float(f_r[i]), float(g[i])) not in solved:
+        if (k := unconverged.get(i)) is not None:
+            warn_unconverged(int(cutoff[k]), float(ej[i] / ec[i]), int(needed[k]), stacklevel=2)
+        if (k := ambiguous_at.get(i)) is not None:
             warn_ambiguous_labels(float(ambiguous[k]), stacklevel=2)
     return SweepResult(spec, SweepRows(values, columns, errors))
 

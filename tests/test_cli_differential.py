@@ -113,3 +113,27 @@ def test_last_digit_rounding_is_a_declared_class():
     ]
     for first, second in different:
         assert tool.compare([_text_record("sweep", first)], [_text_record("sweep", second)])
+
+
+def test_convergence_warnings_lost_or_reordered_are_a_declared_class():
+    tool = _load_tool()
+    unconverged = "ConvergenceWarning: charge basis cutoff 200 not converged"
+    near = "DispersiveValidityWarning: detuning 1e8 Hz is within 10 g_01 of resonance"
+    base = {
+        **_text_record("derive", "{}"), "exit": 1, "stderr": "error: quality factor: ...",
+        "printed_warnings": [unconverged, near, unconverged],
+    }
+    for printed in ([near], [near, unconverged], [unconverged, unconverged, near]):
+        classes = collections.Counter()
+        change = {**base, "printed_warnings": printed, "warnings": []}
+        assert tool.compare([base], [change], classes) == []
+        assert classes == {tool.EIGEN_LAST: 1}
+    undeclared = [
+        {**base, "printed_warnings": [unconverged, unconverged]},  # lost another category
+        {**base, "printed_warnings": [*base["printed_warnings"], unconverged]},  # gained one
+        {**base, "printed_warnings": [near], "stderr": "error: another stage"},
+        {**base, "printed_warnings": [near], "exit": 2},
+        {**base, "printed_warnings": [near], "files": {}},
+    ]
+    for change in undeclared:
+        assert tool.compare([base], [change])

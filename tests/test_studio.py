@@ -867,6 +867,25 @@ def test_derive_reports_a_loaded_resonance_that_overflows(reference_inputs):
         _quiet_derive(design, quantities=("q_ext",))
 
 
+@pytest.mark.parametrize(
+    ("field", "value", "error", "stage"),
+    [
+        ("c_k_farad", 1e300, OverflowError, "quality factor"),
+        # beta = C_g / C_sigma rounds to 1.0, which no coupling strength takes
+        ("c_g_farad", 1e5, DomainError, "coupling strength"),
+    ],
+)
+def test_a_design_a_closed_form_refuses_never_reaches_the_exact_solve(
+    reference_inputs, monkeypatch, field, value, error, stage
+):
+    def fail(*args):
+        raise AssertionError("the exact solve ran")
+
+    monkeypatch.setattr(studio, "exact_transmon_spectrum", fail)
+    with pytest.raises(error, match=f"^{stage}: "):
+        _quiet_derive(replace(reference_inputs, **{field: value}))
+
+
 def test_stage_warnings_point_at_the_calling_line(reference_inputs):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

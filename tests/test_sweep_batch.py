@@ -105,17 +105,46 @@ def test_sweep_of_an_unconverged_design_equals_the_per_row_loop(reference_inputs
 
 
 def test_sweep_of_a_design_holding_an_int_is_derived_row_by_row(reference_inputs, monkeypatch):
-    # an int input takes derive's integer arithmetic, which the batch does not repeat
-    design = replace(reference_inputs, z_0_ohm=50)
-    spec = SweepSpec("l_j_henry", 9e-9, 13e-9, 5, ("f_01_hz", "q_ext", "chi_exact_hz"))
-    calls = _count_derives(monkeypatch)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DispersiveValidityWarning)
-        rows = sweep(design, spec).rows
-    assert len(calls) == 5
-    monkeypatch.undo()
-    _assert_same_as_per_row(design, spec)
-    assert [row.status for row in rows] == ["ok"] * 5
+    # an int input takes derive's integer arithmetic, which the batch does not repeat;
+    # nor does it repeat a grid of NumPy scalars, which a NumPy lo gives
+    outputs = ("f_01_hz", "q_ext", "chi_exact_hz")
+    cases = ((replace(reference_inputs, z_0_ohm=50), 9e-9), (reference_inputs, np.float64(9e-9)))
+    for design, lo in cases:
+        spec = SweepSpec("l_j_henry", lo, 13e-9, 5, outputs)
+        calls = _count_derives(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DispersiveValidityWarning)
+            rows = sweep(design, spec).rows
+        assert len(calls) == 5
+        monkeypatch.undo()
+        _assert_same_as_per_row(design, spec)
+        assert [row.status for row in rows] == ["ok"] * 5
+
+
+# f_r where the oracle cannot label qubit_v1's dressed states, and 3 MHz below it,
+# where it can; with the charge basis capped at 12 (qubit_v1 needs 14) every row
+# shares one unconverged transmon solve
+FAILED_LABELING_HZ = 4.30977e9
+
+
+@pytest.mark.parametrize(
+    "lo",
+    [FAILED_LABELING_HZ, FAILED_LABELING_HZ - 3e6, np.float64(FAILED_LABELING_HZ)],
+    ids=["failing_first", "labeled_first", "numpy_lo"],
+)
+def test_failed_labelings_share_the_unconverged_solve_of_the_sweep(
+    reference_inputs, monkeypatch, lo
+):
+    monkeypatch.setattr(spectrum_module, "_MAX_CHARGE_CUTOFF", 12)
+    spec = SweepSpec("f_r_target_hertz", lo, lo + 20e6, 21, ("chi_exact_hz", "f_01_exact_hz"))
+    _assert_same_as_per_row(reference_inputs, spec)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = sweep(reference_inputs, spec)
+    assert sum(issubclass(w.category, ConvergenceWarning) for w in caught) == 1
+    # the grid holds both failed labelings and labeled rows
+    assert 0 < len(result.errors) < 21
+    assert all("LabelingError" in error for error in result.errors.values())
 
 
 @pytest.mark.parametrize("span", ["around", "through_zero"])
