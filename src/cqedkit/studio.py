@@ -212,33 +212,27 @@ class SweepRows(Sequence[SweepRow]):
 @dataclass(frozen=True)
 class SweepResult:
     """A sweep as columns: ``rows`` is a ``SweepRows`` view of the grid ``values``,
-    one float64 array per output (``columns``) and the failed rows' ``errors``.
-    Given rows as ``SweepRow`` records instead, it takes them into columns."""
+    one float64 array per output (``columns``) and the failed rows' ``errors``."""
 
     spec: SweepSpec
     rows: SweepRows
 
-    def __post_init__(self) -> None:
+    def _view(self) -> SweepRows:
         if not isinstance(self.rows, SweepRows):
-            records = tuple(self.rows)
-            columns = {name: np.full(len(records), math.nan) for name in self.spec.outputs}
-            errors: dict[int, str] = {}
-            for i, row in enumerate(records):
-                _fill(columns, errors, i, row)
-            values = np.array([row.parameter_value for row in records], dtype=float)
-            object.__setattr__(self, "rows", SweepRows(values, columns, errors))
+            raise TypeError(f"sweep rows must be a SweepRows, not {type(self.rows).__name__}")
+        return self.rows
 
     @property
     def values(self) -> np.ndarray:
-        return self.rows.values
+        return self._view().values
 
     @property
     def columns(self) -> Mapping[str, np.ndarray]:
-        return self.rows.columns
+        return self._view().columns
 
     @property
     def errors(self) -> Mapping[int, str]:
-        return self.rows.errors
+        return self._view().errors
 
 
 @dataclass(frozen=True)
@@ -590,29 +584,28 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
     kernel ``exact_transmon_spectrum`` uses; the oracle once per distinct
     (E_j, E_c, f_r, g_01), stacked into one ``eigh``, each on the arrays of
     the distinct keys. Each row is bit for bit what ``derive`` gives for its
-    point, with the same warnings in the same order, and these point at the
-    line that called ``sweep``: a Python loop visits, in grid order, only
-    the rows that warn or that are derived on their own. A row the batch
-    marks is derived on its own: one that a closed form refuses, which
-    ``derive`` does before any eigen stage, and a failed labeling, which
-    is given the transmon solve when an earlier row ran it. So is every
-    row when the grid or an input that does not vary is not a Python
-    float, or when the column ``derive`` raises; such a row's warnings
-    point at ``derive``'s lines. Only the stages ``spec.outputs`` need run,
-    each eigen stage, and its warning, once per distinct input. A row whose
-    derivation fails is NaN in every column, its text is in ``errors``, and
-    the sweep goes on. The result holds 8 bytes a value, taking the column
-    ``derive``'s arrays as they are; ``rows`` builds a row's record when it
-    is asked for. ``workers`` is checked (>= 1) and otherwise ignored; it
-    stays only for callers that pass ``workers=1``, such as the benchmark
-    workloads.
+    point, with the same warnings in the same order. One Python loop visits,
+    in grid order, only the rows that warn, whose warnings point at the line
+    that called ``sweep``, and the rows derived on their own: those the
+    batch marks (one that a closed form refuses, which ``derive`` does
+    before any eigen stage, and a failed labeling), or every row when the
+    grid or an input that does not vary is not a Python float, or when the
+    column ``derive`` raises. These share one memo, which starts with the
+    transmon solves the batch ran first on rows it keeps, write their
+    outputs into their slots of the columns, and warn from ``derive``. Only
+    the stages ``spec.outputs`` need run, each eigen stage, and its
+    warning, once per distinct input. A row whose derivation fails is NaN
+    in every column, its text is in ``errors``, and the sweep goes on. The
+    result holds 8 bytes a value, taking the column ``derive``'s arrays as
+    they are; ``rows`` builds a row's record when it is asked for.
+    ``workers`` is checked (>= 1) and otherwise ignored, for callers such
+    as the benchmark workloads that pass ``workers=1``.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     grid = _grid(spec.lo, spec.hi, spec.steps)
     n = len(grid)
     values = np.array(grid, dtype=float)  # the grid's floats; steps = 1 may hold lo's int
-    columns: dict[str, np.ndarray] = {}
     errors: dict[int, str] = {}
     design = {
         name: getattr(inputs, name)
@@ -632,67 +625,63 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
                 derived = derive(SimpleNamespace(**design), quantities=set(spec.outputs) - exact)
             except (ValueError, ArithmeticError, RuntimeError):  # a float stage: every row raises
                 pass
-    if derived is None:  # under NumPy's default error state, as a lone derive runs
-        columns = {name: np.full(n, math.nan) for name in spec.outputs}
-        solved: dict[tuple[float, ...], Any] = {}  # derive's memo over the rows
-        for i, value in enumerate(grid):
-            _fill(columns, errors, i, _sweep_row(inputs, spec, value, solved))
-        return SweepResult(spec, SweepRows(values, columns, errors))
-    lumped, pert, coupling = derived.lumped, derived.transmon_perturbative, derived.coupling
-    f_r = design["f_r_target_hertz"]
-    with np.errstate(all="ignore"):
-        for name in spec.outputs:
-            value = math.nan if name in exact else QUANTITIES[name](derived)
-            columns[name] = _column(value, n, [values, *columns.values()])
-        near = _near_resonance(coupling.g_01_hz, pert.f_01_hz, pert.f_12_hz, f_r)
-        applies = _oracle_applies(coupling.g_01_hz, coupling.detuning_0_hz)
-    ej, ec, f_r, g, near, applies = (
-        a if type(a) is np.ndarray and a.shape == (n,) else np.full(n, a)
-        for a in (lumped.e_j_hz, lumped.e_c_hz, f_r, coupling.g_01_hz, near, applies)
-    )
-    lone = ej != ej  # derive's NaN: a row that a closed form refuses, before any eigen stage
-    # by row, the index of an eigen stage the batch runs first there and that warns,
-    # and of the transmon solve that an earlier row ran for a failed labeling
+    solved: dict[tuple[float, ...], Any] = {}  # derive's memo over the rows derived on their own
+    # by row, the index of an eigen stage the batch runs first there and that warns
     unconverged: dict[int, int] = {}
     ambiguous_at: dict[int, int] = {}
-    seeded: dict[int, int] = {}
-    if exact:
-        good = np.flatnonzero(~lone)
-        first, spectrum_of = _distinct(ej[good], ec[good])
-        spectrum_rows = good[first]
-        levels, cutoff, needed = _batched_spectra(ej[spectrum_rows], ec[spectrum_rows])
-        if "f_01_exact_hz" in exact:
-            columns["f_01_exact_hz"][good] = levels[spectrum_of, 1]
-        if "anharmonicity_exact_hz" in exact:
-            anharmonicity = levels[:, 2] - 2.0 * levels[:, 1]
-            columns["anharmonicity_exact_hz"][good] = anharmonicity[spectrum_of]
-        short = np.flatnonzero(cutoff < needed)
-        unconverged = dict(zip(spectrum_rows[short].tolist(), short.tolist()))
-        if "chi_exact_hz" in exact:
-            asked = applies[good]
-            asks = good[asked]
-            first, oracle_of = _distinct(spectrum_of[asked], f_r[asks], g[asks])
-            oracle_rows = asks[first]
-            chi, ambiguous = _batched_oracle(
-                levels[spectrum_of[asked][first]], f_r[oracle_rows], g[oracle_rows]
-            )
-            columns["chi_exact_hz"][asks] = chi[oracle_of]
-            failed = np.isnan(chi)[oracle_of]  # a failed labeling
-            lone[asks[failed]] = True
-            rows, keys = asks[failed], spectrum_of[asked][failed]
-            earlier = spectrum_rows[keys] < rows
-            seeded = dict(zip(rows[earlier].tolist(), keys[earlier].tolist()))
-            warns = np.flatnonzero(ambiguous == ambiguous)
-            ambiguous_at = dict(zip(oracle_rows[warns].tolist(), warns.tolist()))
+    if derived is None:
+        columns = {name: np.empty(n) for name in spec.outputs}
+        lone, near = np.ones(n, dtype=bool), np.full(n, math.nan)
+    else:
+        columns = {}
+        lumped, pert, coupling = derived.lumped, derived.transmon_perturbative, derived.coupling
+        f_r = design["f_r_target_hertz"]
+        with np.errstate(all="ignore"):
+            for name in spec.outputs:
+                value = math.nan if name in exact else QUANTITIES[name](derived)
+                columns[name] = _column(value, n, [values, *columns.values()])
+            near = _near_resonance(coupling.g_01_hz, pert.f_01_hz, pert.f_12_hz, f_r)
+            applies = _oracle_applies(coupling.g_01_hz, coupling.detuning_0_hz)
+        ej, ec, f_r, g, near, applies = (
+            a if type(a) is np.ndarray and a.shape == (n,) else np.full(n, a)
+            for a in (lumped.e_j_hz, lumped.e_c_hz, f_r, coupling.g_01_hz, near, applies)
+        )
+        lone = ej != ej  # derive's NaN: a row that a closed form refuses, before any eigen stage
+        if exact:
+            good = np.flatnonzero(~lone)
+            first, spectrum_of = _distinct(ej[good], ec[good])
+            spectrum_rows = good[first]
+            levels, cutoff, needed = _batched_spectra(ej[spectrum_rows], ec[spectrum_rows])
+            if "f_01_exact_hz" in exact:
+                columns["f_01_exact_hz"][good] = levels[spectrum_of, 1]
+            if "anharmonicity_exact_hz" in exact:
+                anharmonicity = levels[:, 2] - 2.0 * levels[:, 1]
+                columns["anharmonicity_exact_hz"][good] = anharmonicity[spectrum_of]
+            short = np.flatnonzero(cutoff < needed)
+            unconverged = dict(zip(spectrum_rows[short].tolist(), short.tolist()))
+            if "chi_exact_hz" in exact:
+                asked = applies[good]
+                asks = good[asked]
+                first, oracle_of = _distinct(spectrum_of[asked], f_r[asks], g[asks])
+                oracle_rows = asks[first]
+                chi, ambiguous = _batched_oracle(
+                    levels[spectrum_of[asked][first]], f_r[oracle_rows], g[oracle_rows]
+                )
+                columns["chi_exact_hz"][asks] = chi[oracle_of]
+                failed = np.isnan(chi)[oracle_of]  # a failed labeling
+                lone[asks[failed]] = True
+                for k in np.unique(spectrum_of[asked][failed]).tolist():  # the failed rows' solves
+                    if not lone[row := spectrum_rows[k]]:  # else that failed row solves, and warns
+                        key = float(ej[row]), float(ec[row])
+                        solved[key] = _spectrum(levels[k].tolist(), 0.0, int(cutoff[k]))
+                warns = np.flatnonzero(ambiguous == ambiguous)
+                ambiguous_at = dict(zip(oracle_rows[warns].tolist(), warns.tolist()))
     visit = lone | (near == near)
     visit[[*unconverged, *ambiguous_at]] = True
     visit = np.flatnonzero(visit)
     for i, alone, near_hz in zip(visit.tolist(), lone[visit].tolist(), near[visit].tolist()):
-        if alone:
-            k = seeded.get(i)
-            key = float(ej[i]), float(ec[i])
-            solved = {} if k is None else {key: _spectrum(levels[k].tolist(), 0.0, int(cutoff[k]))}
-            _fill(columns, errors, i, _sweep_row(inputs, spec, grid[i], solved))
+        if alone:  # under NumPy's default error state, as a lone derive runs
+            _sweep_row(inputs, spec, grid[i], solved, columns, errors, i)
             continue
         if near_hz == near_hz:  # NaN where no warning
             warn_dispersive(near_hz, stacklevel=2)
@@ -734,33 +723,24 @@ def _distinct(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sweep_row(
-    inputs: DesignInputs, spec: SweepSpec, value: float, solved: dict[tuple[float, ...], Any]
-) -> SweepRow:
+    inputs: DesignInputs,
+    spec: SweepSpec,
+    value: float,
+    solved: dict[tuple[float, ...], Any],
+    columns: dict[str, np.ndarray],
+    errors: dict[int, str],
+    i: int,
+) -> None:
+    """Write the row at ``value`` into slot ``i``: its outputs, or NaN and its error text."""
     try:
         design = replace(inputs, **{spec.parameter: value})
         derived = derive(design, quantities=spec.outputs, solved=solved)
-        outputs = {name: QUANTITIES[name](derived) for name in spec.outputs}
-        return SweepRow(parameter_value=value, outputs=outputs, status="ok")
+        outputs = {name: QUANTITIES[name](derived) for name in columns}
     except (ValueError, RuntimeError, ArithmeticError) as exc:
-        return SweepRow(
-            parameter_value=value,
-            outputs={},
-            status="error",
-            error=f"{type(exc).__name__}: {exc}",
-        )
-
-
-def _fill(
-    columns: dict[str, np.ndarray], errors: dict[int, str], i: int, row: SweepRow
-) -> None:
-    """Write ``row`` into slot ``i`` of the columns, or its error text, with NaN slots."""
-    if row.status == "ok":
-        for name, value in row.outputs.items():
-            columns[name][i] = value
-    else:
-        errors[i] = row.error
-        for column in columns.values():
-            column[i] = math.nan
+        errors[i] = f"{type(exc).__name__}: {exc}"
+        outputs = dict.fromkeys(columns, math.nan)
+    for name, output in outputs.items():
+        columns[name][i] = output
 
 
 TUNE_MAX_ITERATIONS = 200  # interior steps before tune gives up
@@ -1113,7 +1093,7 @@ def render_tune_report(result: TuneResult) -> str:
 def sweep_csv_lines(result: SweepResult) -> list[str]:
     """Render a sweep as CSV lines (ascending parameter order), from its columns,
     ``_SWEEP_CSV_CHUNK_ROWS`` rows of them at a time."""
-    spec, rows = result.spec, result.rows
+    spec, rows = result.spec, result._view()
     lines = [",".join([spec.parameter, *spec.outputs, "status", "error"])]
     ok = ",".join(["%.9g"] * (1 + len(spec.outputs))) + ",ok,"
     failed = "%.9g" + "," * len(spec.outputs) + ",error,%s"

@@ -1,5 +1,7 @@
 import collections
 import importlib.util
+import json
+import random
 import time
 import warnings
 from pathlib import Path
@@ -55,6 +57,22 @@ def test_a_repeat_the_cli_would_not_print_is_no_difference(tmp_path):
 
 def test_corpus_nests_geometry_to_the_bound_a_design_accepts():
     assert _load_tool().NESTING_BOUND == MAX_GEOMETRY_DEPTH
+
+
+def test_one_design_in_25_holds_ints_and_keeps_the_draws_of_the_others():
+    tool = _load_tool()
+    rng = random.Random(0)
+    designs = [tool._design(rng, index) for index in range(50)]
+    held = [i for i, d in enumerate(designs) if type(d["z_0_ohm"]) is int]
+    assert held == [tool.INT_INPUTS, 25 + tool.INT_INPUTS]
+    assert all(type(designs[i]["r_load_ohm"]) is int for i in held)
+    assert '"z_0_ohm": 50,' in json.dumps(designs[held[0]])
+    # the int is written over the draws, so the other designs are drawn as without it
+    tool.INT_INPUTS = -1
+    rng = random.Random(0)
+    plain = [tool._design(rng, index) for index in range(50)]
+    texts, plain_texts = (list(map(json.dumps, each)) for each in (designs, plain))
+    assert [i for i, (a, b) in enumerate(zip(texts, plain_texts)) if a != b] == held
 
 
 def _tune_record(root, relative_error, **fields):

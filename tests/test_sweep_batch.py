@@ -147,6 +147,42 @@ def test_failed_labelings_share_the_unconverged_solve_of_the_sweep(
     assert all("LabelingError" in error for error in result.errors.values())
 
 
+@pytest.mark.parametrize(
+    "design_of, spec",
+    [
+        # the batch writes g_01 and f_01_exact for these rows before their labeling fails
+        (
+            lambda inputs: inputs,
+            SweepSpec(
+                "f_r_target_hertz",
+                FAILED_LABELING_HZ,
+                FAILED_LABELING_HZ + 20e6,
+                21,
+                ("g_01_hz", "f_01_exact_hz", "chi_exact_hz"),
+            ),
+        ),
+        # an int input leaves every row to derive; a negative C_g fails
+        (
+            lambda inputs: replace(inputs, z_0_ohm=50),
+            SweepSpec("c_g_farad", -4e-15, 4e-15, 11, ("g_01_hz", "f_01_exact_hz", "chi_exact_hz")),
+        ),
+    ],
+    ids=["failed_labeling", "int_input"],
+)
+def test_every_failed_row_derived_on_its_own_is_nan_in_every_column(
+    reference_inputs, design_of, spec
+):
+    # the row view shows an error row as outputs == {}, whatever its column slots hold
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DispersiveValidityWarning)
+        result = sweep(design_of(reference_inputs), spec)
+    failed = sorted(result.errors)
+    assert 0 < len(failed) < spec.steps
+    for name, column in result.columns.items():
+        assert np.isnan(column[failed]).all(), name
+        assert not np.isnan(np.delete(column, failed)).any(), name
+
+
 @pytest.mark.parametrize("span", ["around", "through_zero"])
 def test_sweep_derives_its_columns_once_and_only_the_rows_they_refuse(
     reference_inputs, monkeypatch, span
@@ -158,9 +194,9 @@ def test_sweep_derives_its_columns_once_and_only_the_rows_they_refuse(
     row_by_row = []
     sweep_row = studio._sweep_row
 
-    def counted_row(inputs, spec, value, solved):
+    def counted_row(inputs, spec, value, *rest):
         row_by_row.append(value)
-        return sweep_row(inputs, spec, value, solved)
+        return sweep_row(inputs, spec, value, *rest)
 
     monkeypatch.setattr(studio, "_sweep_row", counted_row)
     outputs = ("g_01_hz", "kappa_hz", "chi_exact_hz")

@@ -29,7 +29,7 @@ from cqedkit import (
 from cqedkit import spectrum as spectrum_module
 from cqedkit.coupling import _batched_oracle
 from cqedkit.spectrum import _MAX_CHARGE_CUTOFF, _batched_spectra, needed_charge_cutoff
-from cqedkit.studio import SweepRow, SweepRows
+from cqedkit.studio import SweepRow, SweepRows, sweep_csv_lines
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # -2, 0, 2, 4 and 6 fF: a negative C_g fails; C_g = 0 decouples the qubit
@@ -120,16 +120,15 @@ def test_sweeps_are_equal_bit_for_bit(reference_inputs):
     assert _swept(reference_inputs, shorter) != first
 
 
-def test_a_result_given_rows_as_records_takes_them_into_columns(reference_inputs):
+def test_a_result_whose_rows_are_records_is_refused_when_its_columns_are_read(reference_inputs):
     result = _swept(reference_inputs)
-    assert SweepResult(result.spec, tuple(result.rows)) == result
-    records = list(result.rows)
-    records[3] = replace(records[3], outputs={}, status="error", error="DomainError: x")
-    changed = replace(result, rows=tuple(records))
-    assert changed.rows[3] == records[3]
-    assert dict(changed.errors) == {0: result.errors[0], 3: "DomainError: x"}
-    assert all(math.isnan(column[3]) for column in changed.columns.values())
-    assert changed.rows[2] == result.rows[2] and changed != result
+    records = replace(result, rows=tuple(result.rows))
+    for read in ("values", "columns", "errors"):
+        with pytest.raises(TypeError, match="^sweep rows must be a SweepRows, not tuple$"):
+            getattr(records, read)
+    with pytest.raises(TypeError, match="SweepRows"):
+        sweep_csv_lines(records)
+    assert records != result
 
 
 # --- the stacked eigen kernels ---------------------------------------------

@@ -46,6 +46,9 @@ qubit_v1; the rest set one to three fields to 10^U(-300, 300). One in 50
 gets a geometry nested 600 deep, one in 50 a geometry nested exactly
 ``NESTING_BOUND`` deep (the most a design accepts), one in 50 a geometry
 a level deeper, and one in 50 an existing directory as the s21 ``--out``.
+One in 25 writes ``z_0_ohm`` and ``r_load_ohm`` as the JSON int ``50``: a
+design holding an int is not batched, so its sweep derives every row on its
+own. The draws do not depend on the tree, so both trees get the same designs.
 A sweep emits one to three closed-form quantities and, in two of three,
 ``f_01_exact_hz`` or ``chi_exact_hz``. One sweep in five has 101 steps, the
 rest 2 to 25, and one in ten runs from -value to +value instead of 0.6 to 1.4
@@ -86,6 +89,8 @@ SILENT = (DeprecationWarning, PendingDeprecationWarning, ImportWarning, Resource
 NESTING_BOUND = 100
 # design index modulo 50 -> depth of its geometry
 NESTED = {17: 600, 18: NESTING_BOUND, 19: NESTING_BOUND + 1}
+# design index modulo 25 of the designs whose z_0_ohm and r_load_ohm are the int 50
+INT_INPUTS = 11
 # the declared class of two tunes that both meet the target to the tune's tolerance
 TUNE_ROOT = "tune root within rel_tol"
 # fields in which two records of one TUNE_ROOT pair may differ
@@ -113,6 +118,8 @@ def _design(rng: random.Random, index: int) -> dict[str, Any]:
     else:
         for name in rng.sample(sorted(design.keys() - {"geometry"}), rng.randint(1, 3)):
             design[name] = 10.0 ** rng.uniform(-300.0, 300.0)
+    if index % 25 == INT_INPUTS:
+        design["z_0_ohm"] = design["r_load_ohm"] = 50
     if index % 50 in NESTED:
         geometry: dict[str, Any] = {}
         for _ in range(NESTED[index % 50]):
