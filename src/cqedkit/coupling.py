@@ -141,12 +141,18 @@ def dispersive_shift(
 def _near_resonance(g_01_hz: Any, f_01_hz: Any, f_12_hz: Any, f_r_hz: Any) -> Any:
     """min(|f_01 - f_r|, |f_12 - f_r|) where it is within 10 g_01, else NaN: the
     detuning a ``DispersiveValidityWarning`` names. A float call raises the
-    warning for ``dispersive_shift``'s caller; ``sweep`` warns a column's rows."""
+    warning for ``dispersive_shift``'s caller; on columns it warns of nothing,
+    and ``sweep`` folds the rows it flags into one warning."""
     a, b = abs(f_01_hz - f_r_hz), abs(f_12_hz - f_r_hz)
     near = _select(b < a, b, a)  # min(a, b)
     within = near < _MIN_DISPERSIVE_RATIO * g_01_hz
     if type(within) is not np.ndarray and within:
-        warn_dispersive(near, stacklevel=3)
+        warnings.warn(
+            f"detuning {near:.3e} Hz is within "
+            f"{_MIN_DISPERSIVE_RATIO:.0f} g_01 of resonance; dispersive formula unreliable",
+            DispersiveValidityWarning,
+            stacklevel=3,
+        )
     return _select(within, near)
 
 
@@ -159,26 +165,6 @@ def _oracle_applies(g_01_hz: Any, detuning_hz: Any) -> Any:
     """Where derive runs the oracle, for floats or columns: a decoupled qubit, or
     a closed-form detuning more than 5 g_01 from the resonator."""
     return (g_01_hz == 0.0) | (abs(detuning_hz) > ORACLE_MIN_RATIO * g_01_hz)
-
-
-def warn_dispersive(detuning_hz: float, stacklevel: int) -> None:
-    """The warning of a detuning within 10 g_01; ``stacklevel`` as the caller's."""
-    warnings.warn(
-        f"detuning {detuning_hz:.3e} Hz is within "
-        f"{_MIN_DISPERSIVE_RATIO:.0f} g_01 of resonance; dispersive formula unreliable",
-        DispersiveValidityWarning,
-        stacklevel=stacklevel + 1,
-    )
-
-
-def warn_ambiguous_labels(abs_detuning_hz: float, stacklevel: int) -> None:
-    """The oracle's warning of a detuning within 5 g_01; ``stacklevel`` as the caller's."""
-    warnings.warn(
-        f"|detuning| = {abs_detuning_hz:.3e} Hz is within {ORACLE_MIN_RATIO:.0f} g_01; "
-        "dressed-state labels may be ambiguous",
-        DispersiveValidityWarning,
-        stacklevel=stacklevel + 1,
-    )
 
 
 _COUPLER_NOT_POSITIVE = "coupler capacitance, load and frequency must be positive"
@@ -297,7 +283,12 @@ def coupled_spectrum_oracle(
 
     detuning = transmon.f_01_exact_hz - f_r_hz
     if _labels_ambiguous(g_01_hz, detuning):
-        warn_ambiguous_labels(abs(detuning), stacklevel=2)
+        warnings.warn(
+            f"|detuning| = {abs(detuning):.3e} Hz is within {ORACLE_MIN_RATIO:.0f} g_01; "
+            "dressed-state labels may be ambiguous",
+            DispersiveValidityWarning,
+            stacklevel=2,
+        )
 
     diag = [transmon.levels_hz[j] + m * f_r_hz for j, m in BLOCK_STATES]
     off = [ladder * g_01_hz for ladder in BLOCK_LADDER]

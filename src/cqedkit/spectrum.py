@@ -85,16 +85,6 @@ def needed_charge_cutoff(ratio: Any) -> Any:
     return max(_MIN_CHARGE_CUTOFF, math.ceil(min(width, _MAX_CHARGE_CUTOFF)) + 2)
 
 
-def warn_unconverged(charge_cutoff: int, ratio: float, needed: int, stacklevel: int) -> None:
-    """The ``ConvergenceWarning`` of a cutoff below the rule; ``stacklevel`` as the caller's."""
-    warnings.warn(
-        f"charge basis cutoff {charge_cutoff} not converged: E_j/E_c = {ratio:.4g} "
-        f"needs a cutoff of at least {needed} for {_N_LEVELS} levels",
-        ConvergenceWarning,
-        stacklevel=stacklevel + 1,
-    )
-
-
 def _tridiagonal_matrix(diagonal: np.ndarray, offdiagonal: np.ndarray) -> np.ndarray:
     """The dense symmetric matrix with this diagonal and first off-diagonals."""
     size = diagonal.shape[0]
@@ -191,7 +181,12 @@ def exact_transmon_spectrum(
     if charge_cutoff is None:
         charge_cutoff = min(needed, _MAX_CHARGE_CUTOFF)
     if charge_cutoff < needed:
-        warn_unconverged(charge_cutoff, ratio, needed, stacklevel=2)
+        warnings.warn(
+            f"charge basis cutoff {charge_cutoff} not converged: E_j/E_c = {ratio:.4g} "
+            f"needs a cutoff of at least {needed} for {_N_LEVELS} levels",
+            ConvergenceWarning,
+            stacklevel=2,
+        )
     if n_g == 0.0:
         levels = _parity_levels(np.array([e_j_hz]), np.array([e_c_hz]), charge_cutoff)[0]
     else:

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from importlib import resources
@@ -25,6 +26,8 @@ import numpy as np
 from . import __version__
 from .constants import _is_false, _select, junction_inductance_to_critical_current
 from .coupling import (
+    _MIN_DISPERSIVE_RATIO,
+    ORACLE_MIN_RATIO,
     CouplingParameters,
     _batched_oracle,
     _near_resonance,
@@ -34,13 +37,13 @@ from .coupling import (
     dispersive_shift,
     external_quality_factor,
     purcell_t1,
-    warn_ambiguous_labels,
-    warn_dispersive,
     zero_point_voltage,
 )
 from .errors import (
     BracketingError,
     ConvergenceError,
+    ConvergenceWarning,
+    DispersiveValidityWarning,
     DomainError,
     LabelingError,
 )
@@ -52,7 +55,6 @@ from .spectrum import (
     _spectrum,
     exact_transmon_spectrum,
     perturbative_levels,
-    warn_unconverged,
 )
 
 TOOL_NAME = "cqedkit"
@@ -569,6 +571,23 @@ def compare_to_epr(derived: DerivedParameters) -> tuple[EprGapEntry, ...]:
 # sweeps and tuning
 
 
+# the kinds of warning a sweep folds its kept rows' warnings into, in derive's
+# order: the kind, its category and what it means
+_FOLDED = (
+    (
+        f"detuning within {_MIN_DISPERSIVE_RATIO:.0f} g_01 of resonance",
+        DispersiveValidityWarning,
+        "dispersive formula unreliable",
+    ),
+    ("charge basis cutoff not converged", ConvergenceWarning, "exact levels unreliable"),
+    (
+        f"|detuning| within {ORACLE_MIN_RATIO:.0f} g_01",
+        DispersiveValidityWarning,
+        "dressed-state labels may be ambiguous",
+    ),
+)
+
+
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
     if steps == 1:
         return [lo]
@@ -584,20 +603,25 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
     kernel ``exact_transmon_spectrum`` uses; the oracle once per distinct
     (E_j, E_c, f_r, g_01), stacked into one ``eigh``, each on the arrays of
     the distinct keys. Each row is bit for bit what ``derive`` gives for its
-    point, with the same warnings in the same order. One Python loop visits,
-    in grid order, only the rows that warn, whose warnings point at the line
-    that called ``sweep``, and the rows derived on their own: those the
-    batch marks (one that a closed form refuses, which ``derive`` does
-    before any eigen stage, and a failed labeling), or every row when the
-    grid or an input that does not vary is not a Python float, or when the
-    column ``derive`` raises. These share one memo, which starts with the
-    transmon solves the batch ran first on rows it keeps, write their
-    outputs into their slots of the columns, and warn from ``derive``. Only
-    the stages ``spec.outputs`` need run, each eigen stage, and its
-    warning, once per distinct input. A row whose derivation fails is NaN
-    in every column, its text is in ``errors``, and the sweep goes on. The
-    result holds 8 bytes a value, taking the column ``derive``'s arrays as
-    they are; ``rows`` builds a row's record when it is asked for.
+    point. One Python loop visits, in grid order, only the rows derived on
+    their own: those the batch marks (one that a closed form refuses, which
+    ``derive`` does before any eigen stage, and a failed labeling), or every
+    row when the grid or an input that does not vary is not a Python float,
+    or when the column ``derive`` raises. These share one memo, which starts
+    with the transmon solves the batch ran first on rows it keeps, write
+    their outputs into their slots of the columns, and warn from ``derive``
+    row by row. The rows the batch keeps are folded instead: each kind of
+    warning ``derive`` would raise for them, a detuning within 10 g_01, an
+    unconverged charge cutoff and a |detuning| within 5 g_01 in that order,
+    is raised once after the loop, for the line that called ``sweep``. It
+    names how many rows would warn of it, of how many, the parameter and
+    the first and last of those rows' values. Only the stages
+    ``spec.outputs`` need run, each eigen stage, and its warning, once per
+    distinct input, so an eigen kind counts the row that first runs each.
+    A row whose derivation fails is NaN in every column, its text is in
+    ``errors``, and the sweep goes on. The result holds 8 bytes a value,
+    taking the column ``derive``'s arrays as they are; ``rows`` builds a
+    row's record when it is asked for.
     ``workers`` is checked (>= 1) and otherwise ignored, for callers such
     as the benchmark workloads that pass ``workers=1``.
     """
@@ -626,12 +650,13 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
             except (ValueError, ArithmeticError, RuntimeError):  # a float stage: every row raises
                 pass
     solved: dict[tuple[float, ...], Any] = {}  # derive's memo over the rows derived on their own
-    # by row, the index of an eigen stage the batch runs first there and that warns
-    unconverged: dict[int, int] = {}
-    ambiguous_at: dict[int, int] = {}
+    # by kind, in derive's order, the rows where derive row by row would warn: near
+    # resonance, and at the first row of each eigen stage's key (the row that solves
+    # it), an unconverged charge cutoff and ambiguous dressed labels
+    near, unconverged, ambiguous = np.zeros((3, n), dtype=bool)
     if derived is None:
         columns = {name: np.empty(n) for name in spec.outputs}
-        lone, near = np.ones(n, dtype=bool), np.full(n, math.nan)
+        lone = np.ones(n, dtype=bool)
     else:
         columns = {}
         lumped, pert, coupling = derived.lumped, derived.transmon_perturbative, derived.coupling
@@ -640,12 +665,13 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
             for name in spec.outputs:
                 value = math.nan if name in exact else QUANTITIES[name](derived)
                 columns[name] = _column(value, n, [values, *columns.values()])
-            near = _near_resonance(coupling.g_01_hz, pert.f_01_hz, pert.f_12_hz, f_r)
+            near_hz = _near_resonance(coupling.g_01_hz, pert.f_01_hz, pert.f_12_hz, f_r)
             applies = _oracle_applies(coupling.g_01_hz, coupling.detuning_0_hz)
-        ej, ec, f_r, g, near, applies = (
+        ej, ec, f_r, g, near_hz, applies = (
             a if type(a) is np.ndarray and a.shape == (n,) else np.full(n, a)
-            for a in (lumped.e_j_hz, lumped.e_c_hz, f_r, coupling.g_01_hz, near, applies)
+            for a in (lumped.e_j_hz, lumped.e_c_hz, f_r, coupling.g_01_hz, near_hz, applies)
         )
+        near = near_hz == near_hz  # NaN where no warning
         lone = ej != ej  # derive's NaN: a row that a closed form refuses, before any eigen stage
         if exact:
             good = np.flatnonzero(~lone)
@@ -657,14 +683,13 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
             if "anharmonicity_exact_hz" in exact:
                 anharmonicity = levels[:, 2] - 2.0 * levels[:, 1]
                 columns["anharmonicity_exact_hz"][good] = anharmonicity[spectrum_of]
-            short = np.flatnonzero(cutoff < needed)
-            unconverged = dict(zip(spectrum_rows[short].tolist(), short.tolist()))
+            unconverged[spectrum_rows[cutoff < needed]] = True
             if "chi_exact_hz" in exact:
                 asked = applies[good]
                 asks = good[asked]
                 first, oracle_of = _distinct(spectrum_of[asked], f_r[asks], g[asks])
                 oracle_rows = asks[first]
-                chi, ambiguous = _batched_oracle(
+                chi, ambiguous_hz = _batched_oracle(
                     levels[spectrum_of[asked][first]], f_r[oracle_rows], g[oracle_rows]
                 )
                 columns["chi_exact_hz"][asks] = chi[oracle_of]
@@ -674,21 +699,19 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
                     if not lone[row := spectrum_rows[k]]:  # else that failed row solves, and warns
                         key = float(ej[row]), float(ec[row])
                         solved[key] = _spectrum(levels[k].tolist(), 0.0, int(cutoff[k]))
-                warns = np.flatnonzero(ambiguous == ambiguous)
-                ambiguous_at = dict(zip(oracle_rows[warns].tolist(), warns.tolist()))
-    visit = lone | (near == near)
-    visit[[*unconverged, *ambiguous_at]] = True
-    visit = np.flatnonzero(visit)
-    for i, alone, near_hz in zip(visit.tolist(), lone[visit].tolist(), near[visit].tolist()):
-        if alone:  # under NumPy's default error state, as a lone derive runs
-            _sweep_row(inputs, spec, grid[i], solved, columns, errors, i)
-            continue
-        if near_hz == near_hz:  # NaN where no warning
-            warn_dispersive(near_hz, stacklevel=2)
-        if (k := unconverged.get(i)) is not None:
-            warn_unconverged(int(cutoff[k]), float(ej[i] / ec[i]), int(needed[k]), stacklevel=2)
-        if (k := ambiguous_at.get(i)) is not None:
-            warn_ambiguous_labels(float(ambiguous[k]), stacklevel=2)
+                ambiguous[oracle_rows[ambiguous_hz == ambiguous_hz]] = True
+    for i in np.flatnonzero(lone).tolist():  # under NumPy's default error state, as derive runs
+        _sweep_row(inputs, spec, grid[i], solved, columns, errors, i)
+    for flagged, (kind, category, consequence) in zip((near, unconverged, ambiguous), _FOLDED):
+        rows = np.flatnonzero(flagged & ~lone)
+        if len(rows):
+            first_value, last_value = values[rows[[0, -1]]].tolist()
+            warnings.warn(
+                f"{kind} in {len(rows)} of {n} rows, {spec.parameter} {first_value:.9g} "
+                f"to {last_value:.9g}; {consequence}",
+                category,
+                stacklevel=2,
+            )
     return SweepResult(spec, SweepRows(values, columns, errors))
 
 

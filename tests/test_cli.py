@@ -285,6 +285,32 @@ def test_sweep_counts_failed_rows_without_building_a_row(tmp_path, capsys, monke
     assert capsys.readouterr().out == f"3 rows (2 failed): {out}\n"
 
 
+def test_sweep_prints_at_most_one_warning_per_kind(tmp_path):
+    # every one of these 400 rows is within 10 g_01 of resonance; under Python's
+    # default filter the CLI printed two stderr lines for each
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(src)
+    out = tmp_path / "sweep.csv"
+    argv = [
+        "sweep", "--config", CONFIG, "--param", "l_j_henry",
+        "--from", "10e-9", "--to", "10.4e-9", "--steps", "400",
+        "--emit", "f_01_hz,chi_total_hz,chi_exact_hz", "--out", str(out),
+    ]
+    code = "import sys; from cqedkit.cli import main; sys.exit(main(sys.argv[1:]))"
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"400 rows (0 failed): {out}\n"
+    lines = result.stderr.splitlines()
+    kinds = [line.split(": ", 2)[1:] for line in lines if "Warning: " in line]
+    kinds = [(category, message.split()[0]) for category, message in kinds]
+    assert kinds == [("DispersiveValidityWarning", "detuning")]
+    assert "in 400 of 400 rows" in result.stderr
+    assert len(lines) == 2 * len(kinds)  # each warning's line and its source line
+
+
 def test_sweep_has_no_workers_option(tmp_path, capsys):
     code = main([
         "sweep", "--config", CONFIG, "--param", "c_g_farad",

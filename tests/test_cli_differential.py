@@ -155,3 +155,52 @@ def test_convergence_warnings_lost_or_reordered_are_a_declared_class():
     ]
     for change in undeclared:
         assert tool.compare([base], [change])
+
+
+def test_sweep_warnings_folded_per_kind_are_a_declared_class():
+    tool = _load_tool()
+    csv = (
+        "l_j_henry,f_01_hz,status,error\n1e-08,4.6e9,ok,\n1.1e-08,4.5e9,ok,\n"
+        '1.2e-08,,error,"LabelingError: no dressed state, at all"\n1.3e-08,4.4e9,ok,\n'
+    )
+    near = "DispersiveValidityWarning: detuning {} Hz is within 10 g_01 of resonance; ..."
+    unconverged = "ConvergenceWarning: charge basis cutoff 200 not converged: ..."
+    per_row = [near.format(1), near.format(2), unconverged, near.format(3), near.format(4)]
+    base = {**_text_record("sweep", csv), "warnings": per_row, "printed_warnings": per_row}
+    folded_near = (
+        "DispersiveValidityWarning: detuning within 10 g_01 of resonance in 3 of 4 rows, "
+        "l_j_henry 1e-08 to 1.3e-08; dispersive formula unreliable"
+    )
+    folded_unconverged = (
+        "ConvergenceWarning: charge basis cutoff not converged in 1 of 4 rows, "
+        "l_j_henry 1.1e-08 to 1.1e-08; exact levels unreliable"
+    )
+
+    def change(*warned, **fields):
+        return {**base, "warnings": list(warned), "printed_warnings": list(warned), **fields}
+
+    # the failed row keeps its own warning, before the folded ones
+    classes = collections.Counter()
+    folded = change(near.format(3), folded_near, folded_unconverged)
+    assert tool.compare([base], [folded], classes) == []
+    assert classes == {tool.SWEEP_FOLDED: 1}
+    undeclared = [
+        change(near.format(3), folded_near),  # a kind lost
+        change(folded_near, folded_unconverged),  # the failed row's warning lost
+        change(near.format(3), folded_unconverged, folded_near),  # not in derive's order
+        change(near.format(3), folded_near.replace("3 of 4", "2 of 4"), folded_unconverged),
+        change(near.format(3), folded_near.replace("3 of 4", "3 of 3"), folded_unconverged),
+        change(near.format(3), folded_near.replace("l_j_henry", "c_g_farad"), folded_unconverged),
+        change(near.format(3), folded_near.replace("unreliable", "fine"), folded_unconverged),
+        # 1.2e-08 is the failed row, and two kept rows cannot hold three
+        change(near.format(3), folded_near.replace("to 1.3e-08", "to 1.2e-08"), folded_unconverged),
+        change(near.format(3), folded_near.replace("to 1.3e-08", "to 1.1e-08"), folded_unconverged),
+        change(near.format(3), folded_near, folded_unconverged, stdout="another line"),
+        change(near.format(3), folded_near, folded_unconverged, text=csv.replace("4.4e9", "4.3e9")),
+    ]
+    for other in undeclared:
+        assert tool.compare([base], [other]), other["warnings"]
+    # a warning of no folded kind may not be folded away
+    louder = [*per_row, "UserWarning: x"]
+    loud = {**base, "warnings": louder, "printed_warnings": louder}
+    assert tool.compare([loud], [folded])

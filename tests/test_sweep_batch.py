@@ -1,5 +1,6 @@
 """``sweep`` evaluates its grid as one batch; these tests hold it to the
-per-row loop it replaced, bit for bit, warning for warning."""
+per-row loop it replaced, bit for bit, and warning for warning once the
+loop's warnings are folded by ``sweep``'s rule (``_folded``)."""
 
 import random
 import warnings
@@ -18,20 +19,61 @@ CLOSED_FORMS = tuple(name for name in sorted(QUANTITIES) if "exact" not in name)
 
 def _per_row_sweep(inputs, spec):
     """The loop ``sweep`` ran before the batch: one ``derive`` per grid point,
-    with one memo of eigen-stage results for the whole sweep."""
+    with one memo of eigen-stage results for the whole sweep. Also gives the
+    warnings each row raised, as (category, message) pairs."""
     solved = {}
     rows = []
+    raised = []
     for value in studio._grid(spec.lo, spec.hi, spec.steps):
-        try:
-            design = replace(inputs, **{spec.parameter: value})
-            derived = derive(design, quantities=spec.outputs, solved=solved)
-            outputs = {name: QUANTITIES[name](derived) for name in spec.outputs}
-            rows.append(SweepRow(parameter_value=value, outputs=outputs, status="ok"))
-        except (ValueError, RuntimeError, ArithmeticError) as exc:
-            rows.append(
-                SweepRow(value, {}, status="error", error=f"{type(exc).__name__}: {exc}")
-            )
-    return rows
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                design = replace(inputs, **{spec.parameter: value})
+                derived = derive(design, quantities=spec.outputs, solved=solved)
+                outputs = {name: QUANTITIES[name](derived) for name in spec.outputs}
+                rows.append(SweepRow(parameter_value=value, outputs=outputs, status="ok"))
+            except (ValueError, RuntimeError, ArithmeticError) as exc:
+                rows.append(
+                    SweepRow(value, {}, status="error", error=f"{type(exc).__name__}: {exc}")
+                )
+        raised.append([(w.category, str(w.message)) for w in caught])
+    return rows, raised
+
+
+# the kinds of warning a sweep folds, in derive's order: the category and first
+# word of derive's own warning, and the folded warning's kind and consequence
+FOLDED_KINDS = (
+    (DispersiveValidityWarning, "detuning", "detuning within 10 g_01 of resonance",
+     "dispersive formula unreliable"),
+    (ConvergenceWarning, "charge", "charge basis cutoff not converged", "exact levels unreliable"),
+    (DispersiveValidityWarning, "|detuning|", "|detuning| within 5 g_01",
+     "dressed-state labels may be ambiguous"),
+)
+
+
+def _folded(inputs, spec, rows, raised):
+    """The per-row loop's warnings as ``sweep`` raises them. A sweep that batches
+    its grid (the grid and every input that does not vary are Python floats)
+    keeps each failed row's warnings in grid order. It then raises one warning
+    per kind for the other rows, naming how many warned of that kind and the
+    first and last of their parameter values. A sweep that does not batch keeps
+    every warning."""
+    fixed = [getattr(inputs, name) for name in studio._DESIGN_KEYS - {spec.parameter, "geometry"}]
+    if not all(type(v) is float for v in (rows[0].parameter_value, *fixed)):
+        return [w for warned in raised for w in warned]
+    kept = [w for row, warned in zip(rows, raised) if row.status == "error" for w in warned]
+    ok = [(row.parameter_value, {(c, m.split()[0]) for c, m in warned})
+          for row, warned in zip(rows, raised) if row.status == "ok"]
+    kinds = {(category, word) for category, word, *_ in FOLDED_KINDS}
+    assert all(found <= kinds for _, found in ok)  # no other warning is folded away
+    for category, word, kind, consequence in FOLDED_KINDS:
+        flagged = [value for value, found in ok if (category, word) in found]
+        if flagged:
+            kept.append((category, (
+                f"{kind} in {len(flagged)} of {len(rows)} rows, {spec.parameter} "
+                f"{flagged[0]:.9g} to {flagged[-1]:.9g}; {consequence}"
+            )))
+    return kept
 
 
 def _bits(row):
@@ -41,13 +83,6 @@ def _bits(row):
         row.error,
         [(name, value.hex()) for name, value in row.outputs.items()],
     )
-
-
-def _recorded(run):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rows = run()
-    return [_bits(row) for row in rows], [(w.category, str(w.message)) for w in caught]
 
 
 def _count_derives(monkeypatch):
@@ -62,12 +97,15 @@ def _count_derives(monkeypatch):
 
 
 def _assert_same_as_per_row(design, spec):
-    expected, expected_warnings = _recorded(lambda: _per_row_sweep(design, spec))
-    got, got_warnings = _recorded(lambda: sweep(design, spec).rows)
+    expected, raised = _per_row_sweep(design, spec)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = sweep(design, spec).rows
     for want, have in zip(expected, got):
-        assert have == want
+        assert _bits(have) == _bits(want)
     assert len(got) == len(expected)
-    assert got_warnings == expected_warnings
+    got_warnings = [(w.category, str(w.message)) for w in caught]
+    assert got_warnings == _folded(design, spec, expected, raised)
 
 
 SPANS = {
@@ -119,6 +157,30 @@ def test_sweep_of_a_design_holding_an_int_is_derived_row_by_row(reference_inputs
         monkeypatch.undo()
         _assert_same_as_per_row(design, spec)
         assert [row.status for row in rows] == ["ok"] * 5
+
+
+def test_a_sweep_whose_every_row_is_near_resonance_warns_once(reference_inputs, monkeypatch):
+    # qubit_v1 is within 10 g_01 of its resonator at every L_j from 10 to 10.4 nH;
+    # the 400 rows make one call of warnings.warn, not one a row
+    calls = []
+    warn = warnings.warn
+
+    def counted(message, category=None, *args, **kwargs):
+        calls.append((category, str(message)))
+        return warn(message, category, *args, **kwargs)
+
+    monkeypatch.setattr(warnings, "warn", counted)
+    spec = SweepSpec("l_j_henry", 10e-9, 10.4e-9, 400, ("f_01_hz", "chi_total_hz", "chi_exact_hz"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = sweep(reference_inputs, spec)
+    assert not result.errors
+    assert calls == [(
+        DispersiveValidityWarning,
+        "detuning within 10 g_01 of resonance in 400 of 400 rows, l_j_henry 1e-08 to 1.04e-08; "
+        "dispersive formula unreliable",
+    )]
+    assert [(w.category, str(w.message)) for w in caught] == calls
 
 
 # f_r where the oracle cannot label qubit_v1's dressed states, and 3 MHz below it,
@@ -251,5 +313,5 @@ def test_no_stacked_solve_exceeds_the_byte_budget(reference_inputs, monkeypatch)
     monkeypatch.undo()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
-        expected = _per_row_sweep(design, spec)
+        expected, _ = _per_row_sweep(design, spec)
     assert [_bits(row) for row in rows] == [_bits(row) for row in expected]

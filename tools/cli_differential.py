@@ -17,7 +17,7 @@ Record a tree (it is imported from PYTHONPATH), then compare two records:
 
 ``--compare`` prints every field that differs and exits 1 if any does. It
 compares the printed warnings, not every one raised, so a repeat that the
-CLI would not print is no difference. Three declared classes of difference
+CLI would not print is no difference. Four declared classes of difference
 are counted apart and do not fail ``--compare``:
 
 - ``TUNE_ROOT``: a record of an exit-0 ``tune`` also holds the report's
@@ -40,6 +40,13 @@ are counted apart and do not fail ``--compare``:
   closed forms, so a design that a closed form refuses no longer solves
   (and warns of) the transmon, and a design that warns of both warns of
   its detuning first.
+- ``SWEEP_FOLDED``: two exit-0 ``sweep`` records that differ only in the
+  printed warnings, where the second's are the first's with the warnings of
+  the rows the batch keeps folded into one per kind (``FOLDED_KINDS``): the
+  other rows' warnings, in order, then for each kind that warned, in
+  derive's order, one warning naming the number of rows that warned of it,
+  of all rows, the parameter, and the first and last values of ``ok`` rows
+  between which that many lie. The count of each kind is the first's.
 
 Designs: four in five have the five sweepable fields drawn +-40 % around
 qubit_v1; the rest set one to three fields to 10^U(-300, 300). One in 50
@@ -101,6 +108,21 @@ ROUNDING = "last-digit rounding"
 NOISE_HZ = 1e-5
 # the declared class of printed warnings that lose ConvergenceWarnings or change order
 EIGEN_LAST = "eigen stages after the closed forms"
+# the declared class of a sweep whose kept rows' warnings fold into one per kind
+SWEEP_FOLDED = "sweep warnings folded per kind"
+# the kinds a sweep folds, in derive's order: how derive's own warning of the
+# kind starts, and the folded warning's kind and consequence
+FOLDED_KINDS = (
+    ("DispersiveValidityWarning: detuning ",
+     "DispersiveValidityWarning: detuning within 10 g_01 of resonance",
+     "dispersive formula unreliable"),
+    ("ConvergenceWarning: charge basis cutoff ",
+     "ConvergenceWarning: charge basis cutoff not converged", "exact levels unreliable"),
+    ("DispersiveValidityWarning: |detuning| ",
+     "DispersiveValidityWarning: |detuning| within 5 g_01",
+     "dressed-state labels may be ambiguous"),
+)
+FOLDED_WARNING = re.compile(r"(.+) in (\d+) of (\d+) rows, (\w+) (\S+) to (\S+); (.+)")
 TARGETS = {
     "f_01_hz": (3.5e9, 5.5e9),
     "g_01_hz": (2e7, 8e7),
@@ -230,6 +252,9 @@ def run(designs: int, seed: int) -> Iterator[dict[str, Any]]:
 def declared(a: dict[str, Any], b: dict[str, Any]) -> str | None:
     """The declared class of the differences between two records of one call, if any."""
     differing = {key for key in a.keys() | b.keys() if a.get(key) != b.get(key)} - {"warnings"}
+    if differing == {"printed_warnings"} and a["command"] == "sweep" and "text" in a:
+        if _folded_apart(a, b):
+            return SWEEP_FOLDED
     if differing == {"printed_warnings"}:
         first, second = (collections.Counter(r["printed_warnings"]) for r in (a, b))
         lost = first - second
@@ -249,6 +274,53 @@ def declared(a: dict[str, Any], b: dict[str, Any]) -> str | None:
     if max(tuned_a["relative_error"], tuned_b["relative_error"]) > rel_tol:
         return None
     return TUNE_ROOT if differing <= TUNE_ROOT_FIELDS else None
+
+
+def _folded_apart(base: dict[str, Any], change: dict[str, Any]) -> bool:
+    """Whether a sweep's warnings are another's under ``SWEEP_FOLDED``'s rule.
+
+    The change's warnings end in its folded ones; the rest must be the base's
+    warnings in order, less some (the rows the batch kept). The folded ones
+    must be those left, one per kind in ``FOLDED_KINDS`` order, each with as
+    many rows as the base warned of that kind, the CSV's row count and
+    parameter, and a first and last value that are those of kept (``ok``)
+    rows, as far apart as the count needs.
+    """
+    header, *lines = base["text"].splitlines()
+    names = header.split(",")
+    kept_values = [
+        cells[0] for cells in (line.split(",", len(names) - 1) for line in lines)
+        if cells[-2] == "ok"
+    ]
+    warned = change["warnings"]
+    cut = len(warned)
+    while cut and FOLDED_WARNING.fullmatch(warned[cut - 1]):
+        cut -= 1
+    own, folded = warned[:cut], [FOLDED_WARNING.fullmatch(w).groups() for w in warned[cut:]]
+    matched, left = 0, []
+    for w in base["warnings"]:
+        if matched < len(own) and w == own[matched]:
+            matched += 1
+        else:
+            left.append(w)
+    if matched < len(own) or not folded:
+        return False
+    expected = []
+    for starts, kind, consequence in FOLDED_KINDS:
+        count = sum(w.startswith(starts) for w in left)
+        if count:
+            expected.append((kind, str(count), str(len(lines)), names[0], consequence))
+    if sum(int(e[1]) for e in expected) != len(left) or len(expected) != len(folded):
+        return False
+    for want, (kind, count, rows, name, first, last, consequence) in zip(expected, folded):
+        if (kind, count, rows, name, consequence) != want:
+            return False
+        if first not in kept_values or last not in kept_values:
+            return False
+        span = len(kept_values) - kept_values[::-1].index(last) - kept_values.index(first)
+        if span < int(count):
+            return False
+    return True
 
 
 def _rounding_apart(first: str, second: str) -> bool:
