@@ -106,8 +106,9 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 
 
 def _cmd_s21(args: argparse.Namespace) -> int:
-    # the curve reads closed forms only: no exact solve, no oracle
-    derived = derive(load_design(args.config), quantities=())
+    # what s21_curve reads: no relaxation estimate, exact solve or oracle
+    quantities = ("f_r_loaded_hz", "kappa_hz", "q_ext", "chi_total_hz")
+    derived = derive(load_design(args.config), quantities=quantities)
     states = ("ground", "excited") if args.state == "both" else (args.state,)
     for state in states:
         curve = s21_curve(
@@ -170,7 +171,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    entries = compare_to_epr(derive(load_design(args.config), quantities=()))
+    # what compare_to_epr reads: no quality factor, relaxation estimate or eigen stage
+    quantities = ("f_01_hz", "anharmonicity_hz", "chi_total_hz")
+    entries = compare_to_epr(derive(load_design(args.config), quantities=quantities))
     header = f"{'quantity':<8} {'analytic':>16} {'reference':>16} {'gap_%':>8} {'expected_%':>11} ok"
     sys.stdout.write(header + "\n")
     for entry in entries:

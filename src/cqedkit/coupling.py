@@ -47,7 +47,8 @@ BLOCK_LADDER = tuple(math.sqrt((j + 1.0) * m) for j, m in BLOCK_STATES[:-1])
 
 @dataclass(frozen=True)
 class CouplingParameters:
-    """Readout-chain figures of merit for one design."""
+    """Readout-chain figures of merit for one design; a field whose stage
+    ``derive`` did not run is None."""
 
     v_rms_volt: float
     g_01_hz: float

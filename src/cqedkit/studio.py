@@ -66,11 +66,14 @@ TOOL_NAME = "cqedkit"
 
 @dataclass(frozen=True)
 class DerivedParameters:
-    """Every derived quantity for one design, from a single pipeline run."""
+    """Every derived quantity for one design, from a single pipeline run.
+
+    A record, or a field of ``coupling``, whose stage did not run is None.
+    """
 
     lumped: LumpedCircuit
-    transmon_perturbative: PerturbativeTransmon
-    transmon_exact: TransmonSpectrum | None  # None when the stage did not run
+    transmon_perturbative: PerturbativeTransmon | None
+    transmon_exact: TransmonSpectrum | None
     coupling: CouplingParameters
     chi_exact_hz: float | None
 
@@ -326,8 +329,59 @@ QUANTITIES: dict[str, Callable[[DerivedParameters], float]] = {
     "f_r_loaded_hz": lambda d: d.coupling.f_r_loaded_hz,
     "t1_seconds": lambda d: d.coupling.t1_purcell_seconds,
 }
-# the quantities that need the exact diagonalization; chi_exact_hz also the oracle
-_EXACT_QUANTITIES = frozenset(("f_01_exact_hz", "anharmonicity_exact_hz", "chi_exact_hz"))
+# each stage of derive, in the order it runs, and the stages whose results it
+# reads; the oracle reads g_01 and the closed-form detuning for _oracle_applies
+_STAGE_READS: dict[str, tuple[str, ...]] = {
+    "lumped extraction": (),
+    "perturbative levels": ("lumped extraction",),
+    "zero-point voltage": ("lumped extraction",),
+    "coupling strength": ("lumped extraction", "zero-point voltage"),
+    "dispersive shift": ("perturbative levels", "coupling strength"),
+    "quality factor": ("lumped extraction",),
+    "relaxation estimate": ("perturbative levels", "coupling strength", "quality factor"),
+    "exact diagonalization": ("lumped extraction",),
+    "dressed-state oracle": ("exact diagonalization", "perturbative levels", "coupling strength"),
+}
+# the stage that makes each quantity
+_MADE_BY: dict[str, str] = {
+    **dict.fromkeys(
+        ("i_c_ampere", "e_j_hz", "e_c_hz", "ej_ec_ratio", "c_r_farad", "l_r_henry",
+         "c_sigma_farad", "beta"),
+        "lumped extraction",
+    ),
+    **dict.fromkeys(
+        ("f_01_hz", "f_12_hz", "anharmonicity_hz", "detuning_hz", "abs_detuning_hz"),
+        "perturbative levels",
+    ),
+    "v_rms_volt": "zero-point voltage",
+    "g_01_hz": "coupling strength",
+    **dict.fromkeys(("chi_01_hz", "chi_12_hz", "chi_total_hz"), "dispersive shift"),
+    **dict.fromkeys(("q_ext", "kappa_hz", "f_r_loaded_hz"), "quality factor"),
+    "t1_seconds": "relaxation estimate",
+    **dict.fromkeys(("f_01_exact_hz", "anharmonicity_exact_hz"), "exact diagonalization"),
+    "chi_exact_hz": "dressed-state oracle",
+}
+
+
+def _closure(stage: str) -> frozenset[str]:
+    """``stage`` and every stage it reads, directly or not."""
+    need = {stage}
+    for other in reversed(_STAGE_READS):  # a stage is listed after those it reads
+        if other in need:
+            need.update(_STAGE_READS[other])
+    return frozenset(need)
+
+
+# the stages each quantity needs, those of a full derive, and those a sweep
+# batches itself in place of its column derive
+_NEEDS = {name: _closure(stage) for name, stage in _MADE_BY.items()}
+_EVERY_STAGE = frozenset(_STAGE_READS)
+_EIGEN_STAGES = frozenset(("exact diagonalization", "dressed-state oracle"))
+
+
+def _stages(quantities: Collection[str]) -> frozenset[str]:
+    """The stages that ``quantities`` (keys of ``QUANTITIES``) need."""
+    return frozenset().union(*[_NEEDS[name] for name in quantities])
 
 
 def _check_quantity(name: str) -> None:
@@ -418,25 +472,26 @@ def derive(
 ) -> DerivedParameters:
     """Run the derivation chain for one design.
 
-    Stages: lumped extraction -> closed-form transmon levels ->
-    coupling/readout figures -> exact diagonalization -> dressed-state
+    Stages, in this order: lumped extraction, perturbative levels,
+    zero-point voltage, coupling strength, dispersive shift, quality
+    factor, relaxation estimate, exact diagonalization, dressed-state
     oracle. The eigen stages come last, so a design that a closed form
     refuses raises before either runs, and neither solves nor warns for
     it. The oracle is skipped (chi_exact_hz = None) when the closed-form
     detuning is within 5 g_01 of the resonator, too close to degeneracy for
     dressed states to be labeled.
 
-    Given ``quantities`` (keys of ``QUANTITIES``), the closed-form chain
-    runs, the exact diagonalization only for ``f_01_exact_hz``,
-    ``anharmonicity_exact_hz`` or ``chi_exact_hz``, and the oracle only for
-    ``chi_exact_hz``; a stage that did not run leaves ``transmon_exact``
-    or ``chi_exact_hz`` None.
+    Given ``quantities`` (keys of ``QUANTITIES``), only the stages that
+    make them and the stages those read run (``_STAGE_READS``), so a
+    design raises, and warns, only in those; a record, or a field of
+    ``coupling``, whose stage did not run is None. ``quantities=None``
+    runs every stage.
 
     ``inputs`` may also be a namespace of a design's fields as NumPy columns
     (the sweep batch; an exact quantity is then a ``DomainError``). Nothing
     raises or warns row by row: each row where the float call would raise
-    is NaN in every float field of ``lumped``, ``transmon_perturbative`` and
-    ``coupling``.
+    in a stage that ran is NaN in every float field those stages made. The
+    columns are not checked as ``DesignInputs`` checks a design's fields.
 
     ``solved`` is a dict that a caller keeps over calls on related designs,
     as ``tune`` and a sweep derived row by row do: it maps the inputs of
@@ -445,13 +500,17 @@ def derive(
     runs, and warns, only once.
     """
     if quantities is None:
-        quantities = QUANTITIES
+        need = _EVERY_STAGE
     else:
         for name in quantities:
             _check_quantity(name)
+        need = _stages(quantities)
     if solved is None:
         solved = {}
     f_r = inputs.f_r_target_hertz
+    pert = exact = chi_exact = None
+    v_rms = g_01 = detuning = chi_01 = chi_12 = chi_total = None
+    q_ext = kappa = f_loaded = t1 = None
     try:
         stage = "lumped extraction"
         lumped = build_lumped_circuit(inputs)
@@ -460,34 +519,32 @@ def derive(
         ratio = lumped.ej_ec_ratio
         if (ok := abs(ratio) < math.inf) is not True and _is_false(ok):
             raise FloatingPointError(f"E_j/E_c is {ratio}")
-        stage = "perturbative levels"
-        pert = perturbative_levels(lumped.e_j_hz, lumped.e_c_hz)
-        stage = "zero-point voltage"
-        v_rms = zero_point_voltage(f_r, lumped.c_r_farad)
-        stage = "coupling strength"
-        g_01 = 0.0
-        if (coupled := lumped.beta > 0.0) is True or not _is_false(coupled):
-            g_01 = coupling_strength(lumped.beta, v_rms, lumped.e_j_hz, lumped.e_c_hz)
-            if coupled is not True:  # a column: 0 where C_g = 0
-                g_01 = _select(coupled, g_01, 0.0)
-        if (ok := ok & (abs(g_01) < math.inf)) is not True and _is_false(ok):
-            raise FloatingPointError(f"g_01 is {g_01}")
-        detuning = pert.f_01_hz - f_r
-        stage = "dispersive shift"
-        chi_01, chi_12, chi_total = dispersive_shift(g_01, pert.f_01_hz, pert.f_12_hz, f_r)
-        stage = "quality factor"
-        q_ext, kappa, f_loaded = external_quality_factor(
-            lumped.c_r_farad, lumped.l_r_henry, inputs.c_k_farad, inputs.r_load_ohm
-        )
-        if (ok := ok & (abs(q_ext) < math.inf)) is not True and _is_false(ok):
-            raise FloatingPointError(f"Q_ext is {q_ext}")
-        if (ok := ok & (kappa != 0.0)) is not True and _is_false(ok):
-            raise FloatingPointError(f"kappa underflows to 0 at f_loaded = {f_loaded:.3g} Hz")
-        stage = "relaxation estimate"
-        t1 = purcell_t1(detuning, g_01, q_ext, f_r)
-        stage = "exact diagonalization"
-        exact = None
-        if not _EXACT_QUANTITIES.isdisjoint(quantities):
+        if (stage := "perturbative levels") in need:
+            pert = perturbative_levels(lumped.e_j_hz, lumped.e_c_hz)
+            detuning = pert.f_01_hz - f_r
+        if (stage := "zero-point voltage") in need:
+            v_rms = zero_point_voltage(f_r, lumped.c_r_farad)
+        if (stage := "coupling strength") in need:
+            g_01 = 0.0
+            if (coupled := lumped.beta > 0.0) is True or not _is_false(coupled):
+                g_01 = coupling_strength(lumped.beta, v_rms, lumped.e_j_hz, lumped.e_c_hz)
+                if coupled is not True:  # a column: 0 where C_g = 0
+                    g_01 = _select(coupled, g_01, 0.0)
+            if (ok := ok & (abs(g_01) < math.inf)) is not True and _is_false(ok):
+                raise FloatingPointError(f"g_01 is {g_01}")
+        if (stage := "dispersive shift") in need:
+            chi_01, chi_12, chi_total = dispersive_shift(g_01, pert.f_01_hz, pert.f_12_hz, f_r)
+        if (stage := "quality factor") in need:
+            q_ext, kappa, f_loaded = external_quality_factor(
+                lumped.c_r_farad, lumped.l_r_henry, inputs.c_k_farad, inputs.r_load_ohm
+            )
+            if (ok := ok & (abs(q_ext) < math.inf)) is not True and _is_false(ok):
+                raise FloatingPointError(f"Q_ext is {q_ext}")
+            if (ok := ok & (kappa != 0.0)) is not True and _is_false(ok):
+                raise FloatingPointError(f"kappa underflows to 0 at f_loaded = {f_loaded:.3g} Hz")
+        if (stage := "relaxation estimate") in need:
+            t1 = purcell_t1(detuning, g_01, q_ext, f_r)
+        if (stage := "exact diagonalization") in need:
             if type(ok) is np.ndarray:
                 raise DomainError("columns take only closed-form quantities")
             # two entries; the oracle's keys have four, so the stages never share one
@@ -495,9 +552,7 @@ def derive(
             if key not in solved:
                 solved[key] = exact_transmon_spectrum(*key)
             exact = solved[key]
-        stage = "dressed-state oracle"
-        chi_exact: float | None = None
-        if "chi_exact_hz" in quantities and _oracle_applies(g_01, detuning):
+        if (stage := "dressed-state oracle") in need and _oracle_applies(g_01, detuning):
             key = (lumped.e_j_hz, lumped.e_c_hz, f_r, g_01)
             if key not in solved:
                 solved[key] = coupled_spectrum_oracle(exact, f_r, g_01).chi_exact_hz
@@ -517,15 +572,21 @@ def derive(
         t1_purcell_seconds=t1,
     )
     if type(ok) is np.ndarray:  # columns: a row with a NaN, or a failed check, is NaN throughout
-        records = lumped, pert, coupling
-        floats = [{k: v for k, v in vars(r).items() if k != "inputs"} for r in records]
-        for values in floats:
-            for v in values.values():
-                ok = ok & (v == v)
+        records = lumped, pert, coupling  # pert, and a field of coupling, None if not made
+        for record in records:
+            for v in () if record is None else vars(record).values():
+                if type(v) is np.ndarray:
+                    ok = ok & (v == v)
+                elif isinstance(v, float) and v != v:
+                    ok = ok & False
         if not ok.all():
             lumped, pert, coupling = (
-                replace(r, **{k: _select(ok, v) for k, v in values.items()})
-                for r, values in zip(records, floats)
+                None if record is None else replace(record, **{
+                    k: _select(ok, v)
+                    for k, v in vars(record).items()
+                    if k != "inputs" and v is not None
+                })
+                for record in records
             )
     return DerivedParameters(
         lumped=lumped,
@@ -599,21 +660,26 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
 
     The grid is evaluated in one pass: a ``derive`` of the design's fields
     as columns, an input that does not vary as a float, for the closed
-    forms; the exact solve once per distinct (E_j, E_c), through the parity
+    forms among ``spec.outputs`` and what the eigen stages read (E_j and
+    E_c, and for ``chi_exact_hz`` g_01 and the detuning), so that only the
+    stages the outputs need run and refuse; the exact solve once per
+    distinct (E_j, E_c), through the parity
     kernel ``exact_transmon_spectrum`` uses; the oracle once per distinct
     (E_j, E_c, f_r, g_01), stacked into one ``eigh``, each on the arrays of
     the distinct keys. Each row is bit for bit what ``derive`` gives for its
     point. One Python loop visits, in grid order, only the rows derived on
     their own: those the batch marks (one that a closed form refuses, which
-    ``derive`` does before any eigen stage, and a failed labeling), or every
+    ``derive`` does before any eigen stage, one whose value ``DesignInputs``
+    refuses, and a failed labeling), or every
     row when the grid or an input that does not vary is not a Python float,
     or when the column ``derive`` raises. These share one memo, which starts
     with the transmon solves the batch ran first on rows it keeps, write
     their outputs into their slots of the columns, and warn from ``derive``
     row by row. The rows the batch keeps are folded instead: each kind of
-    warning ``derive`` would raise for them, a detuning within 10 g_01, an
-    unconverged charge cutoff and a |detuning| within 5 g_01 in that order,
-    is raised once after the loop, for the line that called ``sweep``. It
+    warning ``derive`` would raise for them, a detuning within 10 g_01 (only
+    when the outputs need the dispersive shift), an unconverged charge
+    cutoff and a |detuning| within 5 g_01 in that order, is raised once
+    after the loop, for the line that called ``sweep``. It
     names how many rows would warn of it, of how many, the parameter and
     the first and last of those rows' values. Only the stages
     ``spec.outputs`` need run, each eigen stage, and its warning, once per
@@ -636,7 +702,8 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
         for name in (*SWEEPABLE_PARAMETERS, "z_0_ohm", "r_load_ohm")
         if name != spec.parameter
     }
-    exact = _EXACT_QUANTITIES.intersection(spec.outputs)
+    need = _stages(spec.outputs)
+    exact = {name for name in spec.outputs if _MADE_BY[name] in _EIGEN_STAGES}
     derived = None
     # an int mixes with another int by exact integer arithmetic in derive, and a
     # NumPy scalar rounds as its own type; the grid's points share grid[0]'s type
@@ -644,19 +711,25 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
         design[spec.parameter] = values
         # C_g as a column makes g_01 one, so dispersive_shift, the stage that warns, takes columns
         design["c_g_farad"] = np.atleast_1d(design["c_g_farad"])
+        # the closed forms asked for, and what the eigen batch reads: E_j and E_c, from
+        # the lumped stage every derive runs, and for the oracle g_01 and the detuning
+        reads = [name for name in spec.outputs if name not in exact]
+        if "dressed-state oracle" in need:
+            reads += ["g_01_hz", "detuning_hz"]
         with np.errstate(all="ignore"):
             try:
-                derived = derive(SimpleNamespace(**design), quantities=set(spec.outputs) - exact)
+                derived = derive(SimpleNamespace(**design), quantities=reads)
             except (ValueError, ArithmeticError, RuntimeError):  # a float stage: every row raises
                 pass
     solved: dict[tuple[float, ...], Any] = {}  # derive's memo over the rows derived on their own
     # by kind, in derive's order, the rows where derive row by row would warn: near
     # resonance, and at the first row of each eigen stage's key (the row that solves
-    # it), an unconverged charge cutoff and ambiguous dressed labels
-    near, unconverged, ambiguous = np.zeros((3, n), dtype=bool)
+    # it), an unconverged charge cutoff and ambiguous dressed labels; and the rows
+    # derived on their own
+    near, unconverged, ambiguous, lone = np.zeros((4, n), dtype=bool)
     if derived is None:
         columns = {name: np.empty(n) for name in spec.outputs}
-        lone = np.ones(n, dtype=bool)
+        lone[:] = True
     else:
         columns = {}
         lumped, pert, coupling = derived.lumped, derived.transmon_perturbative, derived.coupling
@@ -665,15 +738,17 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
             for name in spec.outputs:
                 value = math.nan if name in exact else QUANTITIES[name](derived)
                 columns[name] = _column(value, n, [values, *columns.values()])
-            near_hz = _near_resonance(coupling.g_01_hz, pert.f_01_hz, pert.f_12_hz, f_r)
-            applies = _oracle_applies(coupling.g_01_hz, coupling.detuning_0_hz)
-        ej, ec, f_r, g, near_hz, applies = (
-            a if type(a) is np.ndarray and a.shape == (n,) else np.full(n, a)
-            for a in (lumped.e_j_hz, lumped.e_c_hz, f_r, coupling.g_01_hz, near_hz, applies)
-        )
-        near = near_hz == near_hz  # NaN where no warning
-        lone = ej != ej  # derive's NaN: a row that a closed form refuses, before any eigen stage
+            if "dispersive shift" in need:  # NaN where no warning
+                near_hz = _near_resonance(coupling.g_01_hz, pert.f_01_hz, pert.f_12_hz, f_r)
+                near[:] = near_hz == near_hz
+            if "dressed-state oracle" in need:
+                applies = _oracle_applies(coupling.g_01_hz, coupling.detuning_0_hz)
+        # derive's NaN, a row that a closed form refuses before any eigen stage, and a
+        # value DesignInputs refuses, which no stage that ran may read (c_k_farad <= 0)
+        refused = values < 0.0 if spec.parameter == "c_g_farad" else values <= 0.0
+        lone[:] = (lumped.e_j_hz != lumped.e_j_hz) | refused | ~np.isfinite(values)
         if exact:
+            ej, ec = (np.broadcast_to(a, n) for a in (lumped.e_j_hz, lumped.e_c_hz))
             good = np.flatnonzero(~lone)
             first, spectrum_of = _distinct(ej[good], ec[good])
             spectrum_rows = good[first]
@@ -685,6 +760,7 @@ def sweep(inputs: DesignInputs, spec: SweepSpec, workers: int = 1) -> SweepResul
                 columns["anharmonicity_exact_hz"][good] = anharmonicity[spectrum_of]
             unconverged[spectrum_rows[cutoff < needed]] = True
             if "chi_exact_hz" in exact:
+                f_r, g, applies = (np.broadcast_to(a, n) for a in (f_r, coupling.g_01_hz, applies))
                 asked = applies[good]
                 asks = good[asked]
                 first, oracle_of = _distinct(spectrum_of[asked], f_r[asks], g[asks])
@@ -908,11 +984,24 @@ def _summary_values(derived: DerivedParameters) -> list[tuple[float, bool]]:
 
 def _refuse_partial(derived: DerivedParameters) -> None:
     coupling = derived.coupling
-    if derived.transmon_exact is None or (
-        derived.chi_exact_hz is None and _oracle_applies(coupling.g_01_hz, coupling.detuning_0_hz)
-    ):
-        stage = "dressed-state oracle" if derived.transmon_exact else "exact diagonalization"
-        raise DomainError(f"cannot report a partial derivation: the {stage} stage did not run")
+    made = (  # a result of each stage but the oracle, in derive's order
+        derived.lumped,
+        derived.transmon_perturbative,
+        coupling.v_rms_volt,
+        coupling.g_01_hz,
+        coupling.chi_total_hz,
+        coupling.q_ext,
+        coupling.t1_purcell_seconds,
+        derived.transmon_exact,
+    )
+    missing = [stage for stage, result in zip(_STAGE_READS, made) if result is None]
+    if not missing and derived.chi_exact_hz is None:
+        if _oracle_applies(coupling.g_01_hz, coupling.detuning_0_hz):
+            missing = ["dressed-state oracle"]
+    if missing:
+        raise DomainError(
+            f"cannot report a partial derivation: the {missing[0]} stage did not run"
+        )
 
 
 # the values a report computes from a record's fields, listed after them;

@@ -6,6 +6,7 @@ import time
 import warnings
 from pathlib import Path
 
+from cqedkit import studio
 from cqedkit.lumped import MAX_GEOMETRY_DEPTH
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_differential.py"
@@ -204,3 +205,71 @@ def test_sweep_warnings_folded_per_kind_are_a_declared_class():
     louder = [*per_row, "UserWarning: x"]
     loud = {**base, "warnings": louder, "printed_warnings": louder}
     assert tool.compare([loud], [folded])
+
+
+def test_records_apart_only_where_the_change_ran_fewer_stages_are_a_declared_class():
+    tool = _load_tool()
+    near = "DispersiveValidityWarning: detuning {} Hz is within 10 g_01 of resonance; ..."
+    overflow = "numerical failure: OverflowError: quality factor: (34, 'Numerical result')\n"
+
+    def record(command, *argv, **fields):
+        return {**_text_record(command, ""), "argv": [command, *argv], **fields}
+
+    def declared(base, change):
+        classes = collections.Counter()
+        return tool.compare([base], [change], classes) == [] and classes == {
+            tool.STAGE_SKIPPED: 1
+        }
+
+    # compare needs no quality factor, and a tune's steps only their target's stages
+    refused = record("compare", exit=2, stderr=overflow)
+    assert declared(refused, record("compare", exit=0, stdout="quantity ..."))
+    assert not declared(record("derive", exit=2, stderr=overflow), record("derive", exit=0))
+    assert not declared(
+        {**refused, "stderr": "error: coupling strength: beta ...\n"}, record("compare", exit=0)
+    )
+    steps = [near.format(1), near.format(2), near.format(3)]
+    tuned = record("tune", "--target", "f_01_hz=4e9", printed_warnings=steps)
+    assert declared(tuned, {**tuned, "printed_warnings": steps[2:]})
+    assert not declared(tuned, {**tuned, "printed_warnings": [*steps[2:], "UserWarning: x"]})
+    assert not declared(tuned, {**tuned, "printed_warnings": steps[:0:-1]})  # reordered
+    chi = record("tune", "--target", "chi_total_hz=-1e6", printed_warnings=steps)
+    assert not declared(chi, {**chi, "printed_warnings": steps[2:]})
+    # a sweep of f_01_hz keeps a row only the quality factor refused, and warns
+    # of no detuning; one of chi_total_hz also counts that row in its folded warning
+    csv = (
+        "c_k_farad,{},status,error\n1e-15,1.0,ok,\n"
+        '2e-15,,error,"OverflowError: quality factor: (34, \'Numerical result\')"\n3e-15,3.0,ok,\n'
+    )
+    kept = csv.replace(",,error,\"OverflowError: quality factor: (34, 'Numerical result')\"",
+                       ",2.0,ok,")
+    folded = (
+        "DispersiveValidityWarning: detuning within 10 g_01 of resonance in {} of 3 rows, "
+        "c_k_farad 1e-15 to 3e-15; dispersive formula unreliable"
+    )
+    base_warned = [near.format(2), folded.format(2)]
+    swept = record(
+        "sweep", "--emit", "f_01_hz", text=csv.format("f_01_hz"), stdout="3 rows (1 failed)",
+        warnings=base_warned, printed_warnings=base_warned,
+    )
+    change = {**swept, "text": kept.format("f_01_hz"), "stdout": "3 rows (0 failed)",
+              "files": {"out": "another"}, "warnings": [], "printed_warnings": []}
+    assert declared(swept, change)
+    assert not declared(swept, {**change, "text": change["text"].replace("3.0", "3.5")})
+    assert not declared(swept, {**change, "warnings": [folded.format(3)]})
+    levels = csv.format("f_01_hz").replace("quality factor", "perturbative levels")
+    assert not declared({**swept, "text": levels}, change)
+    argv = ["sweep", "--emit", "chi_total_hz"]
+    chi = {**swept, "argv": argv, "text": csv.format("chi_total_hz")}
+    for count, same in ((3, True), (4, True), (5, False), (2, False)):
+        warned = {**change, "argv": argv, "text": kept.format("chi_total_hz")}
+        warned["warnings"] = [folded.format(count)]
+        warned["printed_warnings"] = warned["warnings"]
+        assert declared(chi, warned) == same, count
+
+
+def test_the_stage_tables_of_the_tool_are_derives():
+    tool = _load_tool()
+    assert tool.STAGE_READS == studio._STAGE_READS
+    assert tool.MADE_BY.items() <= studio._MADE_BY.items()
+    assert {*tool.TARGETS, *tool.QUANTITIES, "f_01_exact_hz", "chi_exact_hz"} <= tool.MADE_BY.keys()

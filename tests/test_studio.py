@@ -602,9 +602,13 @@ def test_closed_form_sweep_skips_the_unconverged_exact_solve(reference_inputs):
 
 
 def test_report_refuses_a_partial_derivation(reference_inputs):
+    closed_forms = [name for name in QUANTITIES if not name.endswith("_exact_hz")]
+    # a partial report names the first stage, in derive's order, that did not run
     for quantities, stage in (
-        ((), "exact diagonalization"),
-        (("f_01_exact_hz",), "dressed-state oracle"),
+        ((), "perturbative levels"),
+        (("f_01_exact_hz",), "perturbative levels"),
+        (closed_forms, "exact diagonalization"),
+        ((*closed_forms, "f_01_exact_hz"), "dressed-state oracle"),
     ):
         derived = _quiet_derive(reference_inputs, quantities=quantities)
         tuned = studio.TuneResult("l_j_henry", 11e-9, "f_01_hz", 4.55e9, 4.55e9, 0, derived)
@@ -614,7 +618,7 @@ def test_report_refuses_a_partial_derivation(reference_inputs):
                 render(result)
     # inside |detuning| < 5 g the oracle does not run in a full derive either
     near = replace(reference_inputs, c_g_farad=13.2e-15)
-    partial = _quiet_derive(near, quantities=("f_01_exact_hz",))
+    partial = _quiet_derive(near, quantities=(*closed_forms, "f_01_exact_hz"))
     assert partial == _quiet_derive(near)
     assert render_report(partial) == render_report(_quiet_derive(near))
 
@@ -946,13 +950,13 @@ def test_warnings_of_batched_rows_point_at_the_line_that_called_sweep(
     # a weaker coupling at a closed-form detuning just past 5 g_01, where the
     # exact one is within it, and a design whose charge basis is capped
     weak = replace(reference_inputs, c_g_farad=reference_inputs.c_g_farad / 4)
-    derived = derive(weak, quantities=())
+    derived = derive(weak, quantities=("f_01_hz", "g_01_hz"))
     f_01, g_01 = derived.transmon_perturbative.f_01_hz, derived.coupling.g_01_hz
     capped = replace(reference_inputs, c_s_farad=5.0e16)
     c_k = capped.c_k_farad
     sweeps = [
         (weak, SweepSpec("f_r_target_hertz", f_01 - 5.3 * g_01, f_01 - 4.9 * g_01, 101,
-                         ("chi_exact_hz", "f_01_exact_hz"))),
+                         ("chi_exact_hz", "f_01_exact_hz", "chi_total_hz"))),
         (capped, SweepSpec("c_k_farad", 0.99 * c_k, 1.01 * c_k, 101, ("f_01_exact_hz", "q_ext"))),
     ]
     states = _rows_derived_alone(monkeypatch)
@@ -1217,7 +1221,7 @@ def test_template_cache_holds_one_entry_per_shape(reference_inputs, monkeypatch)
     shapes = set()
     for i in range(300):
         inputs = replace(reference_inputs, l_j_henry=11e-9 * rng.uniform(0.97, 1.03))
-        derived = _quiet_derive(inputs, quantities=("f_01_exact_hz", "chi_exact_hz"))
+        derived = _quiet_derive(inputs)
         exact = derived.transmon_exact
         # a TransmonSpectrum from the API may hold any number of levels
         levels = exact.levels_hz[: 1 + i % 8]

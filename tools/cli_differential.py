@@ -17,7 +17,7 @@ Record a tree (it is imported from PYTHONPATH), then compare two records:
 
 ``--compare`` prints every field that differs and exits 1 if any does. It
 compares the printed warnings, not every one raised, so a repeat that the
-CLI would not print is no difference. Four declared classes of difference
+CLI would not print is no difference. Five declared classes of difference
 are counted apart and do not fail ``--compare``:
 
 - ``TUNE_ROOT``: a record of an exit-0 ``tune`` also holds the report's
@@ -47,6 +47,15 @@ are counted apart and do not fail ``--compare``:
   derive's order, one warning naming the number of rows that warned of it,
   of all rows, the parameter, and the first and last values of ``ok`` rows
   between which that many lie. The count of each kind is the first's.
+- ``STAGE_SKIPPED``: two records of one call where the second ran only the
+  stages of ``derive`` that its quantities need (``STAGE_READS``,
+  ``MADE_BY``): a sweep's outputs, a tune's target in its steps, what
+  ``compare`` and ``s21`` read. The first refused in a stage the second did
+  not run, and the second may end otherwise; or the second's printed
+  warnings are the first's, in order, less some of the kinds such a stage
+  raises (``WARNING_STAGES``); or two sweeps' CSVs differ only in rows the
+  first refused in such a stage, which then take the stages they need and
+  may warn of the other folded kinds (the rule is ``_stages_skipped``'s).
 
 Designs: four in five have the five sweepable fields drawn +-40 % around
 qubit_v1; the rest set one to three fields to 10^U(-300, 300). One in 50
@@ -123,6 +132,43 @@ FOLDED_KINDS = (
      "dressed-state labels may be ambiguous"),
 )
 FOLDED_WARNING = re.compile(r"(.+) in (\d+) of (\d+) rows, (\w+) (\S+) to (\S+); (.+)")
+# the declared class of records apart only where the change ran fewer stages
+STAGE_SKIPPED = "stages the quantities do not need"
+# derive's stages in its order, each with the stages it reads, and the stage that
+# makes each quantity a command may ask for: cqedkit.studio's _STAGE_READS and
+# _MADE_BY, written out so that a tree without them can be compared too
+STAGE_READS = {
+    "lumped extraction": (),
+    "perturbative levels": ("lumped extraction",),
+    "zero-point voltage": ("lumped extraction",),
+    "coupling strength": ("lumped extraction", "zero-point voltage"),
+    "dispersive shift": ("perturbative levels", "coupling strength"),
+    "quality factor": ("lumped extraction",),
+    "relaxation estimate": ("perturbative levels", "coupling strength", "quality factor"),
+    "exact diagonalization": ("lumped extraction",),
+    "dressed-state oracle": ("exact diagonalization", "perturbative levels", "coupling strength"),
+}
+MADE_BY = {
+    "f_01_hz": "perturbative levels",
+    "anharmonicity_hz": "perturbative levels",
+    "g_01_hz": "coupling strength",
+    "chi_total_hz": "dispersive shift",
+    "q_ext": "quality factor",
+    "kappa_hz": "quality factor",
+    "f_r_loaded_hz": "quality factor",
+    "t1_seconds": "relaxation estimate",
+    "f_01_exact_hz": "exact diagonalization",
+    "chi_exact_hz": "dressed-state oracle",
+}
+# what compare and s21 ask derive for; derive asks for every quantity
+COMMAND_QUANTITIES = {
+    "compare": ("f_01_hz", "anharmonicity_hz", "chi_total_hz"),
+    "s21": ("f_r_loaded_hz", "kappa_hz", "q_ext", "chi_total_hz"),
+}
+# the stage that raises each of FOLDED_KINDS, itself or folded
+WARNING_STAGES = ("dispersive shift", "exact diagonalization", "dressed-state oracle")
+# a refusal, on stderr or in a sweep row's error cell, and the stage it names
+REFUSAL = re.compile(r'(?:error: |numerical failure: |")(?:\w+: )?([\w -]+): ')
 TARGETS = {
     "f_01_hz": (3.5e9, 5.5e9),
     "g_01_hz": (2e7, 8e7),
@@ -255,6 +301,8 @@ def declared(a: dict[str, Any], b: dict[str, Any]) -> str | None:
     if differing == {"printed_warnings"} and a["command"] == "sweep" and "text" in a:
         if _folded_apart(a, b):
             return SWEEP_FOLDED
+    if _stages_skipped(a, b, differing):
+        return STAGE_SKIPPED
     if differing == {"printed_warnings"}:
         first, second = (collections.Counter(r["printed_warnings"]) for r in (a, b))
         lost = first - second
@@ -319,6 +367,86 @@ def _folded_apart(base: dict[str, Any], change: dict[str, Any]) -> bool:
             return False
         span = len(kept_values) - kept_values[::-1].index(last) - kept_values.index(first)
         if span < int(count):
+            return False
+    return True
+
+
+def _skipped(record: dict[str, Any]) -> set[str]:
+    """The stages the change does not run for a call: those that its quantities
+    (a sweep's outputs, a tune's target for its steps) neither need nor read."""
+    argv = record["argv"]
+    flag = {"sweep": "--emit", "tune": "--target"}.get(record["command"])
+    if flag in argv:
+        names = argv[argv.index(flag) + 1].partition("=")[0].split(",")
+    else:
+        names = COMMAND_QUANTITIES.get(record["command"], ())
+    if not names or not set(names) <= MADE_BY.keys():
+        return set()
+    need = {MADE_BY[name] for name in names}
+    for stage in reversed(STAGE_READS):  # a stage is listed after those it reads
+        if stage in need:
+            need.update(STAGE_READS[stage])
+    return STAGE_READS.keys() - need
+
+
+def _stages_skipped(base: dict[str, Any], change: dict[str, Any], differing: set[str]) -> bool:
+    """Whether two records of one call differ under ``STAGE_SKIPPED``'s rule.
+
+    Either the base refused in a stage the change does not run, and the change
+    may end otherwise; or the two differ in printed warnings alone, and the
+    change's are the base's, in order, less some of the kinds such a stage
+    raises; or two sweeps' CSVs (with their files and the failed count on
+    stdout) differ only in rows that the base refused in such a stage. Such a
+    row then takes the stages it needs, so the sweeps' warnings of no folded
+    kind are the same, the change raises none of a kind that a skipped stage
+    raises, and of each other folded kind it warns of as many rows as the
+    base or more, by at most the number of those rows.
+    """
+    skipped = _skipped(base)
+    if not (skipped and differing):
+        return False
+    refusal = REFUSAL.match(base["stderr"])
+    if base["exit"] != 0 and refusal is not None and refusal.group(1) in skipped:
+        return True
+    if not differing <= {"printed_warnings", "text", "files", "stdout"}:
+        return False
+    kinds = [
+        (starts, stage in skipped) for (starts, *_), stage in zip(FOLDED_KINDS, WARNING_STAGES)
+    ]
+    if differing == {"printed_warnings"}:
+        kept = change["printed_warnings"]
+        matched = 0
+        for w in base["printed_warnings"]:
+            if matched < len(kept) and w == kept[matched]:
+                matched += 1
+            elif not any(w.startswith(starts) for starts, gone in kinds if gone):
+                return False
+        return matched == len(kept)
+    if base["command"] != "sweep" or "text" not in base or "text" not in change:
+        return False
+    lines_a, lines_b = (r["text"].splitlines() for r in (base, change))
+    if len(lines_a) != len(lines_b) or lines_a[0] != lines_b[0]:
+        return False
+    moved = 0
+    for line_a, line_b in zip(lines_a, lines_b):
+        if line_a != line_b:
+            refusal = REFUSAL.search(line_a)
+            if refusal is None or refusal.group(1) not in skipped:
+                return False
+            moved += 1
+    folded = tuple(starts for starts, _ in kinds)
+    other_a, other_b = (
+        [w for w in r["printed_warnings"] if not w.startswith(folded)] for r in (base, change)
+    )
+    if other_a != other_b:
+        return False
+    for starts, gone in kinds:
+        rows_a, rows_b = (
+            sum(int(m.group(2)) if (m := FOLDED_WARNING.fullmatch(w)) else 1
+                for w in r["warnings"] if w.startswith(starts))
+            for r in (base, change)
+        )
+        if not (rows_b == 0 if gone else rows_a <= rows_b <= rows_a + moved):
             return False
     return True
 
