@@ -9,6 +9,8 @@ f_excited = f_loaded - chi.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -268,16 +270,35 @@ def _csv_body(columns: np.ndarray) -> tuple[bytes, np.ndarray]:
     return body, fallback
 
 
+def _open_without_truncating(path: str | Path, flags: int) -> int:
+    """``open``'s opener: the flags of ``open(path, "wb")`` less O_TRUNC."""
+    # the mode open() creates a file with, less the umask
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def write_curve_csv(curve: TransmissionCurve, path: str | Path) -> None:
-    """Write a curve as CSV (plain decimal notation, ascending frequency)."""
+    """Write a curve as CSV (plain decimal notation, ascending frequency).
+
+    An existing file is written over from its start and then cut to length,
+    which costs far less than truncating it first on some filesystems (ext4
+    mounted with ``discard``). A write that fails part-way leaves the rows
+    written so far and nothing of the old file; only a process killed before
+    the cut leaves the old file's tail after the new rows.
+    """
     # in double precision, as Python's complex holds each sample
     s21 = np.asarray(curve.s21, complex)
     re, im = s21.real, s21.imag
-    with open(path, "wb") as out:
-        out.write(f"{CSV_HEADER}\n".encode("ascii"))
-        for start in range(0, re.shape[0], _CSV_CHUNK_ROWS):
-            rows = slice(start, start + _CSV_CHUNK_ROWS)
-            # np.hypot gives the complex abs that Python's abs gives per element;
-            # np.abs on the complex array differs from it in the last bit
-            columns = (curve.frequency_hz[rows], re[rows], im[rows], np.hypot(re[rows], im[rows]))
-            out.write(_csv_body(np.stack(columns))[0])
+    with open(path, "wb", opener=_open_without_truncating) as out:
+        # /dev/null or a FIFO takes no truncate
+        regular = stat.S_ISREG(os.fstat(out.fileno()).st_mode)
+        try:
+            out.write(f"{CSV_HEADER}\n".encode("ascii"))
+            for start in range(0, re.shape[0], _CSV_CHUNK_ROWS):
+                rows = slice(start, start + _CSV_CHUNK_ROWS)
+                # np.hypot gives the complex abs that Python's abs gives per element;
+                # np.abs on the complex array differs from it in the last bit
+                columns = (curve.frequency_hz[rows], re[rows], im[rows], np.hypot(re[rows], im[rows]))
+                out.write(_csv_body(np.stack(columns))[0])
+        finally:
+            if regular:
+                out.truncate()

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import importlib.util
 import json
 import random
@@ -98,6 +99,35 @@ def test_tunes_that_both_meet_the_tolerance_are_a_declared_class():
     assert len(tool.compare([parent], [failed])) > 0
     loud = _tune_record(1.1000004e-8, 2e-10, stderr="a new line")
     assert "design 0 tune: stderr: '' -> 'a new line'" in tool.compare([parent], [loud])
+
+
+def test_tunes_apart_only_in_printed_warnings_are_no_moved_root():
+    tool = _load_tool()
+    parent = _tune_record(1.1e-8, 5e-7)
+    louder = _tune_record(1.1e-8, 5e-7, printed_warnings=["UserWarning: step"])
+    assert tool.declared(parent, louder) is None
+    assert len(tool.compare([parent], [louder])) == 1
+
+
+def test_s21_written_over_filler_writes_the_files_of_a_fresh_directory():
+    tool = _load_tool()
+    # seed 3 draws four s21 calls that all exit 0: both states on designs 0 and 2,
+    # one state on designs 1 and 3
+    runs = {}
+    for rewritten in (0, 1):
+        tool.REWRITTEN = rewritten
+        runs[rewritten] = [r for r in tool.run(4, 3) if r["command"] == "s21"]
+    assert [(r["argv"][2], r["exit"]) for r in runs[0]] == [
+        ("both", 0), ("ground", 0), ("both", 0), ("excited", 0),
+    ]
+    # each call runs once over FILLER and once in a directory without it
+    assert runs[0] == runs[1]
+    assert [len(r["files"]) for r in runs[0]] == [2, 1, 2, 1]
+    # seed 0's second design refuses its s21 call, which leaves the filler as it was
+    tool.REWRITTEN = 1
+    refused = [r for r in tool.run(2, 0) if r["command"] == "s21"][1]
+    assert refused["exit"] == 1
+    assert refused["files"] == {"out": hashlib.sha256(tool.FILLER).hexdigest()}
 
 
 def _text_record(command, text):

@@ -1,5 +1,7 @@
 import math
+import os
 import random
+import stat
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -293,6 +295,73 @@ def test_csv_written_in_chunks_is_the_csv_written_as_one(tmp_path, monkeypatch):
     monkeypatch.setattr(readout, "_CSV_CHUNK_ROWS", 8)
     write_curve_csv(curve, chunked)
     assert chunked.read_bytes() == whole.read_bytes() == _reference_csv(curve).encode("ascii")
+
+
+@pytest.mark.parametrize("old_length", [3, 1 / 3], ids=["3x_longer", "3x_shorter"])
+def test_csv_written_over_an_existing_file_is_the_csv_of_a_fresh_path(tmp_path, old_length):
+    curve = s21_curve(_coupling(), "ground", 20e6, 2001)
+    fresh, existing = tmp_path / "fresh.csv", tmp_path / "existing.csv"
+    write_curve_csv(curve, fresh)
+    expected = fresh.read_bytes()
+    existing.write_bytes(b"9" * int(len(expected) * old_length))
+    existing.chmod(0o640)
+    before = existing.stat()
+    write_curve_csv(curve, existing)
+    after = existing.stat()
+    assert existing.read_bytes() == expected
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    # a path created by the writer takes the mode open(path, "wb") gives it
+    with open(tmp_path / "reference", "wb"):
+        pass
+    assert fresh.stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+
+def test_a_failed_write_leaves_the_new_rows_and_nothing_of_the_old_file(tmp_path, monkeypatch):
+    curve = s21_curve(_coupling(), "ground", 20e6, 201)
+    re, im = curve.s21.real, curve.s21.imag
+    first_chunk = _csv_body(
+        np.stack((curve.frequency_hz[:8], re[:8], im[:8], np.hypot(re[:8], im[:8])))
+    )[0]
+    path = tmp_path / "curve.csv"
+    path.write_bytes(b"9" * 100_000)
+    calls = []
+
+    class SecondChunk(Exception):
+        pass
+
+    def failing_body(columns):
+        calls.append(columns.shape[1])
+        if len(calls) == 2:
+            raise SecondChunk
+        return _csv_body(columns)
+
+    monkeypatch.setattr(readout, "_CSV_CHUNK_ROWS", 8)
+    monkeypatch.setattr(readout, "_csv_body", failing_body)
+    with pytest.raises(SecondChunk):
+        write_curve_csv(curve, path)
+    assert calls == [8, 8]
+    assert path.read_bytes() == f"{CSV_HEADER}\n".encode("ascii") + first_chunk
+
+
+def test_csv_written_to_the_null_device(curves):
+    # not a regular file, so it is written but never cut to length
+    _, ground, _ = curves
+    assert not stat.S_ISREG(os.stat(os.devnull).st_mode)
+    write_curve_csv(ground, os.devnull)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root writes to any file"
+)
+def test_csv_written_to_a_write_only_file(tmp_path):
+    # open(path, "wb") needs only write permission, and so does the writer
+    curve = s21_curve(_coupling(), "ground", 20e6, 201)
+    path = tmp_path / "curve.csv"
+    path.write_bytes(b"9" * 100_000)
+    path.chmod(0o200)
+    write_curve_csv(curve, path)
+    path.chmod(0o600)
+    assert path.read_bytes() == _reference_csv(curve).encode("ascii")
 
 
 def test_csv_of_a_single_precision_curve_prints_its_double_values(tmp_path):

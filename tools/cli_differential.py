@@ -23,9 +23,10 @@ are counted apart and do not fail ``--compare``:
 - ``TUNE_ROOT``: a record of an exit-0 ``tune`` also holds the report's
   ``tuned`` block. Two such records of one parameter, each of whose
   achieved values meets the target to the tune's ``rel_tol``, and that
-  differ only in the report, the summary line, the ``tuned`` block and the
-  printed warnings of the steps: a root finder that steps elsewhere lands
-  elsewhere inside the tolerance. The tolerance is on the target
+  differ in the report, the summary line or the ``tuned`` block, and
+  otherwise only in the printed warnings of the steps: a root finder that
+  steps elsewhere lands elsewhere inside the tolerance. Warnings that differ
+  alone are no moved root. The tolerance is on the target
   quantity, so where it is flat in the parameter (f_01 in ``c_g_farad``)
   two such roots can lie 1e-4 apart, relative, in the parameter.
 - ``ROUNDING``: a record of an exit-0 ``derive`` or ``sweep`` also holds
@@ -62,6 +63,10 @@ qubit_v1; the rest set one to three fields to 10^U(-300, 300). One in 50
 gets a geometry nested 600 deep, one in 50 a geometry nested exactly
 ``NESTING_BOUND`` deep (the most a design accepts), one in 50 a geometry
 a level deeper, and one in 50 an existing directory as the s21 ``--out``.
+Every other s21 call finds its ``--out`` file, or both state files, already
+holding ``FILLER``, longer than the CSV of any curve it draws of a design
+near qubit_v1, so that the writer's rewrite of an existing file is compared
+too.
 One in 25 writes ``z_0_ohm`` and ``r_load_ohm`` as the JSON int ``50``: a
 design holding an int is not batched, so its sweep derives every row on its
 own. The draws do not depend on the tree, so both trees get the same designs.
@@ -107,10 +112,17 @@ NESTING_BOUND = 100
 NESTED = {17: 600, 18: NESTING_BOUND, 19: NESTING_BOUND + 1}
 # design index modulo 25 of the designs whose z_0_ohm and r_load_ohm are the int 50
 INT_INPUTS = 11
+# design index modulo 2 of the s21 calls whose outputs already hold FILLER
+REWRITTEN = 1
+# more bytes than the CSV of the longest curve an s21 call draws, 3,001 points,
+# of a design near qubit_v1 (about 165 KB)
+FILLER = b"0" * 400_000
 # the declared class of two tunes that both meet the target to the tune's tolerance
 TUNE_ROOT = "tune root within rel_tol"
 # fields in which two records of one TUNE_ROOT pair may differ
 TUNE_ROOT_FIELDS = frozenset(("files", "stdout", "tuned", "printed_warnings"))
+# of which at least one must differ: the root moved
+TUNE_ROOT_MOVED = frozenset(("files", "stdout", "tuned"))
 # the declared class of reports and sweep CSVs apart only by the rounding of the exact solve
 ROUNDING = "last-digit rounding"
 # a |chi_exact_hz| below this is rounding noise: levels near 1e10 Hz round to 1e-6 Hz
@@ -285,6 +297,11 @@ def run(designs: int, seed: int) -> Iterator[dict[str, Any]]:
                     out = tmp / "out"
                     if argv[0] == "s21" and index % 50 == 29:
                         out.mkdir()
+                    elif argv[0] == "s21" and index % 2 == REWRITTEN:
+                        # cqedkit s21 writes both states to out.ground and out.excited
+                        names = ("out.ground", "out.excited") if argv[2] == "both" else ("out",)
+                        for name in names:
+                            (tmp / name).write_bytes(FILLER)
                     argv += ["--out", str(out)]
                 record = {"design": index, "command": argv[0], **_run_one(cli.main, argv, tmp)}
                 if record["exit"] == 0 and argv[0] in ("derive", "sweep"):
@@ -321,7 +338,9 @@ def declared(a: dict[str, Any], b: dict[str, Any]) -> str | None:
     rel_tol = float(argv[argv.index("--tol") + 1]) if "--tol" in argv else 1e-6
     if max(tuned_a["relative_error"], tuned_b["relative_error"]) > rel_tol:
         return None
-    return TUNE_ROOT if differing <= TUNE_ROOT_FIELDS else None
+    if differing <= TUNE_ROOT_FIELDS and differing & TUNE_ROOT_MOVED:
+        return TUNE_ROOT
+    return None
 
 
 def _folded_apart(base: dict[str, Any], change: dict[str, Any]) -> bool:
